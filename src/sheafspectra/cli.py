@@ -22,6 +22,7 @@ from .invariants import ChernClasses, euler_characteristic, splitting_type_from_
 from .sheafcalc import recipe_table
 from .spectrum import UNBOUNDED, ChainUpParam, SpectrumWithS, enumerate_spectra
 from .workbench import (
+    _spectrum_str,
     catalog_load,
     check_slope_examples,
     component_report,
@@ -67,10 +68,6 @@ def _seh(text: str) -> ChainUpParam:
     if text == "unbounded":
         return UNBOUNDED
     return ChainUpParam(int(text))
-
-
-def _spectrum_str(values) -> str:
-    return "(" + ",".join(str(k) for k in values) + ")"
 
 
 def _emit(args, as_json: str, as_md: str) -> int:

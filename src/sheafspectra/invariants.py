@@ -3,8 +3,8 @@
 Everything in this module is closed-form integer arithmetic: Euler
 characteristics of twists, generic splitting types, the spectrum length,
 and a total-Chern-class oracle that recovers (e, c2, c3) from a
-resolution by sums of line bundles.  Intermediate values use
-fractions.Fraction; every public result is an exact int.
+resolution by sums of line bundles.  All arithmetic is on int, with
+divisions done by divmod and an explicit check of the remainder.
 
 The Euler characteristic of a normalized class (e, c2, c3) at twist t is
 
@@ -19,7 +19,6 @@ enforced at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -37,7 +36,6 @@ __all__ = [
     "ChernSeries",
     "euler_characteristic",
     "line_bundle_chi",
-    "splitting_type",
     "splitting_type_from_e",
     "restriction_chi",
     "spectrum_length",
@@ -61,6 +59,10 @@ class ChernClasses:
     c3: int
 
     def __post_init__(self):
+        for name, value in zip(("e", "c2", "c3"), self.as_tuple()):
+            # bool is an int subclass and float would leak into chi
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
         if self.e not in (-1, 0):
             raise NotNormalizedError(
                 f"first Chern class must be -1 or 0 after normalization, got {self.e}"
@@ -111,22 +113,17 @@ class SingularityProfile:
 
 def euler_characteristic(cc: ChernClasses, t: int) -> int:
     """chi(E(t)) for the normalized class cc, as an exact integer."""
+    # six times chi: both formulas over their common denominator
     if cc.e == -1:
-        value = (
-            Fraction((t + 1) * (t + 2) * (2 * t + 3), 6)
-            - cc.c2 * (t + 2)
-            + Fraction(cc.c2 + cc.c3, 2)
-        )
+        sixfold = (t + 1) * (t + 2) * (2 * t + 3) + 3 * (cc.c2 + cc.c3)
     else:
-        value = (
-            Fraction((t + 1) * (t + 2) * (t + 3), 3)
-            - cc.c2 * (t + 2)
-            + Fraction(cc.c3, 2)
-        )
-    if value.denominator != 1:
+        sixfold = 2 * (t + 1) * (t + 2) * (t + 3) + 3 * cc.c3
+    sixfold -= 6 * cc.c2 * (t + 2)
+    value, rem = divmod(sixfold, 6)
+    if rem:
         # unreachable once the parity law holds; kept as a hard check
-        raise IntegralityError(f"chi({cc}, {t}) = {value} is not an integer")
-    return int(value)
+        raise IntegralityError(f"chi({cc}, {t}) = {sixfold}/6 is not an integer")
+    return value
 
 
 def line_bundle_chi(a: int, t: int) -> int:
@@ -140,12 +137,8 @@ def line_bundle_chi(a: int, t: int) -> int:
     return (d + 1) * (d + 2) * (d + 3) // 6
 
 
-def splitting_type(cc: ChernClasses) -> SplittingType:
-    """Generic splitting type of a normalized semistable sheaf."""
-    return splitting_type_from_e(cc.e)
-
-
 def splitting_type_from_e(e: int) -> SplittingType:
+    """Generic splitting type of a normalized semistable sheaf with c1 = e."""
     if e == -1:
         return SplittingType(-1, 0)
     if e == 0:
@@ -164,68 +157,63 @@ def spectrum_length(cc: ChernClasses) -> int:
         raise DegenerateClassError(
             f"spectrum undefined for c2 = {cc.c2} (need c2 >= 1)"
         )
-    a2 = splitting_type(cc).a2
+    a2 = splitting_type_from_e(cc.e).a2
     # the count identity: the plane restriction at twist -a2-1 has chi = -c2
-    assert -restriction_chi(cc, -a2 - 1) == cc.c2
+    if -restriction_chi(cc, -a2 - 1) != cc.c2:
+        raise IntegralityError(f"plane restriction of {cc} does not count c2")
     return cc.c2
 
 
 @dataclass(frozen=True)
 class ChernSeries:
-    """Total Chern polynomial truncated at degree 3.
+    """Total Chern polynomial truncated at degree 3, with int coefficients.
 
-    Coefficients are exact Fractions during arithmetic; integrality is
-    asserted only when converting out, so products and quotients of
-    admissible series never truncate silently.
+    Only series with constant term 1 are inverted, and those invert over
+    the integers, so products and quotients of admissible series stay
+    exact without leaving int.
     """
 
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
+    c0: int
+    c1: int
+    c2: int
+    c3: int
 
     @staticmethod
     def one() -> "ChernSeries":
-        return ChernSeries(Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+        return ChernSeries(1, 0, 0, 0)
 
     @staticmethod
     def line_bundle(a: int) -> "ChernSeries":
-        return ChernSeries(Fraction(1), Fraction(a), Fraction(0), Fraction(0))
+        return ChernSeries(1, a, 0, 0)
 
     @staticmethod
     def points(n: int) -> "ChernSeries":
         # a length-n zero-dimensional sheaf has total class 1 + 2n t^3
-        return ChernSeries(Fraction(1), Fraction(0), Fraction(0), Fraction(2 * n))
+        return ChernSeries(1, 0, 0, 2 * n)
 
-    def coefficients(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    def integer_coefficients(self) -> tuple[int, int, int, int]:
         return (self.c0, self.c1, self.c2, self.c3)
 
     def __mul__(self, other: "ChernSeries") -> "ChernSeries":
-        a = self.coefficients()
-        b = other.coefficients()
-        prod = [Fraction(0)] * 4
+        a = self.integer_coefficients()
+        b = other.integer_coefficients()
+        prod = [0] * 4
         for i in range(4):
             for j in range(4 - i):
                 prod[i + j] += a[i] * b[j]
         return ChernSeries(*prod)
 
     def inverse(self) -> "ChernSeries":
-        a = self.coefficients()
+        a = self.integer_coefficients()
         if a[0] != 1:
             raise IntegralityError("only series with constant term 1 are invertible")
-        b = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
+        b = [1, 0, 0, 0]
         for k in range(1, 4):
             b[k] = -sum(a[j] * b[k - j] for j in range(1, k + 1))
         return ChernSeries(*b)
 
     def __truediv__(self, other: "ChernSeries") -> "ChernSeries":
         return self * other.inverse()
-
-    def integer_coefficients(self) -> tuple[int, int, int, int]:
-        coeffs = self.coefficients()
-        if any(c.denominator != 1 for c in coeffs):
-            raise IntegralityError(f"non-integer total Chern class {coeffs}")
-        return tuple(int(c) for c in coeffs)  # type: ignore[return-value]
 
 
 def chern_from_resolution(
@@ -253,7 +241,8 @@ def chern_from_resolution(
     for b in neg:
         series = series / ChernSeries.line_bundle(b)
     c0, c1, c2, c3 = series.integer_coefficients()
-    assert c0 == 1
+    if c0 != 1:
+        raise IntegralityError(f"resolution series has constant term {c0}, expected 1")
     return ChernClasses(c1, c2, c3)
 
 

@@ -7,9 +7,11 @@ sequence with one unknown slot and solves the twelve-term cohomology
 sequence twist by twist under the generic maximal-rank policy: every
 free connecting or interior map takes the largest rank its source and
 target allow, forced maps (injectivity at the left end, surjectivity at
-the right end) are checked for feasibility.  splice_bounds reports, for
-each entry, the interval of values attainable over all rank choices, so
-callers can tell policy output from forced output.
+the right end) are checked for feasibility.  One solver serves all
+three unknown slots.  splice_bounds reports, for each entry, the
+interval of values attainable over all rank choices, read off the two
+corners of the rank box, so callers can tell policy output from forced
+output.
 
 monad_table chains two splices (kernel, then quotient) and attaches the
 Chern classes read off the power-series oracle.  construction_spectrum
@@ -22,7 +24,6 @@ the sound window.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -154,7 +155,7 @@ def _symbol_row(sym, t: int) -> tuple:
     if isinstance(sym, IdealOfCurve):
         ambient = _symbol_row(LineBundle(0), t)
         curve = _symbol_row(sym.curve, t)
-        return _solve_left(ambient, curve)
+        return _solve(*_BLOCKS["left"](ambient, curve))
     if isinstance(sym, Twist):
         return _symbol_row(sym.of, t + sym.n)
     raise TypeError(f"not a sheaf symbol: {sym!r}")
@@ -172,9 +173,19 @@ def block_table(sym, rng: tuple[int, int]) -> CohomologyTable:
 #
 #   0 -> L0 -> M0 -> R0 -> L1 -> M1 -> R1 -> L2 -> M2 -> R2 -> L3 -> M3 -> R3 -> 0,
 #
-# is solved for one unknown column.  Entries are ints or None; None
-# propagates.  rho/sigma/tau denote the ranks of the maps M->R, R->L,
-# L->M respectively.
+# is solved for one unknown column U0..U3.  Between consecutive unknowns
+# sit two known entries, so the known part is five blocks p_k -> q_k
+# (k = 0..4) around U_{k-1} -> p_k -> q_k -> U_k, with a zero block at
+# an end where the sequence starts or stops:
+#
+#   unknown left:   (0, 0), (M_i, R_i)
+#   unknown middle: (0, L0), (R_i, L_{i+1}), (R3, 0)
+#   unknown right:  (L_i, M_i), (0, 0)
+#
+# With x_k the rank of p_k -> q_k, exactness gives
+# U_k = (q_k - x_k) + (p_{k+1} - x_{k+1}).  The end ranks are forced
+# (x_0 = p_0 injects, x_4 = q_4 is hit); the inner three are free in
+# [0, min(p_k, q_k)].  Entries are ints or None; None propagates.
 
 def _min(a, b):
     if a is None or b is None:
@@ -194,47 +205,28 @@ def _add(a, b):
     return a + b
 
 
-def _solve_left(m: tuple, r: tuple, ranks=None) -> tuple:
-    # rho_3 is forced: R3 must die in M3
-    if r[3] is not None and m[3] is not None and r[3] > m[3]:
+# the known rows (a, b), in slot order, as the block entries (p, q)
+_BLOCKS = {
+    "left": lambda m, r: ((0,) + m, (0,) + r),
+    "middle": lambda l, r: ((0,) + r, l + (0,)),
+    "right": lambda l, m: (l + (0,), m + (0,)),
+}
+
+
+def _solve(p: tuple, q: tuple, ranks=None) -> tuple:
+    """Unknown column between the blocks p_k -> q_k; free ranks default maximal."""
+    if p[0] is not None and q[0] is not None and p[0] > q[0]:
         raise SequenceInfeasibleError(
-            f"h3 of the right column ({r[3]}) exceeds h3 of the middle ({m[3]})"
+            f"h0 of the left column ({p[0]}) exceeds h0 of the middle ({q[0]})"
         )
-    rho = [_min(m[i], r[i]) for i in range(3)] + [r[3]]
-    if ranks is not None:
-        rho[:3] = ranks
-    out = [_sub(m[0], rho[0])]
-    for i in range(1, 4):
-        out.append(_add(_sub(r[i - 1], rho[i - 1]), _sub(m[i], rho[i])))
-    return tuple(out)
-
-
-def _solve_middle(l: tuple, r: tuple, ranks=None) -> tuple:
-    # sigma_i = rank of the connecting map R_i -> L_{i+1}; sigma_3 = 0
-    sigma = [_min(r[i], l[i + 1]) for i in range(3)] + [0]
-    if ranks is not None:
-        sigma[:3] = ranks
-    out = [_add(l[0], _sub(r[0], sigma[0]))]
-    for i in range(1, 4):
-        out.append(_add(_sub(l[i], sigma[i - 1]), _sub(r[i], sigma[i])))
-    return tuple(out)
-
-
-def _solve_right(l: tuple, m: tuple, ranks=None) -> tuple:
-    # tau_0 is forced: L0 injects into M0
-    if l[0] is not None and m[0] is not None and l[0] > m[0]:
+    if p[4] is not None and q[4] is not None and q[4] > p[4]:
         raise SequenceInfeasibleError(
-            f"h0 of the left column ({l[0]}) exceeds h0 of the middle ({m[0]})"
+            f"h3 of the right column ({q[4]}) exceeds h3 of the middle ({p[4]})"
         )
-    tau = [l[0]] + [_min(l[i], m[i]) for i in range(1, 4)]
-    if ranks is not None:
-        tau[1:] = ranks
-    ext = list(l) + [0]
-    tau = tau + [0]
-    out = []
-    for i in range(4):
-        out.append(_add(_sub(m[i], tau[i]), _sub(ext[i + 1], tau[i + 1])))
-    return tuple(out)
+    if ranks is None:
+        ranks = (_min(p[1], q[1]), _min(p[2], q[2]), _min(p[3], q[3]))
+    x = (p[0], *ranks, q[4])
+    return tuple(_add(_sub(q[k], x[k]), _sub(p[k + 1], x[k + 1])) for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -242,21 +234,17 @@ class ShortExactSequenceSpec:
     """0 -> left -> middle -> right -> 0 with exactly one unknown slot.
 
     Known slots are sheaf symbols or ready-made total tables; the
-    unknown slot is None.  policy names the genericity convention; only
-    maximal-rank is implemented.
+    unknown slot is None.
     """
 
     left: object = None
     middle: object = None
     right: object = None
-    policy: str = "maximal_rank"
 
     def __post_init__(self):
         unknowns = [s is None for s in (self.left, self.middle, self.right)]
         if sum(unknowns) != 1:
             raise ValueError("exactly one slot of the sequence must be unknown")
-        if self.policy != "maximal_rank":
-            raise ValueError(f"unsupported genericity policy {self.policy!r}")
 
     @property
     def unknown(self) -> str:
@@ -275,60 +263,37 @@ def _slot_table(slot, rng: tuple[int, int]) -> CohomologyTable:
     return block_table(slot, rng)
 
 
+def _known_blocks(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> dict:
+    a, b = (
+        _slot_table(slot, rng)
+        for slot in (spec.left, spec.middle, spec.right)
+        if slot is not None
+    )
+    blocks = _BLOCKS[spec.unknown]
+    return {t: blocks(a.row(t), b.row(t)) for t in range(rng[0], rng[1] + 1)}
+
+
 def splice_ses(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> CohomologyTable:
     """Solve the sequence for its unknown slot under maximal rank."""
-    lo, hi = rng
-    rows = {}
-    if spec.unknown == "left":
-        m, r = _slot_table(spec.middle, rng), _slot_table(spec.right, rng)
-        for t in range(lo, hi + 1):
-            rows[t] = _solve_left(m.row(t), r.row(t))
-    elif spec.unknown == "middle":
-        l, r = _slot_table(spec.left, rng), _slot_table(spec.right, rng)
-        for t in range(lo, hi + 1):
-            rows[t] = _solve_middle(l.row(t), r.row(t))
-    else:
-        l, m = _slot_table(spec.left, rng), _slot_table(spec.middle, rng)
-        for t in range(lo, hi + 1):
-            rows[t] = _solve_right(l.row(t), m.row(t))
-    return CohomologyTable(lo, hi, rows)
+    rows = {t: _solve(p, q) for t, (p, q) in _known_blocks(spec, rng).items()}
+    return CohomologyTable(rng[0], rng[1], rows)
 
 
 def splice_bounds(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> dict:
     """Attainable [lo, hi] per entry over all admissible rank choices.
 
-    Twists where any input entry is unknown get None bounds.  The exact
-    values from splice_ses always lie inside these intervals; an entry
-    is genuinely forced when its interval has length zero.
+    Twists where any input entry is unknown get None bounds.  Each
+    unknown entry falls as any free rank grows and the free ranks vary
+    independently, so the low end is the maximal-rank value of
+    splice_ses and the high end is the value at zero free ranks; an
+    entry is genuinely forced when its interval has length zero.
     """
-    lo, hi = rng
-    if spec.unknown == "left":
-        ta, tb = _slot_table(spec.middle, rng), _slot_table(spec.right, rng)
-        solver = _solve_left
-        caps = lambda m, r: [min(m[i], r[i]) for i in range(3)]
-    elif spec.unknown == "middle":
-        ta, tb = _slot_table(spec.left, rng), _slot_table(spec.right, rng)
-        solver = _solve_middle
-        caps = lambda l, r: [min(r[i], l[i + 1]) for i in range(3)]
-    else:
-        ta, tb = _slot_table(spec.left, rng), _slot_table(spec.middle, rng)
-        solver = _solve_right
-        caps = lambda l, m: [min(l[i], m[i]) for i in range(1, 4)]
     out = {}
-    for t in range(lo, hi + 1):
-        ra, rb = ta.row(t), tb.row(t)
-        if any(h is None for h in ra + rb):
+    for t, (p, q) in _known_blocks(spec, rng).items():
+        if None in p or None in q:
             out[t] = (None, None, None, None)
-            continue
-        best = [None] * 4
-        for free in itertools.product(*(range(c + 1) for c in caps(ra, rb))):
-            row = solver(ra, rb, ranks=list(free))
-            for i, h in enumerate(row):
-                best[i] = (
-                    (h, h) if best[i] is None
-                    else (min(best[i][0], h), max(best[i][1], h))
-                )
-        out[t] = tuple(best)
+        else:
+            out[t] = tuple(zip(_solve(p, q), _solve(p, q, (0, 0, 0))))
     return out
 
 

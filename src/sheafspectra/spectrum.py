@@ -27,7 +27,7 @@ from .invariants import (
     ChernClasses,
     SplittingType,
     euler_characteristic,
-    splitting_type,
+    splitting_type_from_e,
 )
 
 __all__ = [
@@ -129,7 +129,7 @@ def sum_via_chi(cc: ChernClasses, s: int) -> int:
     the c3 identities is the basic consistency check of the sign
     conventions.
     """
-    a2 = splitting_type(cc).a2
+    a2 = splitting_type_from_e(cc.e).a2
     return cc.c2 * (a2 - 1) - euler_characteristic(cc, -a2 - 1) - s
 
 
@@ -237,7 +237,7 @@ def enumerate_spectra(
     m = cc.c2
     if m < 1:
         raise DegenerateClassError(f"enumeration needs c2 >= 1, got {cc.c2}")
-    st = splitting_type(cc)
+    st = splitting_type_from_e(cc.e)
     sum_max = _sum_max(cc)
     sum_min = sum_max - s_upper_bound(cc.e, m, "general")
     lo = -m

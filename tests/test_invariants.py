@@ -27,8 +27,8 @@ from sheafspectra.invariants import (
     kernel_invariants,
     line_bundle_chi,
     restriction_chi,
-    splitting_type,
     spectrum_length,
+    splitting_type_from_e,
 )
 
 # Resolutions 0 -> sum O(b_j) -> sum O(a_i) -> E -> 0 used as oracles.
@@ -101,15 +101,21 @@ def test_not_normalized_rejected():
 
 
 def test_splitting_type():
-    assert splitting_type(ChernClasses(-1, 2, 0)) == (-1, 0)
-    assert splitting_type(ChernClasses(0, 3, 0)) == (0, 0)
+    assert splitting_type_from_e(ChernClasses(-1, 2, 0).e) == (-1, 0)
+    assert splitting_type_from_e(ChernClasses(0, 3, 0).e) == (0, 0)
+
+
+@pytest.mark.parametrize("args", [(0, 2.0, 0), (0.0, 2, 0), (False, 2, 0)])
+def test_non_int_classes_rejected(args):
+    with pytest.raises(TypeError):
+        ChernClasses(*args)
 
 
 def test_restriction_chi_counts_spectrum_length():
     # chi of the plane restriction at the first interesting twist is -c2
     for e, c2, c3 in [(-1, 2, 0), (0, 3, 0), (-1, 5, 3), (0, 4, -2)]:
         cc = ChernClasses(e, c2, c3)
-        a2 = splitting_type(cc).a2
+        a2 = splitting_type_from_e(cc.e).a2
         assert restriction_chi(cc, -a2 - 1) == -c2
         assert spectrum_length(cc) == c2
 
@@ -132,7 +138,15 @@ def test_series_inverse_roundtrip():
     s = ChernSeries.line_bundle(3) * ChernSeries.line_bundle(-2)
     assert (s * s.inverse()).integer_coefficients() == (1, 0, 0, 0)
     with pytest.raises(IntegralityError):
-        ChernSeries(Fraction(2), Fraction(0), Fraction(0), Fraction(0)).inverse()
+        ChernSeries(2, 0, 0, 0).inverse()
+
+
+def test_series_and_chi_stay_int():
+    s = ChernSeries.line_bundle(3) * ChernSeries.points(2) / ChernSeries.line_bundle(-2)
+    for series in (s, s.inverse(), ChernSeries.line_bundle(1).inverse()):
+        assert all(type(c) is int for c in (series.c0, series.c1, series.c2, series.c3))
+    assert type(euler_characteristic(ChernClasses(-1, 2, 0), -3)) is int
+    assert type(euler_characteristic(ChernClasses(0, 3, 2), 4)) is int
 
 
 def test_kernel_invariants():

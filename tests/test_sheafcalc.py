@@ -223,24 +223,59 @@ def test_euler_characteristic_is_additive(first, second, unknown):
         assert chi["middle"] == chi["left"] + chi["right"]
 
 
+def chase_rows(seq):
+    """Every unknown row of an exact 0 -> seq[0] -> ... -> seq[11] -> 0.
+
+    Brute force over every rank choice: the rank of each map out of an
+    unknown entry (None) runs over [0, dim of its target]; the rank out
+    of a known entry is forced by exactness; the last map must have
+    rank 0.  This is the reference for the per-rank loop splice_bounds
+    no longer runs.
+    """
+    rows = set()
+
+    def walk(j, r_in, dims):
+        if j == len(seq):
+            if r_in == 0:
+                rows.add(tuple(dims))
+        elif seq[j] is None:
+            target = seq[j + 1] if j + 1 < len(seq) else 0
+            for r_out in range(target + 1):
+                walk(j + 1, r_out, dims + [r_in + r_out])
+        elif seq[j] >= r_in:
+            walk(j + 1, seq[j] - r_in, dims)
+
+    walk(0, 0, [])
+    return rows
+
+
 @given(symbols(), symbols(), st.sampled_from(["left", "middle", "right"]))
 @settings(deadline=None, max_examples=40)
 def test_policy_rows_lie_inside_bounds(first, second, unknown):
+    # exactly: the low end is the policy row, the high end the brute-force max
     rng = (-3, 1)
-    if unknown == "left":
-        spec = ShortExactSequenceSpec(middle=first, right=second)
-    elif unknown == "middle":
-        spec = ShortExactSequenceSpec(left=first, right=second)
-    else:
-        spec = ShortExactSequenceSpec(left=first, middle=second)
-    try:
-        solved = splice_ses(spec, rng)
-    except SequenceInfeasibleError:
-        return
-    bounds = splice_bounds(spec, rng)
+    names = ("left", "middle", "right")
+    slots = dict(zip([name for name in names if name != unknown], (first, second)))
+    spec = ShortExactSequenceSpec(**slots)
+    columns = {name: block_table(sym, rng) for name, sym in slots.items()}
+    chased = {}
     for t in range(rng[0], rng[1] + 1):
-        for value, box in zip(solved.row(t), bounds[t]):
-            assert box[0] <= value <= box[1]
+        rows = {name: columns[name].row(t) if name in columns else (None,) * 4
+                for name in names}
+        chased[t] = chase_rows([rows[name][i] for i in range(4) for name in names])
+    if not all(chased.values()):
+        with pytest.raises(SequenceInfeasibleError):
+            splice_ses(spec, rng)
+        with pytest.raises(SequenceInfeasibleError):
+            splice_bounds(spec, rng)
+        return
+    solved = splice_ses(spec, rng)
+    bounds = splice_bounds(spec, rng)
+    for t, rows in chased.items():
+        policy_row = solved.row(t)
+        assert policy_row == tuple(min(column) for column in zip(*rows))
+        brute_max = tuple(max(column) for column in zip(*rows))
+        assert bounds[t] == tuple(zip(policy_row, brute_max))
 
 
 def test_extension_bounds_leave_deep_entries_free():
