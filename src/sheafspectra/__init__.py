@@ -1,6 +1,7 @@
 """Exact-arithmetic workbench for spectra of rank-2 sheaves on P^3.
 
-Everything runs over the integers.  The package splits into five layers:
+Everything runs over the integers.  The package splits into five layers
+over a shared exception module:
 
 * :mod:`sheafspectra.invariants` -- Chern classes, Euler characteristics,
   and total Chern series arithmetic.
@@ -12,164 +13,27 @@ Everything runs over the integers.  The package splits into five layers:
   sequence splicing, monads, and quotient recipes.
 * :mod:`sheafspectra.workbench` -- moduli component catalogs, verification
   reports, and realizability comparisons.
+* :mod:`sheafspectra.errors` -- the exception hierarchy.
 
-The most commonly used names are re-exported here.
+Each module lists its public names in its own ``__all__``; the package
+root re-exports exactly those names.
 """
 
-from .cohomology import (
-    CohomologyTable,
-    ValidityWindows,
-    chi_consistency,
-    p1_cohomology,
-    spectrum_from_table,
-    table_from_spectrum,
-)
-from .errors import (
-    AmbiguousCurveModuleError,
-    CatalogError,
-    DegenerateClassError,
-    InadmissibleSpectrumError,
-    InconsistentTableError,
-    IntegralityError,
-    NotNormalizedError,
-    ParityError,
-    RangeInsufficientError,
-    RankMismatchError,
-    SequenceInfeasibleError,
-    SheafSpectraError,
-    UnsupportedSymmetryError,
-    VerificationError,
-)
-from .invariants import (
-    ChernClasses,
-    ChernSeries,
-    SingularityProfile,
-    SplittingType,
-    chern_from_resolution,
-    euler_characteristic,
-    kernel_invariants,
-    line_bundle_chi,
-    restriction_chi,
-    spectrum_length,
-    splitting_type_from_e,
-)
-from .sheafcalc import (
-    CurveModule,
-    DirectSum,
-    IdealOfCurve,
-    LineBundle,
-    MonadShape,
-    PointSheaf,
-    RationalCurveModule,
-    ShortExactSequenceSpec,
-    Twist,
-    block_table,
-    construction_spectrum,
-    construction_table,
-    monad_table,
-    quotient_table,
-    recipe_table,
-    splice_bounds,
-    splice_ses,
-    symbol_from_json,
-)
-from .spectrum import (
-    UNBOUNDED,
-    ChainUpParam,
-    SpectrumWithS,
-    c3_from_spectrum,
-    enumerate_spectra,
-    pure_one_dimensional,
-    s_from_spectrum,
-    s_upper_bound,
-    sum_via_chi,
-    validate_spectrum,
-)
-from .workbench import (
-    Catalog,
-    ComponentDescriptor,
-    catalog_load,
-    check_slope_examples,
-    component_dimension,
-    component_report,
-    rao_pairs,
-    realizability_gap,
-    report_json,
-    report_markdown,
-    slope_examples_markdown,
-)
+from . import cohomology, errors, invariants, sheafcalc, spectrum, workbench
+from .cohomology import *
+from .errors import *
+from .invariants import *
+from .sheafcalc import *
+from .spectrum import *
+from .workbench import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousCurveModuleError",
-    "Catalog",
-    "CatalogError",
-    "ChainUpParam",
-    "ChernClasses",
-    "ChernSeries",
-    "CohomologyTable",
-    "ComponentDescriptor",
-    "CurveModule",
-    "DegenerateClassError",
-    "DirectSum",
-    "IdealOfCurve",
-    "InadmissibleSpectrumError",
-    "InconsistentTableError",
-    "IntegralityError",
-    "LineBundle",
-    "MonadShape",
-    "NotNormalizedError",
-    "ParityError",
-    "PointSheaf",
-    "RangeInsufficientError",
-    "RankMismatchError",
-    "RationalCurveModule",
-    "SequenceInfeasibleError",
-    "SheafSpectraError",
-    "ShortExactSequenceSpec",
-    "SingularityProfile",
-    "SpectrumWithS",
-    "SplittingType",
-    "Twist",
-    "UNBOUNDED",
-    "UnsupportedSymmetryError",
-    "ValidityWindows",
-    "VerificationError",
-    "block_table",
-    "c3_from_spectrum",
-    "catalog_load",
-    "check_slope_examples",
-    "chern_from_resolution",
-    "chi_consistency",
-    "component_dimension",
-    "component_report",
-    "construction_spectrum",
-    "construction_table",
-    "enumerate_spectra",
-    "euler_characteristic",
-    "kernel_invariants",
-    "line_bundle_chi",
-    "monad_table",
-    "p1_cohomology",
-    "pure_one_dimensional",
-    "quotient_table",
-    "rao_pairs",
-    "realizability_gap",
-    "recipe_table",
-    "report_json",
-    "report_markdown",
-    "restriction_chi",
-    "s_from_spectrum",
-    "s_upper_bound",
-    "slope_examples_markdown",
-    "spectrum_from_table",
-    "spectrum_length",
-    "splice_bounds",
-    "splice_ses",
-    "splitting_type_from_e",
-    "sum_via_chi",
-    "symbol_from_json",
-    "table_from_spectrum",
-    "validate_spectrum",
+    *errors.__all__,
+    *invariants.__all__,
+    *spectrum.__all__,
+    *cohomology.__all__,
+    *sheafcalc.__all__,
+    *workbench.__all__,
 ]

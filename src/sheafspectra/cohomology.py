@@ -57,8 +57,10 @@ class CohomologyTable:
     """Partial or total table of h^i(E(t)) over a twist range.
 
     rows maps each twist of [lo, hi] to a 4-tuple; missing twists are
-    normalized to all-unknown rows.  When Chern classes are attached,
-    every fully known row is checked against the Euler characteristic.
+    normalized to all-unknown rows.  The range ends and every known
+    entry must be a real int (not bool, float or str).  When Chern
+    classes are attached, every fully known row is checked against the
+    Euler characteristic.
     """
 
     lo: int
@@ -67,6 +69,8 @@ class CohomologyTable:
     cc: ChernClasses | None = None
 
     def __post_init__(self):
+        if type(self.lo) is not int or type(self.hi) is not int:
+            raise ValueError(f"bad twist range [{self.lo!r}, {self.hi!r}]")
         if self.lo > self.hi:
             raise ValueError(f"empty twist range [{self.lo}, {self.hi}]")
         normalized = {}
@@ -76,7 +80,7 @@ class CohomologyTable:
             if len(row) != 4:
                 raise ValueError(f"row at t={t} must have 4 entries, got {row}")
             for h in row:
-                if h is not None and (not isinstance(h, int) or h < 0):
+                if h is not None and (type(h) is not int or h < 0):
                     raise ValueError(f"bad entry {h!r} at t={t}")
             normalized[t] = row
         for t in self.rows:
@@ -103,11 +107,6 @@ class CohomologyTable:
     def entry(self, t: int, i: int):
         return self.row(t)[i]
 
-    def is_total(self) -> bool:
-        return all(
-            h is not None for row in self.rows.values() for h in row
-        )
-
     def to_json_dict(self) -> dict:
         out = {
             "range": [self.lo, self.hi],
@@ -126,16 +125,11 @@ class CohomologyTable:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "CohomologyTable":
         try:
-            lo, hi = (int(v) for v in data["range"])
-            rows = {}
-            for key, row in data["rows"].items():
-                rows[int(key)] = tuple(
-                    None if h is None else int(h) for h in row
-                )
+            lo, hi = data["range"]
+            rows = {int(key): tuple(row) for key, row in data["rows"].items()}
             cc = None
             if data.get("cc") is not None:
-                e, c2, c3 = (int(v) for v in data["cc"])
-                cc = ChernClasses(e, c2, c3)
+                cc = ChernClasses(*data["cc"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed table JSON: {exc}") from exc
         return cls(lo, hi, rows, cc)

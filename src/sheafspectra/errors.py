@@ -9,6 +9,23 @@ Two broad families matter to callers (and to the CLI exit codes):
   catalog entries whose recomputation disagrees with the stored data.
 """
 
+__all__ = [
+    "SheafSpectraError",
+    "NotNormalizedError",
+    "ParityError",
+    "DegenerateClassError",
+    "InadmissibleSpectrumError",
+    "RankMismatchError",
+    "IntegralityError",
+    "AmbiguousCurveModuleError",
+    "CatalogError",
+    "RangeInsufficientError",
+    "InconsistentTableError",
+    "SequenceInfeasibleError",
+    "VerificationError",
+    "VERIFICATION_ERRORS",
+]
+
 
 class SheafSpectraError(Exception):
     """Base class for every error raised by this package."""
@@ -31,11 +48,6 @@ class DegenerateClassError(SheafSpectraError):
 class InadmissibleSpectrumError(SheafSpectraError):
     """Spectrum incompatible with the given Chern classes (wrong length,
     or the solved s-invariant comes out negative)."""
-
-
-class UnsupportedSymmetryError(SheafSpectraError):
-    """Reflexive symmetry test requested for e = -1, where the naive
-    statement fails and no variant is implemented."""
 
 
 class RankMismatchError(SheafSpectraError):

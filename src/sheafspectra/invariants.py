@@ -1,8 +1,8 @@
 """Exact numerical invariants of normalized rank-2 sheaves on P^3.
 
 Everything in this module is closed-form integer arithmetic: Euler
-characteristics of twists, generic splitting types, the spectrum length,
-and a total-Chern-class oracle that recovers (e, c2, c3) from a
+characteristics of twists, generic splitting types, and a
+total-Chern-class oracle that recovers (e, c2, c3) from a
 resolution by sums of line bundles.  All arithmetic is on int, with
 divisions done by divmod and an explicit check of the remainder.
 
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import (
-    DegenerateClassError,
     IntegralityError,
     NotNormalizedError,
     ParityError,
@@ -32,13 +31,10 @@ from .errors import (
 __all__ = [
     "ChernClasses",
     "SplittingType",
-    "SingularityProfile",
     "ChernSeries",
     "euler_characteristic",
     "line_bundle_chi",
     "splitting_type_from_e",
-    "restriction_chi",
-    "spectrum_length",
     "chern_from_resolution",
     "kernel_invariants",
 ]
@@ -85,32 +81,6 @@ class SplittingType(NamedTuple):
     a2: int
 
 
-@dataclass(frozen=True)
-class SingularityProfile:
-    """Shape of the double-dual quotient Q = E^vv / E.
-
-    zero_dim_length is the length s of the maximal 0-dimensional
-    subsheaf of Q; one_dim_part, when present, describes the pure
-    1-dimensional quotient (a curve-supported symbol, kept opaque here
-    so this module stays free of the symbolic calculus).
-    """
-
-    zero_dim_length: int
-    one_dim_part: object | None = None
-
-    def __post_init__(self):
-        if self.zero_dim_length < 0:
-            raise ValueError(
-                f"zero-dimensional length must be >= 0, got {self.zero_dim_length}"
-            )
-
-    @property
-    def classification(self) -> str:
-        if self.one_dim_part is None:
-            return "zero_dimensional" if self.zero_dim_length > 0 else "trivial"
-        return "mixed" if self.zero_dim_length > 0 else "pure_one_dimensional"
-
-
 def euler_characteristic(cc: ChernClasses, t: int) -> int:
     """chi(E(t)) for the normalized class cc, as an exact integer."""
     # six times chi: both formulas over their common denominator
@@ -144,24 +114,6 @@ def splitting_type_from_e(e: int) -> SplittingType:
     if e == 0:
         return SplittingType(0, 0)
     raise NotNormalizedError(f"no semistable splitting type for e = {e}")
-
-
-def restriction_chi(cc: ChernClasses, t: int) -> int:
-    """chi of the restriction to a generic plane, chi(E(t)) - chi(E(t-1))."""
-    return euler_characteristic(cc, t) - euler_characteristic(cc, t - 1)
-
-
-def spectrum_length(cc: ChernClasses) -> int:
-    """Length m of the spectrum; equals c2 for normalized semistable data."""
-    if cc.c2 <= 0:
-        raise DegenerateClassError(
-            f"spectrum undefined for c2 = {cc.c2} (need c2 >= 1)"
-        )
-    a2 = splitting_type_from_e(cc.e).a2
-    # the count identity: the plane restriction at twist -a2-1 has chi = -c2
-    if -restriction_chi(cc, -a2 - 1) != cc.c2:
-        raise IntegralityError(f"plane restriction of {cc} does not count c2")
-    return cc.c2
 
 
 @dataclass(frozen=True)
@@ -219,9 +171,8 @@ class ChernSeries:
 def chern_from_resolution(
     positive_terms: Iterable[int],
     negative_terms: Iterable[int],
-    rank: int = 2,
 ) -> ChernClasses:
-    """Chern classes of a virtual sum of line bundles.
+    """Chern classes of a virtual rank-2 sum of line bundles.
 
     positive_terms and negative_terms are line bundle degrees; the result
     is the class of (+)sum O(a_i) - (+)sum O(b_j), i.e. the truncated
@@ -231,9 +182,9 @@ def chern_from_resolution(
     """
     pos = list(positive_terms)
     neg = list(negative_terms)
-    if len(pos) - len(neg) != rank:
+    if len(pos) - len(neg) != 2:
         raise RankMismatchError(
-            f"resolution has rank {len(pos) - len(neg)}, expected {rank}"
+            f"resolution has rank {len(pos) - len(neg)}, expected 2"
         )
     series = ChernSeries.one()
     for a in pos:

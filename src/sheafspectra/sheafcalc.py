@@ -370,29 +370,40 @@ _SYMBOL_KINDS = frozenset(
 )
 
 
+def _exact(value, kind: type = int):
+    # no coercion: bool passes isinstance(int), and bool("false") is True
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def symbol_from_json(node: Mapping):
-    """Build a sheaf symbol from its catalog JSON form."""
+    """Build a sheaf symbol from its catalog JSON form.
+
+    Integer fields must be JSON integers and generic a JSON boolean;
+    anything else raises CatalogError instead of being coerced.
+    """
     try:
         kind = node["kind"]
         if kind == "line":
-            return LineBundle(int(node["a"]))
+            return LineBundle(_exact(node["a"]))
         if kind == "sum":
             return DirectSum(symbol_from_json(term) for term in node["terms"])
         if kind == "points":
-            return PointSheaf(int(node["n"]))
+            return PointSheaf(_exact(node["n"]))
         if kind == "rational_curve":
-            return RationalCurveModule(int(node["d"]), int(node["b"]))
+            return RationalCurveModule(_exact(node["d"]), _exact(node["b"]))
         if kind == "curve":
             return CurveModule(
-                int(node["genus"]),
-                int(node["slope"]),
-                int(node["offset"]),
-                bool(node.get("generic", True)),
+                _exact(node["genus"]),
+                _exact(node["slope"]),
+                _exact(node["offset"]),
+                _exact(node.get("generic", True), bool),
             )
         if kind == "ideal":
             return IdealOfCurve(symbol_from_json(node["curve"]))
         if kind == "twist":
-            return Twist(symbol_from_json(node["of"]), int(node["n"]))
+            return Twist(symbol_from_json(node["of"]), _exact(node["n"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"malformed symbol node {node!r}: {exc}") from exc
     raise CatalogError(f"unknown symbol kind {kind!r}")
@@ -460,14 +471,12 @@ def _drop_unsound_h2(table: CohomologyTable, e: int) -> CohomologyTable:
     return CohomologyTable(table.lo, table.hi, rows)
 
 
-def construction_spectrum(
-    construction, e: int, rng: tuple[int, int] = (-8, 0)
-) -> SpectrumWithS:
-    """Spectrum of a constructed sheaf: splice, trim, invert."""
+def construction_spectrum(construction, e: int) -> SpectrumWithS:
+    """Spectrum of a constructed sheaf: splice over twists -8..0, trim, invert."""
     if isinstance(construction, CohomologyTable):
         table = construction
     elif isinstance(construction, Mapping):
-        table = recipe_table(construction, rng)
+        table = recipe_table(construction, (-8, 0))
     else:
         raise TypeError(f"expected recipe node or table, got {construction!r}")
     return spectrum_from_table(
@@ -475,9 +484,7 @@ def construction_spectrum(
     )
 
 
-def construction_table(
-    construction, e: int, rng: tuple[int, int] = (-4, -1)
-) -> CohomologyTable:
+def construction_table(construction, e: int) -> CohomologyTable:
     """Printed-window table of a constructed sheaf (twists -4..-1)."""
     sw = construction_spectrum(construction, e)
-    return table_from_spectrum(sw, splitting_type_from_e(e), rng)
+    return table_from_spectrum(sw, splitting_type_from_e(e), (-4, -1))

@@ -18,11 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import (
-    DegenerateClassError,
-    InadmissibleSpectrumError,
-    UnsupportedSymmetryError,
-)
+from .errors import DegenerateClassError, InadmissibleSpectrumError
 from .invariants import (
     ChernClasses,
     SplittingType,
@@ -40,9 +36,7 @@ __all__ = [
     "sum_via_chi",
     "validate_chain_down",
     "validate_chain_up",
-    "validate_reflexive_symmetry",
     "s_upper_bound",
-    "pure_one_dimensional",
     "enumerate_spectra",
 ]
 
@@ -177,23 +171,6 @@ def validate_chain_up(
     return out
 
 
-def validate_reflexive_symmetry(values: Iterable[int], e: int) -> bool:
-    """Whether the spectrum multiset equals its own negation.
-
-    Only meaningful for e = 0.  The naive e = -1 variant is false even
-    for reflexive sheaves (the class (-1,1,1) has one-element spectrum
-    (-1)), so it is refused rather than guessed.
-    """
-    if e == -1:
-        raise UnsupportedSymmetryError(
-            "reflexive symmetry is implemented for e = 0 only"
-        )
-    if e != 0:
-        raise UnsupportedSymmetryError(f"e must be -1 or 0, got {e}")
-    spec = validate_spectrum(values)
-    return sorted(spec) == sorted(-v for v in spec)
-
-
 def s_upper_bound(e: int, c2: int, regime: str = "general") -> int:
     """Closed-form upper bounds for s.
 
@@ -215,13 +192,6 @@ def s_upper_bound(e: int, c2: int, regime: str = "general") -> int:
     else:
         raise ValueError(f"unknown regime {regime!r}")
     raise DegenerateClassError(f"e must be -1 or 0, got {e}")
-
-
-def pure_one_dimensional(s: int) -> bool:
-    """Singularities are pure 1-dimensional exactly when s vanishes."""
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
-    return s == 0
 
 
 def enumerate_spectra(

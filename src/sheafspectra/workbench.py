@@ -22,6 +22,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import CatalogError, VerificationError
@@ -207,23 +208,19 @@ def _descriptor_from_json(record: Mapping) -> ComponentDescriptor:
 def catalog_load(source=None) -> Catalog:
     """Load and validate a catalog.
 
-    source may be None (the bundled asset), a path to a JSON file, a
-    parsed document with a "components" list, or a bare list of
-    component records.
+    source may be None (the bundled asset), a str naming a JSON file
+    (always a path, never JSON text), a parsed document with a
+    "components" list, or a bare list of component records.
     """
-    if source is None:
-        source = resources.files("sheafspectra").joinpath("data/catalog.json").read_text()
-    if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
+    if source is None or isinstance(source, str):
+        if source is None:
+            path = resources.files("sheafspectra").joinpath("data/catalog.json")
+        else:
+            path = Path(source)
         try:
-            source = json.loads(source)
+            source = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise CatalogError(f"catalog is not valid JSON: {exc}") from exc
-    elif isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            try:
-                source = json.load(handle)
-            except ValueError as exc:
-                raise CatalogError(f"catalog is not valid JSON: {exc}") from exc
     if isinstance(source, Mapping):
         records = source.get("components")
         if not isinstance(records, Sequence):

@@ -101,6 +101,16 @@ def test_invert_table_garbage_json(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("row", [[1.7, "0", True, 0], [0, 1.0, 0, 0], [0, True, 0, 0]])
+def test_invert_table_refuses_non_int_entries(capsys, tmp_path, row):
+    table = {"range": [-1, 0], "rows": {"-1": row, "0": [0, 0, 0, 0]}, "cc": [-1, 2, 0]}
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run(capsys, "invert-table", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_invert_table_needs_e(capsys, tmp_path):
     table = {"range": [-4, -1], "rows": {str(t): [0, 0, 0, 0] for t in range(-4, 0)}}
     path = tmp_path / "t.json"
@@ -186,6 +196,17 @@ def test_report_tampered_catalog(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "report", "--moduli=0,3,0", "--catalog", str(path))
     assert code == 2 and "Ein" in err
+
+
+def test_report_catalog_name_looking_like_json(capsys, tmp_path, monkeypatch):
+    import importlib.resources as resources
+
+    text = resources.files("sheafspectra").joinpath("data/catalog.json").read_text()
+    (tmp_path / "[v2] catalog.json").write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "report", "--moduli=-1,2,0", "--catalog", "[v2] catalog.json")
+    assert (code, err) == (0, "")
+    assert "| C(2) | 11 | (-1,0) | 0 | derived | yes |" in out
 
 
 def test_rao_pairs_both_classes(capsys):

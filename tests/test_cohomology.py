@@ -200,6 +200,14 @@ def test_constructor_rejects_bad_rows():
         CohomologyTable(3, 1, {})
 
 
+@pytest.mark.parametrize("bad", [1.7, 1.0, "0", True])
+def test_constructor_rejects_non_int_entries(bad):
+    with pytest.raises(ValueError):
+        CohomologyTable(0, 0, {0: (bad, 0, 0, 0)})
+    with pytest.raises(ValueError):
+        CohomologyTable(bad, 2, {})
+
+
 def test_json_round_trip():
     table = table_from_spectrum(SpectrumWithS((-2, -1), 2), ST_MINUS, (-5, 1))
     again = CohomologyTable.from_json(table.to_json())
@@ -207,6 +215,24 @@ def test_json_round_trip():
     assert again.cc == table.cc
     with pytest.raises(ValueError):
         CohomologyTable.from_json("{\"rows\": {}}")
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, "0", True])
+@pytest.mark.parametrize("where", ["row", "range"])
+def test_from_json_refuses_coercion(bad, where):
+    doc = {"range": [-1, 0], "rows": {"-1": [0, 1, 0, 0], "0": [0, 0, 0, 0]}}
+    if where == "row":
+        doc["rows"]["-1"][1] = bad
+    else:
+        doc["range"][0] = bad
+    with pytest.raises(ValueError):
+        CohomologyTable.from_json_dict(doc)
+
+
+def test_from_json_refuses_mixed_row():
+    doc = {"range": [0, 0], "rows": {"0": [1.7, "0", True, 0]}}
+    with pytest.raises(ValueError):
+        CohomologyTable.from_json_dict(doc)
 
 
 def test_markdown_layout():

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sheafspectra.errors import (
-    DegenerateClassError,
     IntegralityError,
     NotNormalizedError,
     ParityError,
@@ -21,13 +20,10 @@ from sheafspectra.errors import (
 from sheafspectra.invariants import (
     ChernClasses,
     ChernSeries,
-    SingularityProfile,
     chern_from_resolution,
     euler_characteristic,
     kernel_invariants,
     line_bundle_chi,
-    restriction_chi,
-    spectrum_length,
     splitting_type_from_e,
 )
 
@@ -112,19 +108,13 @@ def test_non_int_classes_rejected(args):
 
 
 def test_restriction_chi_counts_spectrum_length():
-    # chi of the plane restriction at the first interesting twist is -c2
+    # chi of the plane restriction, chi(E(t)) - chi(E(t-1)), at the first
+    # interesting twist t = -a2-1 is -c2, the spectrum length
     for e, c2, c3 in [(-1, 2, 0), (0, 3, 0), (-1, 5, 3), (0, 4, -2)]:
         cc = ChernClasses(e, c2, c3)
         a2 = splitting_type_from_e(cc.e).a2
-        assert restriction_chi(cc, -a2 - 1) == -c2
-        assert spectrum_length(cc) == c2
-
-
-def test_spectrum_length_degenerate():
-    with pytest.raises(DegenerateClassError):
-        spectrum_length(ChernClasses(0, 0, 0))
-    with pytest.raises(DegenerateClassError):
-        spectrum_length(ChernClasses(-1, -1, 1))
+        plane = euler_characteristic(cc, -a2 - 1) - euler_characteristic(cc, -a2 - 2)
+        assert plane == -c2
 
 
 def test_rank_mismatch():
@@ -222,15 +212,6 @@ def test_kernel_invariants_compose(e, c2, half, n1, n2):
     step2, _ = kernel_invariants(step1, n2)
     once, _ = kernel_invariants(f, n1 + n2)
     assert step2 == once
-
-
-def test_singularity_profile_classification():
-    assert SingularityProfile(0).classification == "trivial"
-    assert SingularityProfile(3).classification == "zero_dimensional"
-    assert SingularityProfile(0, "curve").classification == "pure_one_dimensional"
-    assert SingularityProfile(2, "curve").classification == "mixed"
-    with pytest.raises(ValueError):
-        SingularityProfile(-1)
 
 
 @given(

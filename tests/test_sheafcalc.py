@@ -408,6 +408,42 @@ def test_symbol_round_trip():
     assert sym == DirectSum([RationalCurveModule(2, 0)] * 2)
 
 
+ELLIPTIC = {"kind": "curve", "genus": 1, "slope": 3, "offset": 0}
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        dict(ELLIPTIC, generic="false"),
+        dict(ELLIPTIC, generic=0),
+        dict(ELLIPTIC, genus=1.0),
+        {"kind": "line", "a": 1.7},
+        {"kind": "line", "a": True},
+        {"kind": "line", "a": "1"},
+        {"kind": "points", "n": 2.0},
+        {"kind": "rational_curve", "d": 2, "b": False},
+        {"kind": "twist", "n": "2", "of": {"kind": "line", "a": 0}},
+    ],
+)
+def test_symbol_json_refuses_coercion(node):
+    with pytest.raises(CatalogError):
+        symbol_from_json(node)
+
+
+def test_non_generic_curve_recipe_is_refused():
+    # degree 0 on a genus-1 curve at t = -2 lies in the special strip
+    node = {
+        "kind": "ses",
+        "unknown": "left",
+        "middle": {"kind": "sum", "terms": [{"kind": "line", "a": 0}] * 2},
+        "right": {"kind": "twist", "n": 2, "of": dict(ELLIPTIC, generic=False)},
+    }
+    with pytest.raises(AmbiguousCurveModuleError):
+        recipe_table(node, (-8, 0))
+    node["right"]["of"]["generic"] = True
+    assert recipe_table(node, (-8, 0)).row(-1) == (0, 3, 0, 0)
+
+
 @pytest.mark.parametrize(
     "node",
     [

@@ -3,11 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sheafspectra.errors import (
-    DegenerateClassError,
-    InadmissibleSpectrumError,
-    UnsupportedSymmetryError,
-)
+from sheafspectra.errors import DegenerateClassError, InadmissibleSpectrumError
 from sheafspectra.invariants import ChernClasses, SplittingType
 from sheafspectra.spectrum import (
     UNBOUNDED,
@@ -15,13 +11,11 @@ from sheafspectra.spectrum import (
     SpectrumWithS,
     c3_from_spectrum,
     enumerate_spectra,
-    pure_one_dimensional,
     s_from_spectrum,
     s_upper_bound,
     sum_via_chi,
     validate_chain_down,
     validate_chain_up,
-    validate_reflexive_symmetry,
     validate_spectrum,
 )
 
@@ -76,14 +70,6 @@ def test_chain_up():
         ChainUpParam(-1)
 
 
-def test_reflexive_symmetry():
-    assert validate_reflexive_symmetry((-1, 0, 1), 0) is True
-    assert validate_reflexive_symmetry((-1, -1, 2), 0) is False
-    assert validate_reflexive_symmetry((0,), 0) is True
-    with pytest.raises(UnsupportedSymmetryError):
-        validate_reflexive_symmetry((-1,), -1)
-
-
 def test_s_upper_bound_frozen():
     assert s_upper_bound(0, 3, "general") == 6
     assert s_upper_bound(0, 3, "zero_dimensional") == 4
@@ -102,12 +88,6 @@ def test_bound_dominance():
             assert s_upper_bound(e, c2, "zero_dimensional") <= s_upper_bound(
                 e, c2, "general"
             )
-
-
-def test_pure_one_dimensional():
-    assert pure_one_dimensional(0) is True
-    assert pure_one_dimensional(1) is False
-    assert pure_one_dimensional(6) is False
 
 
 def test_enumerate_c2_2_exact():

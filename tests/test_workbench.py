@@ -56,9 +56,21 @@ def test_catalog_from_file(tmp_path):
     assert len(catalog_load(str(path)).components) == 4
 
 
-def test_catalog_rejects_broken_json():
+def test_catalog_rejects_broken_json(tmp_path):
+    path = tmp_path / "catalog.json"
+    path.write_text("{not json")
     with pytest.raises(CatalogError):
-        catalog_load("{not json")
+        catalog_load(str(path))
+
+
+def test_catalog_string_is_always_a_path(tmp_path, monkeypatch):
+    # a file name starting with "[" or "{" is still a file name
+    path = tmp_path / "[v2] catalog.json"
+    path.write_text(json.dumps(bundled_records()))
+    monkeypatch.chdir(tmp_path)
+    assert len(catalog_load("[v2] catalog.json").components) == 14
+    with pytest.raises(FileNotFoundError):
+        catalog_load("[]")  # JSON text is read as a file name
 
 
 def test_level_defaults_to_derived():
