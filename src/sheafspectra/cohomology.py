@@ -7,9 +7,9 @@ table_from_spectrum fills the two formula windows
     h1(l) = s + sum_i h0(O_P1(k_i + l + 1))   for l <= -a2 - 1
     h2(l) = sum_i h1(O_P1(k_i + l + 1))       for l >= a1 - 3
 
-and spectrum_from_table inverts them: the backward differences of h2
-count spectrum values from below, the forward differences of h1 count
-them from above and expose s as the stabilized deep value of h1.
+and spectrum_from_table inverts them: on both windows the second
+difference of the known column at twist l is the multiplicity of the
+spectrum value -l-1, and the stabilized deep value of h1 is s.
 Unknown entries stay unknown; they are never conflated with zero.
 """
 
@@ -147,16 +147,12 @@ class CohomologyTable:
 
 
 def table_from_spectrum(
-    sw: SpectrumWithS,
-    st: SplittingType,
-    rng: tuple[int, int],
-    stable: bool = True,
+    sw: SpectrumWithS, st: SplittingType, rng: tuple[int, int]
 ) -> CohomologyTable:
-    """Fill the h1/h2 formula windows over rng; everything else unknown.
+    """Fill the h1/h2 formula windows over rng and the vanishing windows.
 
-    With stable=True the vanishing windows h0 = 0 (t <= -1) and
-    h3 = 0 (t >= -3-e, e = a1+a2) are filled as well; both rest on
-    (semi)stability, so an unstable caller passes stable=False.
+    The vanishing windows h0 = 0 (t <= -1) and h3 = 0 (t >= -3-e,
+    e = a1+a2) rest on (semi)stability; everything else stays unknown.
     """
     values = validate_spectrum(sw.values)
     if sw.s < 0:
@@ -166,8 +162,8 @@ def table_from_spectrum(
     e = st.a1 + st.a2
     rows = {}
     for t in range(lo, hi + 1):
-        h0 = 0 if stable and t <= -1 else None
-        h3 = 0 if stable and t >= -3 - e else None
+        h0 = 0 if t <= -1 else None
+        h3 = 0 if t >= -3 - e else None
         h1 = None
         if t <= win.h1_max:
             h1 = sw.s + sum(p1_cohomology(k + t + 1)[0] for k in values)
@@ -179,110 +175,83 @@ def table_from_spectrum(
     return CohomologyTable(lo, hi, rows, cc)
 
 
-def _h1_run_top(table: CohomologyTable, h1_max: int) -> tuple[int, int]:
-    # topmost consecutive run [p, q] of known h1 entries within the window
-    top = min(table.hi, h1_max)
-    q = None
-    for t in range(top, table.lo - 1, -1):
-        if table.entry(t, 1) is not None:
-            q = t
-            break
-    if q is None:
-        raise RangeInsufficientError("no known h1 entry inside the h1 window")
-    if q != h1_max:
-        raise RangeInsufficientError(
-            f"h1 known only up to t={q}, need it at the window top t={h1_max}"
-        )
-    p = q
-    while p - 1 >= table.lo and table.entry(p - 1, 1) is not None:
-        p -= 1
-    return p, q
-
-
-def _h2_run(table: CohomologyTable, h2_min: int, a2: int) -> tuple[int, int]:
-    # maximal consecutive run of known h2 entries, within the h2 window,
-    # containing both -a2-2 and -a2-1
-    need = (-a2 - 2, -a2 - 1)
+def _known_run(
+    table: CohomologyTable, i: int, need: tuple, floor: int, ceil: int
+) -> tuple[int, int]:
+    # maximal run [u, v] of known h_i entries inside [floor, ceil] that
+    # contains every twist of need
     for t in need:
-        if not (table.lo <= t <= table.hi) or table.entry(t, 2) is None:
+        if not table.lo <= t <= table.hi or table.entry(t, i) is None:
             raise RangeInsufficientError(
-                f"h2 must be known at t={need[0]} and t={need[1]} to count the spectrum"
+                f"h{i} must be known at t={', '.join(map(str, need))} "
+                "to count the spectrum"
             )
-    u = need[0]
-    while u - 1 >= max(table.lo, h2_min) and table.entry(u - 1, 2) is not None:
+    u, v = min(need), max(need)
+    while u - 1 >= max(floor, table.lo) and table.entry(u - 1, i) is not None:
         u -= 1
-    v = need[1]
-    while v + 1 <= table.hi and table.entry(v + 1, 2) is not None:
+    while v + 1 <= min(ceil, table.hi) and table.entry(v + 1, i) is not None:
         v += 1
     return u, v
+
+
+def _differences(table: CohomologyTable, i: int, lo: int, hi: int) -> dict:
+    # d(l) = h_i(l) - h_i(l-1) on [lo+1, hi]: h1 never falls, h2 never
+    # rises, and on both columns d never decreases
+    sign = 1 if i == 1 else -1
+    d = {}
+    for l in range(lo + 1, hi + 1):
+        d[l] = table.entry(l, i) - table.entry(l - 1, i)
+        if sign * d[l] < 0:
+            raise InconsistentTableError(
+                f"h{i} {'falls' if i == 1 else 'rises'} from t={l - 1} to t={l}"
+            )
+        if l - 1 in d and d[l] < d[l - 1]:
+            raise InconsistentTableError(f"h{i} is not convex at t={l - 1}")
+    return d
 
 
 def spectrum_from_table(table: CohomologyTable, st: SplittingType) -> SpectrumWithS:
     """Recover (spectrum, s) from a table, or fail loudly.
 
-    The h1 side must witness stabilization (two equal consecutive deep
-    values) to read s and the part of the spectrum above a2 - 1; the h2
-    side counts everything below via backward differences, aggregating
+    On both windows the second difference of the known column counts
+    spectrum values: d(l) - d(l-1), with d(l) = h_i(l) - h_i(l-1), is the
+    multiplicity of -l-1.  The h1 side must witness stabilization (two
+    equal consecutive deep values) to read s, and counts the values
+    above a2 - 1; the h2 side counts everything below, aggregating
     whatever lies at or below the deepest visible twist into a bucket
     that must be pinned by one of four closed rules.  No extrapolation:
-    anything unwitnessed raises a range error, and any difference
-    running in a forbidden direction raises an inconsistency error.
-    The result is verified by regenerating the windows and comparing
-    every known in-window entry.
+    anything unwitnessed raises a range error, and any column running
+    in a forbidden direction raises an inconsistency error.  The result
+    is verified by regenerating the windows and comparing every known
+    in-window entry.
     """
     win = ValidityWindows.from_splitting_type(st)
     a2 = st.a2
 
-    # --- h1 side: s and the top part (values >= a2)
-    p, q = _h1_run_top(table, win.h1_max)
+    # --- h1 side: s and the values >= a2
+    p, q = _known_run(table, 1, (win.h1_max,), table.lo, win.h1_max)
     if p == q:
         raise RangeInsufficientError(
             "single h1 value cannot witness stabilization; extend the range down"
         )
-    upward = {}
-    for l in range(p + 1, q + 1):
-        u_l = table.entry(l, 1) - table.entry(l - 1, 1)
-        if u_l < 0:
-            raise InconsistentTableError(f"h1 decreases from t={l - 1} to t={l}")
-        upward[l] = u_l
-    for l in range(p + 2, q + 1):
-        if upward[l] < upward[l - 1]:
-            raise InconsistentTableError(
-                f"h1 differences drop from t={l - 1} to t={l}"
-            )
-    settled = [l for l, u_l in upward.items() if u_l == 0]
+    d1 = _differences(table, 1, p, q)
+    settled = [l for l, d in d1.items() if d == 0]
     if not settled:
         raise RangeInsufficientError(
             "h1 never stabilizes inside the table; extend the range down"
         )
     l_s = max(settled)
     s = table.entry(l_s, 1)
-    x_top = -l_s - 2
-    count_ge = {x_top + 1: 0}
-    for y in range(a2, x_top + 1):
-        count_ge[y] = upward[-y - 1]
-    top_part = []
-    for y in range(a2, x_top + 1):
-        for _ in range(count_ge[y] - count_ge[y + 1]):
-            top_part.append(y)
 
-    # --- h2 side: the bottom part (values <= a2 - 1)
-    u, v = _h2_run(table, win.h2_min, a2)
-    down = {}
-    for l in range(u + 1, v + 1):
-        d_l = table.entry(l - 1, 2) - table.entry(l, 2)
-        if d_l < 0:
-            raise InconsistentTableError(f"h2 increases from t={l - 1} to t={l}")
-        down[l] = d_l
-    for l in range(u + 2, v + 1):
-        if down[l] > down[l - 1]:
-            raise InconsistentTableError(
-                f"h2 differences grow from t={l - 1} to t={l}"
-            )
-    count_le = {x: down[-x - 2] for x in range(-v - 2, a2)}
+    # --- h2 side: the values <= a2 - 1, the deepest ones in a bucket
+    u, v = _known_run(table, 2, (-a2 - 2, -a2 - 1), win.h2_min, table.hi)
+    d2 = _differences(table, 2, u, v)
+    values = []
+    for d, lo, hi in ((d1, l_s + 1, -a2 - 1), (d2, -a2, v)):
+        for l in range(lo, hi + 1):
+            values.extend([-l - 1] * (d[l] - d[l - 1]))
     x_min = -v - 2
-    bottom_part = []
-    r = count_le[x_min]
+    r = -d2[v]
     w = table.entry(v, 2)
     if r == 0:
         if w != 0:
@@ -290,35 +259,30 @@ def spectrum_from_table(table: CohomologyTable, st: SplittingType) -> SpectrumWi
                 f"h2(t={v}) = {w} but the difference count claims no deeper values"
             )
     elif w == 0:
-        bottom_part.extend([x_min] * r)
+        values.extend([x_min] * r)
     elif r == 1:
-        bottom_part.append(x_min - w)
+        values.append(x_min - w)
     elif w == 1:
-        bottom_part.append(x_min - 1)
-        bottom_part.extend([x_min] * (r - 1))
+        values.extend([x_min - 1] + [x_min] * (r - 1))
     else:
         raise RangeInsufficientError(
             f"{r} spectrum values at or below t-dual {x_min} cannot be placed "
             f"from residual h2 weight {w}; extend the range up"
         )
-    for x in range(x_min + 1, a2):
-        for _ in range(count_le[x] - count_le[x - 1]):
-            bottom_part.append(x)
 
-    values = tuple(sorted(bottom_part + top_part))
     if not values:
         raise InconsistentTableError("table forces an empty spectrum")
-    result = SpectrumWithS(values, s)
+    result = SpectrumWithS(tuple(sorted(values)), s)
 
     # --- verify: regenerate both windows and compare every known entry
-    regen = table_from_spectrum(result, st, (table.lo, table.hi), stable=False)
+    regen = table_from_spectrum(result, st, (table.lo, table.hi))
     for t in range(table.lo, table.hi + 1):
         for i in (1, 2):
             have = table.entry(t, i)
             want = regen.entry(t, i)
             if have is not None and want is not None and have != want:
                 raise InconsistentTableError(
-                    f"recovered spectrum {values}, s={s} regenerates "
+                    f"recovered spectrum {result.values}, s={s} regenerates "
                     f"h{i}(t={t}) = {want}, table says {have}"
                 )
     return result

@@ -365,11 +365,6 @@ def quotient_table(ambient, quotient, rng: tuple[int, int]) -> CohomologyTable:
 
 # ------------------------------------------------------------- recipes
 
-_SYMBOL_KINDS = frozenset(
-    {"line", "sum", "points", "rational_curve", "curve", "ideal", "twist"}
-)
-
-
 def _exact(value, kind: type = int):
     # no coercion: bool passes isinstance(int), and bool("false") is True
     if type(value) is not kind:
@@ -409,33 +404,29 @@ def symbol_from_json(node: Mapping):
     raise CatalogError(f"unknown symbol kind {kind!r}")
 
 
-def _slot_from_json(node, rng):
-    # a slot is either a plain symbol (kept symbolic) or a nested recipe
-    if node.get("kind") in _SYMBOL_KINDS:
-        return symbol_from_json(node)
-    return recipe_table(node, rng)
-
-
 def recipe_table(node: Mapping, rng: tuple[int, int]) -> CohomologyTable:
-    """Evaluate a construction recipe node to a cohomology table."""
-    try:
-        kind = node["kind"]
-    except (KeyError, TypeError) as exc:
-        raise CatalogError(f"malformed recipe node {node!r}") from exc
-    if kind in _SYMBOL_KINDS:
-        return block_table(symbol_from_json(node), rng)
+    """Evaluate a construction recipe node to a cohomology table.
+
+    The slots of an ses and the ambient of a quotient are recipe nodes
+    themselves; a node of any other kind is read as a sheaf symbol.
+    Monad degrees must be JSON integers.
+    """
+    if not isinstance(node, Mapping):
+        raise CatalogError(f"malformed recipe node {node!r}")
+    kind = node.get("kind")
     if kind == "table":
         try:
             return CohomologyTable.from_json_dict(node["table"])
         except (KeyError, ValueError) as exc:
             raise CatalogError(f"malformed stored table: {exc}") from exc
     if kind == "ses":
-        slots = {}
-        for name in ("left", "middle", "right"):
-            value = node.get(name)
-            slots[name] = None if value is None else _slot_from_json(value, rng)
+        slots = {
+            name: recipe_table(node[name], rng)
+            for name in ("left", "middle", "right")
+            if node.get(name) is not None
+        }
         unknown = node.get("unknown")
-        if unknown not in ("left", "middle", "right") or slots[unknown] is not None:
+        if unknown not in ("left", "middle", "right") or unknown in slots:
             raise CatalogError(f"recipe must leave exactly the slot {unknown!r} empty")
         try:
             return splice_ses(ShortExactSequenceSpec(**slots), rng)
@@ -443,18 +434,19 @@ def recipe_table(node: Mapping, rng: tuple[int, int]) -> CohomologyTable:
             raise CatalogError(str(exc)) from exc
     if kind == "monad":
         try:
-            shape = MonadShape(node["a"], node["b"], node["c"])
+            shape = MonadShape(*([_exact(d) for d in node[k]] for k in "abc"))
         except (KeyError, TypeError) as exc:
-            raise CatalogError(f"malformed monad node {node!r}") from exc
+            raise CatalogError(f"malformed monad node {node!r}: {exc}") from exc
         return monad_table(shape, rng)
     if kind == "quotient":
-        quotient = symbol_from_json(node["quotient"])
-        ambient = _slot_from_json(node["ambient"], rng)
+        if "ambient" not in node or "quotient" not in node:
+            raise CatalogError(f"quotient node needs ambient and quotient: {node!r}")
+        ambient = recipe_table(node["ambient"], rng)
         try:
-            return quotient_table(ambient, quotient, rng)
+            return quotient_table(ambient, symbol_from_json(node["quotient"]), rng)
         except ValueError as exc:
             raise CatalogError(str(exc)) from exc
-    raise CatalogError(f"unknown recipe kind {kind!r}")
+    return block_table(symbol_from_json(node), rng)
 
 
 # ------------------------------------------------------------- pipeline
@@ -471,20 +463,17 @@ def _drop_unsound_h2(table: CohomologyTable, e: int) -> CohomologyTable:
     return CohomologyTable(table.lo, table.hi, rows)
 
 
-def construction_spectrum(construction, e: int) -> SpectrumWithS:
+def construction_spectrum(construction: Mapping, e: int) -> SpectrumWithS:
     """Spectrum of a constructed sheaf: splice over twists -8..0, trim, invert."""
-    if isinstance(construction, CohomologyTable):
-        table = construction
-    elif isinstance(construction, Mapping):
-        table = recipe_table(construction, (-8, 0))
-    else:
-        raise TypeError(f"expected recipe node or table, got {construction!r}")
+    if not isinstance(construction, Mapping):
+        raise TypeError(f"expected a recipe node, got {construction!r}")
+    table = recipe_table(construction, (-8, 0))
     return spectrum_from_table(
         _drop_unsound_h2(table, e), splitting_type_from_e(e)
     )
 
 
-def construction_table(construction, e: int) -> CohomologyTable:
+def construction_table(construction: Mapping, e: int) -> CohomologyTable:
     """Printed-window table of a constructed sheaf (twists -4..-1)."""
     sw = construction_spectrum(construction, e)
     return table_from_spectrum(sw, splitting_type_from_e(e), (-4, -1))

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .errors import CatalogError, VerificationError
 from .invariants import ChernClasses, kernel_invariants
-from .sheafcalc import construction_spectrum
+from .sheafcalc import _exact, construction_spectrum
 from .spectrum import (
     UNBOUNDED,
     ChainUpParam,
@@ -76,32 +76,30 @@ DOCUMENTED_CANDIDATES = {
 }
 
 
-def component_dimension(family: str, params: Mapping, e: int) -> int:
-    """Closed-form dimension of an X- or T-family component."""
+def _family_invariants(family: str, params: Mapping, e: int) -> tuple:
+    # closed-form dimension and (e, c2, c3) of an X- or T-family component,
+    # read from params that must be JSON integers
     if family == "X":
-        n, m, r, s = (int(params[k]) for k in ("n", "m", "r", "s"))
+        n, m, r, s = (_exact(params[k]) for k in ("n", "m", "r", "s"))
         ordinary = r >= 2 and 0 <= s <= 2 * r + 2 + e - m
         if not (ordinary or (r, s, n, m) == (1, 0, 1, 1)):
             raise ValueError(
                 f"X-family parameters out of range: n={n} m={m} r={r} s={s} e={e}"
             )
-        return 8 * n + 4 * s + 2 * r + 2 + e
+        return 8 * n + 4 * s + 2 * r + 2 + e, (e, n + 1, m + 2 + e - 2 * r - 2 * s)
     if family == "T":
-        n, m, s = (int(params[k]) for k in ("n", "m", "s"))
+        n, m, s = (_exact(params[k]) for k in ("n", "m", "s"))
         if n < 1 or s < 0 or m - 2 * s < 0:
             raise ValueError(
                 f"T-family parameters out of range: n={n} m={m} s={s}"
             )
-        return 8 * n - 3 + 2 * e + 4 * s
+        return 8 * n - 3 + 2 * e + 4 * s, (e, n, m - 2 * s)
     raise ValueError(f"no closed-form dimension for family {family!r}")
 
 
-def _family_moduli(family: str, params: Mapping, e: int) -> ChernClasses:
-    if family == "X":
-        n, m, r, s = (int(params[k]) for k in ("n", "m", "r", "s"))
-        return ChernClasses(e, n + 1, m + 2 + e - 2 * r - 2 * s)
-    n, m, s = (int(params[k]) for k in ("n", "m", "s"))
-    return ChernClasses(e, n, m - 2 * s)
+def component_dimension(family: str, params: Mapping, e: int) -> int:
+    """Closed-form dimension of an X- or T-family component."""
+    return _family_invariants(family, params, e)[0]
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ class ComponentDescriptor:
         try:
             if self.family not in FAMILIES:
                 raise CatalogError(f"unknown family {self.family!r}")
-            if not isinstance(self.dimension, int) or self.dimension < 0:
+            if type(self.dimension) is not int or self.dimension < 0:
                 raise CatalogError(f"bad dimension {self.dimension!r}")
             if self.level not in ("derived", "data"):
                 raise CatalogError(f"unknown verification level {self.level!r}")
@@ -136,15 +134,16 @@ class ComponentDescriptor:
             if self.family in ("X", "T"):
                 if self.params is None:
                     raise CatalogError(f"family {self.family} requires params")
-                dim = component_dimension(self.family, self.params, self.moduli.e)
+                dim, moduli = _family_invariants(
+                    self.family, self.params, self.moduli.e
+                )
                 if dim != self.dimension:
                     raise CatalogError(
                         f"closed-form dimension {dim} != stored {self.dimension}"
                     )
-                moduli = _family_moduli(self.family, self.params, self.moduli.e)
-                if moduli != self.moduli:
+                if moduli != self.moduli.as_tuple():
                     raise CatalogError(
-                        f"closed-form moduli {moduli.as_tuple()} != stored "
+                        f"closed-form moduli {moduli} != stored "
                         f"{self.moduli.as_tuple()}"
                     )
         except CatalogError as exc:
@@ -183,16 +182,14 @@ def _descriptor_from_json(record: Mapping) -> ComponentDescriptor:
     if not isinstance(name, str) or not name:
         raise CatalogError(f"component without a usable name: {record!r}")
     try:
-        moduli = ChernClasses(*(int(x) for x in record["moduli"]))
-        spectrum = SpectrumWithS(
-            tuple(int(k) for k in record["spectrum"]), int(record["s"])
-        )
         desc = ComponentDescriptor(
-            moduli=moduli,
+            moduli=ChernClasses(*record["moduli"]),
             name=name,
             family=record["family"],
             dimension=record["dimension"],
-            spectrum=spectrum,
+            spectrum=SpectrumWithS(
+                tuple(map(_exact, record["spectrum"])), _exact(record["s"])
+            ),
             params=record.get("params"),
             construction=record.get("construction"),
             level=record.get("level", "derived"),

@@ -160,6 +160,22 @@ def test_splice_infeasible(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "node",
+    [
+        {"kind": "ses", "unknown": "middle", "left": 5, "right": {"kind": "line", "a": 0}},
+        {"kind": "quotient", "ambient": {"kind": "line", "a": 0}},
+        {"kind": "monad", "a": [True], "b": [0, 0, 0, 0], "c": [1]},
+    ],
+)
+def test_splice_malformed_recipe_is_an_error_line(capsys, tmp_path, node):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(node))
+    code, out, err = run(capsys, "splice", "--spec", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_splice_unknown_kind(capsys, tmp_path):
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({"kind": "mystery"}))

@@ -81,10 +81,6 @@ def test_vanishing_windows_and_unknowns():
     assert table.entry(-2, 3) == 0 and table.entry(-3, 3) is None
     # h1 formula stops above t = -1, h2 formula below t = -4
     assert table.entry(0, 1) is None and table.entry(-5, 2) is None
-    unstable = table_from_spectrum(
-        SpectrumWithS((-1, 0), 0), ST_MINUS, (-6, 2), stable=False
-    )
-    assert unstable.entry(-1, 0) is None and unstable.entry(-2, 3) is None
 
 
 @pytest.mark.parametrize(
@@ -138,6 +134,52 @@ def test_inversion_rejects_growing_h2():
     })
     with pytest.raises(InconsistentTableError):
         spectrum_from_table(table, ST_MINUS)
+
+
+def columns_table(h1, h2) -> CohomologyTable:
+    # h1 and h2 listed for twists -4, -3, -2, -1
+    return CohomologyTable(-4, -1, {
+        t: (None, a, b, None) for t, a, b in zip(range(-4, 0), h1, h2)
+    })
+
+
+def test_inversion_rejects_non_convex_h1():
+    # h1 differences 2, 1, 2 drop at t = -2; that is an inconsistency,
+    # reported before the missing stabilization
+    with pytest.raises(InconsistentTableError):
+        spectrum_from_table(columns_table((0, 2, 3, 5), (5, 3, 1, 0)), ST_MINUS)
+
+
+def test_inversion_rejects_non_convex_h2():
+    # h2 differences -1, -4, -2 drop at t = -2; that is an inconsistency,
+    # reported before the unplaceable deep bucket (r = 2, w = 2)
+    with pytest.raises(InconsistentTableError):
+        spectrum_from_table(columns_table((1, 1, 1, 1), (9, 8, 4, 2)), ST_MINUS)
+
+
+def test_inversion_needs_settled_h1():
+    # convex and rising everywhere: no twist witnesses h1 = s
+    with pytest.raises(RangeInsufficientError, match="never stabilizes"):
+        spectrum_from_table(columns_table((1, 2, 4, 7), (5, 3, 1, 0)), ST_MINUS)
+
+
+@pytest.mark.parametrize("t", [-2, -1])
+def test_inversion_needs_h2_at_the_window_bottom(t):
+    rows = {u: (None, h1, h2, None) for u, (h1, h2) in PRINTED[((-1, 0), 0)].items()}
+    rows[t] = (None, rows[t][1], None, None)
+    with pytest.raises(RangeInsufficientError, match="h2 must be known"):
+        spectrum_from_table(CohomologyTable(-4, -1, rows), ST_MINUS)
+
+
+def test_inversion_rejects_residual_h2_without_deep_values():
+    # h2 stops falling at t = -1 (r = 0) but is still 1 there (w != 0)
+    with pytest.raises(InconsistentTableError, match="claims no deeper values"):
+        spectrum_from_table(columns_table((0, 0, 0, 1), (3, 2, 1, 1)), ST_MINUS)
+
+
+def test_inversion_rejects_empty_spectrum():
+    with pytest.raises(InconsistentTableError, match="empty spectrum"):
+        spectrum_from_table(columns_table((2, 2, 2, 2), (0, 0, 0, 0)), ST_MINUS)
 
 
 def test_inversion_cross_check_catches_mixed_columns():
@@ -295,3 +337,41 @@ def test_generated_table_properties(data):
         if prev is not None:
             assert 0 <= prev - h2 <= m
         prev = h2
+
+
+@st.composite
+def edited_table(draw):
+    # a generated table with some h1/h2 entries masked or nudged by 1 or 2
+    e = draw(st.sampled_from([-1, 0]))
+    st_ = SplittingType(-1, 0) if e == -1 else SplittingType(0, 0)
+    values = tuple(sorted(draw(st.lists(st.integers(-6, 4), min_size=1, max_size=5))))
+    s = draw(st.integers(0, 6))
+    lo = draw(st.integers(-14, -2))
+    hi = draw(st.integers(-2, 5))
+    rows = dict(table_from_spectrum(SpectrumWithS(values, s), st_, (lo, hi)).rows)
+    edits = draw(st.lists(
+        st.tuples(st.integers(lo, hi), st.sampled_from([1, 2]),
+                  st.sampled_from([None, -2, -1, 1, 2])),
+        max_size=4,
+    ))
+    for t, i, edit in edits:
+        row = list(rows[t])
+        if row[i] is not None:
+            row[i] = None if edit is None else max(0, row[i] + edit)
+        rows[t] = tuple(row)
+    return st_, CohomologyTable(lo, hi, rows)
+
+
+@settings(deadline=None, max_examples=300)
+@given(edited_table())
+def test_inversion_regenerates_every_known_entry(data):
+    st_, table = data
+    try:
+        sw = spectrum_from_table(table, st_)
+    except (RangeInsufficientError, InconsistentTableError):
+        return
+    regen = table_from_spectrum(sw, st_, (table.lo, table.hi))
+    for t in range(table.lo, table.hi + 1):
+        for i in (1, 2):
+            if table.entry(t, i) is not None:
+                assert regen.entry(t, i) == table.entry(t, i), (t, i)

@@ -461,3 +461,22 @@ def test_non_generic_curve_recipe_is_refused():
 def test_malformed_recipes_raise_catalog_error(node):
     with pytest.raises(CatalogError):
         recipe_table(node, (-2, 0))
+
+
+@pytest.mark.parametrize("degree", [True, 1.5])
+def test_monad_degrees_must_be_ints(degree):
+    node = {"kind": "monad", "a": [degree], "b": [0, 0, 0, 0], "c": [1]}
+    with pytest.raises(CatalogError):
+        recipe_table(node, (-4, 0))
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        {"kind": "ses", "unknown": "middle", "left": 5, "right": {"kind": "line", "a": 0}},
+        {"kind": "quotient", "ambient": {"kind": "line", "a": 0}},
+    ],
+)
+def test_malformed_slots_raise_catalog_error(node):
+    with pytest.raises(CatalogError):
+        recipe_table(node, (-2, 0))

@@ -106,6 +106,24 @@ def test_duplicate_names_rejected():
         catalog_load([record, record])
 
 
+@pytest.mark.parametrize(
+    "index,mutation",
+    [
+        (0, {"s": 0.9}),
+        (0, {"moduli": [-1.0, 2, 0]}),
+        (0, {"spectrum": ["-1", 0]}),
+        (0, {"dimension": True}),
+        (1, {"params": {"n": 1.0, "m": 1, "r": 1, "s": 0}}),  # the X component
+    ],
+)
+def test_record_fields_are_not_coerced(index, mutation):
+    record = dict(bundled_records()[index])
+    record.update(mutation)
+    with pytest.raises(CatalogError) as err:
+        catalog_load([record])
+    assert record["name"] in str(err.value)
+
+
 # ----------------------------------------------------- closed dimensions
 
 
