@@ -254,12 +254,14 @@ class ShortExactSequenceSpec:
 
 
 def _slot_table(slot, rng: tuple[int, int]) -> CohomologyTable:
+    # a stored table must cover rng and is cut down to it
     if isinstance(slot, CohomologyTable):
         if slot.lo > rng[0] or slot.hi < rng[1]:
             raise RangeInsufficientError(
                 f"slot table covers [{slot.lo}, {slot.hi}], need [{rng[0]}, {rng[1]}]"
             )
-        return slot
+        rows = {t: slot.row(t) for t in range(rng[0], rng[1] + 1)}
+        return CohomologyTable(rng[0], rng[1], rows, slot.cc)
     return block_table(slot, rng)
 
 
@@ -416,9 +418,10 @@ def recipe_table(node: Mapping, rng: tuple[int, int]) -> CohomologyTable:
     kind = node.get("kind")
     if kind == "table":
         try:
-            return CohomologyTable.from_json_dict(node["table"])
+            stored = CohomologyTable.from_json_dict(node["table"])
         except (KeyError, ValueError) as exc:
             raise CatalogError(f"malformed stored table: {exc}") from exc
+        return _slot_table(stored, rng)
     if kind == "ses":
         slots = {
             name: recipe_table(node[name], rng)

@@ -9,8 +9,9 @@ The identities tying (spectrum, s) to (e, c2, c3) are
     e =  0:  c3 = -2 sum(k_i) - 2 s
 
 which make s determined by the class and the spectrum.  The chain rules
-constrain which tuples can occur at all, and enumerate_spectra walks
-every candidate for given Chern classes.
+constrain which tuples can occur at all.  enumerate_spectra walks every
+candidate for given Chern classes; the chain-down rule bounds each step
+of the walk, so its cost is roughly proportional to its output.
 """
 
 from __future__ import annotations
@@ -68,8 +69,10 @@ UNBOUNDED = ChainUpParam(None)
 
 
 def validate_spectrum(values: Iterable[int]) -> tuple[int, ...]:
-    """Normalize to a tuple and reject empty or decreasing input."""
-    spec = tuple(int(v) for v in values)
+    """Normalize to a tuple; reject non-int, empty or decreasing input."""
+    spec = tuple(values)
+    if any(type(v) is not int for v in spec):
+        raise InadmissibleSpectrumError(f"spectrum {spec!r} has a non-int value")
     if not spec:
         raise InadmissibleSpectrumError("spectrum must have at least one entry")
     if any(spec[i] > spec[i + 1] for i in range(len(spec) - 1)):
@@ -136,14 +139,9 @@ def validate_chain_down(
     Returns (trigger, missing) pairs; the spectrum is admissible on this
     rule iff the list is empty.
     """
-    spec = validate_spectrum(values)
-    present = set(spec)
-    out = []
-    for k in sorted(set(v for v in spec if v <= st.a1 - 1)):
-        for kp in range(k, 0):
-            if kp not in present:
-                out.append((k, kp))
-    return out
+    present = set(validate_spectrum(values))
+    triggers = sorted(k for k in present if k <= st.a1 - 1)
+    return [(k, kp) for k in triggers for kp in range(k, 0) if kp not in present]
 
 
 def validate_chain_up(
@@ -161,14 +159,12 @@ def validate_chain_up(
     if p.s_eh is None:
         return []
     present = set(spec)
-    out = []
-    for k in sorted(set(v for v in spec if v > st.a2 + 1)):
-        count = sum(1 for v in spec if v >= k)
-        if count >= p.s_eh + 1:
-            for kp in range(st.a2 + 1, k + 1):
-                if kp not in present:
-                    out.append((k, kp))
-    return out
+    triggers = sorted(
+        k for k in present if k > st.a2 + 1 and sum(v >= k for v in spec) > p.s_eh
+    )
+    return [
+        (k, kp) for k in triggers for kp in range(st.a2 + 1, k + 1) if kp not in present
+    ]
 
 
 def s_upper_bound(e: int, c2: int, regime: str = "general") -> int:
@@ -199,10 +195,14 @@ def enumerate_spectra(
 ) -> list[SpectrumWithS]:
     """All spectrum candidates for the class cc, sorted lexicographically.
 
-    Walks nondecreasing m-tuples (m = c2) by depth-first search.  The
-    chain-down rule bounds entries below by -m; the constraint
-    0 <= s <= s_upper_bound(general) pins sum(k_i) to a window, which
-    bounds the top entry above.  Survivors pass both chain rules.
+    A depth-first walk over nondecreasing m-tuples (m = c2), smallest
+    value first, so tuples come out sorted.  The chain-down rule bounds
+    each step: with a1 in {-1, 0} it fires exactly when an entry is below
+    -1, and then an entry v < -1 is followed by v or v + 1 and needs
+    -1 - v entries after it to reach -1.  The window 0 <= s <=
+    s_upper_bound(general) on sum(k_i) bounds entries above.  Every leaf
+    survives (the chain-up rule, when s_eh is set, is checked at the
+    leaf), so the cost is roughly proportional to the output.
     """
     m = cc.c2
     if m < 1:
@@ -210,35 +210,29 @@ def enumerate_spectra(
     st = splitting_type_from_e(cc.e)
     sum_max = _sum_max(cc)
     sum_min = sum_max - s_upper_bound(cc.e, m, "general")
-    lo = -m
     hi = sum_max + m * (m - 1)
 
     results: list[SpectrumWithS] = []
     prefix: list[int] = []
 
-    def walk(total: int):
+    def walk(total: int, start: int, stop: int):
         depth = len(prefix)
         if depth == m:
-            if not (sum_min <= total <= sum_max):
-                return
             values = tuple(prefix)
-            if validate_chain_down(values, st):
-                return
-            if validate_chain_up(values, st, p):
-                return
-            results.append(SpectrumWithS(values, sum_max - total))
+            if p.s_eh is None or not validate_chain_up(values, st, p):
+                results.append(SpectrumWithS(values, sum_max - total))
             return
         remaining = m - depth
-        start = prefix[-1] if prefix else lo
-        for v in range(start, hi + 1):
+        for v in range(start, stop + 1):
             if total + v * remaining > sum_max:
                 break  # larger v only increases the minimum achievable sum
             if total + v + (remaining - 1) * hi < sum_min:
                 continue
+            if v < -1 and remaining - 1 < -1 - v:
+                continue  # too few entries left to climb to -1
             prefix.append(v)
-            walk(total + v)
+            walk(total + v, v, v + 1 if v < -1 else hi)
             prefix.pop()
 
-    walk(0)
-    results.sort(key=lambda sw: (sw.values, sw.s))
+    walk(0, -m, hi)
     return results

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, run in process."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -50,6 +51,12 @@ def test_enumerate_seh_thresholds(capsys, seh, count):
     code, out, _ = run(capsys, "enumerate", "--e", "0", "--c2", "3", "--c3", "0",
                        "--seh", seh, "--format", "json")
     assert code == 0 and len(json.loads(out)["spectra"]) == count
+
+
+def test_enumerate_c2_8(capsys):
+    code, out, _ = run(capsys, "enumerate", "--e", "0", "--c2", "8", "--c3", "0",
+                       "--format", "json")
+    assert code == 0 and len(json.loads(out)["spectra"]) == 4978
 
 
 def test_enumerate_markdown_layout(capsys):
@@ -174,6 +181,21 @@ def test_splice_malformed_recipe_is_an_error_line(capsys, tmp_path, node):
     code, out, err = run(capsys, "splice", "--spec", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_splice_stored_table_honours_range(capsys, tmp_path):
+    # T(-1,2,2,1) is a quotient of an ambient table stored over [-8, 0]
+    catalog = resources.files("sheafspectra").joinpath("data/catalog.json")
+    records = json.loads(catalog.read_text())["components"]
+    node = next(r["construction"] for r in records if r["name"] == "T(-1,2,2,1)")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(node["ambient"]))
+    code, out, _ = run(capsys, "splice", "--spec", str(path), "--range=-2:-1",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["range"] == [-2, -1]
+    path.write_text(json.dumps(node))
+    code, _, err = run(capsys, "splice", "--spec", str(path), "--range=-8:1")
+    assert code == 2 and "covers [-8, 0]" in err
 
 
 def test_splice_unknown_kind(capsys, tmp_path):

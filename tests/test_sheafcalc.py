@@ -8,6 +8,7 @@ from sheafspectra.cohomology import CohomologyTable, table_from_spectrum
 from sheafspectra.errors import (
     AmbiguousCurveModuleError,
     CatalogError,
+    RangeInsufficientError,
     RankMismatchError,
     SequenceInfeasibleError,
 )
@@ -378,6 +379,19 @@ def test_stored_table_pipeline_recovers_double_point_spectrum():
         "quotient": {"kind": "points", "n": 1},
     }
     assert construction_spectrum(node, -1) == SpectrumWithS((-1, -1), 1)
+
+
+def test_stored_table_recipe_honours_range():
+    stored = CohomologyTable(
+        -6, 0, {t: EXTENSION_OVER_ONE_CONIC_ROWS[t] for t in range(-6, 1)},
+        ChernClasses(-1, 2, 2),
+    )
+    node = {"kind": "table", "table": stored.to_json_dict()}
+    got = recipe_table(node, (-2, -1))
+    assert (got.lo, got.hi, got.cc) == (-2, -1, stored.cc)
+    assert got.rows == {-2: stored.row(-2), -1: stored.row(-1)}
+    with pytest.raises(RangeInsufficientError):
+        recipe_table(node, (-9, 3))
 
 
 def test_plane_cubic_sequence_rows():

@@ -1,8 +1,11 @@
 """Tests for spectrum identities, chain rules, bounds, and enumeration."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheafspectra.cohomology import table_from_spectrum
 from sheafspectra.errors import DegenerateClassError, InadmissibleSpectrumError
 from sheafspectra.invariants import ChernClasses, SplittingType
 from sheafspectra.spectrum import (
@@ -29,6 +32,13 @@ def test_validate_spectrum():
         validate_spectrum([])
     with pytest.raises(InadmissibleSpectrumError):
         validate_spectrum([0, -1])
+
+
+def test_validate_spectrum_refuses_non_ints():
+    with pytest.raises(InadmissibleSpectrumError):
+        validate_spectrum(["-1", 0.5, True])
+    with pytest.raises(InadmissibleSpectrumError):
+        table_from_spectrum(SpectrumWithS(("-1", 0.9), 0), ST_MINUS, (-4, -1))
 
 
 def test_c3_from_spectrum_frozen():
@@ -203,3 +213,127 @@ def test_enumeration_monotone_in_threshold(e, c2, half, lo, hivals):
     loose = set(enumerate_spectra(cc, ChainUpParam(lo + hivals)))
     unbounded = set(enumerate_spectra(cc, UNBOUNDED))
     assert tight <= loose <= unbounded
+
+
+# ------------------------------------------------------------- walk vs filter
+
+
+def _sum_window(e, m, c3):
+    """Bounds of sum(k_i): the c3 identities at the general bound on s
+    and at s = 0."""
+    sum_max = -(m + c3) // 2 if e == -1 else -c3 // 2
+    bound = (m * m + 3 * m) // 2 if e == -1 else (m * m + m) // 2
+    return sum_max - bound, sum_max
+
+
+def _reference_enumerate(cc, p=UNBOUNDED):
+    """Every nondecreasing tuple in the sum window, filtered at the leaves.
+
+    The enumerator before the chain-down rule moved into its walk: the
+    same sum-window depth-first search, both chain rules checked on
+    finished tuples, and a final sort.
+    """
+    m = cc.c2
+    st_ = SplittingType(-1, 0) if cc.e == -1 else SplittingType(0, 0)
+    sum_min, sum_max = _sum_window(cc.e, m, cc.c3)
+    lo, hi = -m, sum_max + m * (m - 1)
+    results, prefix = [], []
+
+    def walk(total):
+        depth = len(prefix)
+        if depth == m:
+            values = tuple(prefix)
+            if (
+                sum_min <= total <= sum_max
+                and not validate_chain_down(values, st_)
+                and not validate_chain_up(values, st_, p)
+            ):
+                results.append(SpectrumWithS(values, sum_max - total))
+            return
+        remaining = m - depth
+        for v in range(prefix[-1] if prefix else lo, hi + 1):
+            if total + v * remaining > sum_max:
+                break
+            if total + v + (remaining - 1) * hi < sum_min:
+                continue
+            prefix.append(v)
+            walk(total + v)
+            prefix.pop()
+
+    walk(0)
+    results.sort(key=lambda sw: (sw.values, sw.s))
+    return results
+
+
+def _c3_window(e, m):
+    """c3 of the classes from one parity step above the chain (-m, ..., -1)
+    at s = 0 down to that chain at the general bound on s."""
+    top = m * (m + 1) if e == 0 else m * m
+    bound = s_upper_bound(e, m, "general")
+    return [top + 2] + [top - 2 * j for j in range(bound + 1)]
+
+
+@pytest.mark.parametrize("c2", range(1, 6))
+@pytest.mark.parametrize("e", [-1, 0])
+def test_walk_matches_leaf_filter(e, c2):
+    for c3 in _c3_window(e, c2):
+        cc = ChernClasses(e, c2, c3)
+        for p in (UNBOUNDED, ChainUpParam(0), ChainUpParam(1), ChainUpParam(3)):
+            out = enumerate_spectra(cc, p)
+            assert out == _reference_enumerate(cc, p), (cc, p)
+            assert all(a.values < b.values for a, b in zip(out, out[1:]))
+
+
+# ------------------------------------------------------------- counting oracle
+#
+# The number of spectra of a class from the closed forms alone: the sum
+# window above, and the descending chain rule, by which a smallest entry
+# k <= a1 - 1 forces every integer of [k, -1].
+
+
+@functools.cache
+def _tuples(n, low, total):
+    """Nondecreasing n-tuples with entries >= low summing to total."""
+    if n == 0:
+        return int(total == 0)
+    if n * low > total:
+        return 0
+    return _tuples(n - 1, low, total - low) + _tuples(n, low + 1, total)
+
+
+@functools.cache
+def _chains(n, low, total):
+    """Nondecreasing n-tuples summing to total that start at low <= -1
+    and contain every integer of [low, -1]."""
+    if n == 0:
+        return 0
+    if low == -1:
+        return _tuples(n - 1, -1, total + 1)
+    # after the first entry the rest starts at low again or at low + 1
+    return _chains(n - 1, low, total - low) + _chains(n - 1, low + 1, total - low)
+
+
+def _count_spectra(e, m, c3):
+    a1 = -1 if e == -1 else 0
+    sum_min, sum_max = _sum_window(e, m, c3)
+    return sum(
+        _tuples(m, a1, total) + sum(_chains(m, low, total) for low in range(-m, a1))
+        for total in range(sum_min, sum_max + 1)
+    )
+
+
+@pytest.mark.parametrize("c2", range(1, 8))
+@pytest.mark.parametrize("e", [-1, 0])
+def test_enumeration_matches_counting_oracle(e, c2):
+    for c3 in _c3_window(e, c2):
+        assert len(enumerate_spectra(ChernClasses(e, c2, c3))) == _count_spectra(
+            e, c2, c3
+        ), (e, c2, c3)
+
+
+@pytest.mark.parametrize(
+    "e,c2,count", [(0, 7, 1483), (-1, 8, 2765), (0, 8, 4978), (0, 9, 16857)]
+)
+def test_pinned_counts(e, c2, count):
+    assert _count_spectra(e, c2, 0) == count
+    assert len(enumerate_spectra(ChernClasses(e, c2, 0))) == count
