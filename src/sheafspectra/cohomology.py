@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 from .errors import InconsistentTableError, RangeInsufficientError
 from .invariants import ChernClasses, SplittingType, euler_characteristic
-from .spectrum import SpectrumWithS, c3_from_spectrum, validate_spectrum
+from .spectrum import SpectrumWithS, c3_from_spectrum
 
 __all__ = [
     "CohomologyTable",
@@ -50,6 +50,15 @@ class ValidityWindows:
     @classmethod
     def from_splitting_type(cls, st: SplittingType) -> "ValidityWindows":
         return cls(h1_max=-st.a2 - 1, h2_min=st.a1 - 3)
+
+
+def _check_chi(cc: ChernClasses, t: int, row: Row) -> None:
+    # a fully known row must have the Euler characteristic of its class
+    if None not in row:
+        chi = row[0] - row[1] + row[2] - row[3]
+        want = euler_characteristic(cc, t)
+        if chi != want:
+            raise InconsistentTableError(f"row t={t} has chi {chi}, class demands {want}")
 
 
 @dataclass(frozen=True)
@@ -89,18 +98,12 @@ class CohomologyTable:
         object.__setattr__(self, "rows", normalized)
         if self.cc is not None:
             for t, row in normalized.items():
-                if all(h is not None for h in row):
-                    chi = row[0] - row[1] + row[2] - row[3]
-                    want = euler_characteristic(self.cc, t)
-                    if chi != want:
-                        raise InconsistentTableError(
-                            f"row t={t} has chi {chi}, class demands {want}"
-                        )
+                _check_chi(self.cc, t, row)
 
     def row(self, t: int) -> Row:
         if not self.lo <= t <= self.hi:
             raise RangeInsufficientError(
-                f"twist {t} outside table range [{self.lo}, {self.hi}]"
+                f"table covers [{self.lo}, {self.hi}], has no row at t={t}"
             )
         return self.rows[t]
 
@@ -130,7 +133,7 @@ class CohomologyTable:
             cc = None
             if data.get("cc") is not None:
                 cc = ChernClasses(*data["cc"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed table JSON: {exc}") from exc
         return cls(lo, hi, rows, cc)
 
@@ -154,24 +157,22 @@ def table_from_spectrum(
     The vanishing windows h0 = 0 (t <= -1) and h3 = 0 (t >= -3-e,
     e = a1+a2) rest on (semi)stability; everything else stays unknown.
     """
-    values = validate_spectrum(sw.values)
-    if sw.s < 0:
-        raise ValueError(f"s must be nonnegative, got {sw.s}")
+    e = st.a1 + st.a2
+    m = len(sw.values)
+    cc = ChernClasses(e, m, c3_from_spectrum(e, m, sw))  # validates values and s
     lo, hi = rng
     win = ValidityWindows.from_splitting_type(st)
-    e = st.a1 + st.a2
     rows = {}
     for t in range(lo, hi + 1):
         h0 = 0 if t <= -1 else None
         h3 = 0 if t >= -3 - e else None
         h1 = None
         if t <= win.h1_max:
-            h1 = sw.s + sum(p1_cohomology(k + t + 1)[0] for k in values)
+            h1 = sw.s + sum(p1_cohomology(k + t + 1)[0] for k in sw.values)
         h2 = None
         if t >= win.h2_min:
-            h2 = sum(p1_cohomology(k + t + 1)[1] for k in values)
+            h2 = sum(p1_cohomology(k + t + 1)[1] for k in sw.values)
         rows[t] = (h0, h1, h2, h3)
-    cc = ChernClasses(e, len(values), c3_from_spectrum(e, len(values), sw))
     return CohomologyTable(lo, hi, rows, cc)
 
 
@@ -223,7 +224,7 @@ def spectrum_from_table(table: CohomologyTable, st: SplittingType) -> SpectrumWi
     anything unwitnessed raises a range error, and any column running
     in a forbidden direction raises an inconsistency error.  The result
     is verified by regenerating the windows and comparing every known
-    in-window entry.
+    in-window entry, and the Chern classes when the table carries them.
     """
     win = ValidityWindows.from_splitting_type(st)
     a2 = st.a2
@@ -274,8 +275,13 @@ def spectrum_from_table(table: CohomologyTable, st: SplittingType) -> SpectrumWi
         raise InconsistentTableError("table forces an empty spectrum")
     result = SpectrumWithS(tuple(sorted(values)), s)
 
-    # --- verify: regenerate both windows and compare every known entry
+    # --- verify: regenerate, then compare the classes and every known entry
     regen = table_from_spectrum(result, st, (table.lo, table.hi))
+    if table.cc is not None and table.cc != regen.cc:
+        raise InconsistentTableError(
+            f"recovered spectrum {result.values}, s={s} has classes "
+            f"{regen.cc.as_tuple()}, table says {table.cc.as_tuple()}"
+        )
     for t in range(table.lo, table.hi + 1):
         for i in (1, 2):
             have = table.entry(t, i)

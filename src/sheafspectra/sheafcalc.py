@@ -1,37 +1,44 @@
-"""Symbolic building blocks, the long-exact-sequence splicer, and monads.
+"""One construction grammar and one evaluator: blocks, sequences, monads.
 
-Building blocks (line bundles, point sheaves, modules pushed forward
-from curves, ideal sheaves, sums, twists) all have total cohomology
-tables computable in closed form.  splice_ses takes a short exact
-sequence with one unknown slot and solves the twelve-term cohomology
-sequence twist by twist under the generic maximal-rank policy: every
-free connecting or interior map takes the largest rank its source and
-target allow, forced maps (injectivity at the left end, surjectivity at
-the right end) are checked for feasibility.  One solver serves all
-three unknown slots.  splice_bounds reports, for each entry, the
-interval of values attainable over all rank choices, read off the two
-corners of the rank box, so callers can tell policy output from forced
-output.
+Leaves (line bundles, point sheaves, modules pushed forward from
+curves, stored tables) have closed-form or recorded cohomology rows;
+sums add rows and twists shift them.  Every other node is a short exact
+sequence with one unknown slot, or two of them nested: an ideal of a
+curve is the kernel of O ->> O_C, a quotient the kernel of ambient ->>
+quotient, and a monad 0 -> sum O(a) -> sum O(b) -> sum O(c) -> 0 the
+cokernel of sum O(a) -> K, K the kernel of sum O(b) ->> sum O(c).
+symbol_from_json reads every node kind, and _row evaluates any node at
+one twist: a sequence is solved from its twelve-term cohomology sequence
+under the generic maximal-rank policy (every free connecting or interior
+map takes the largest rank its source and target allow; forced maps,
+injective at the left end and surjective at the right, are checked for
+feasibility), and a monad row is checked against the Chern classes of
+the power-series oracle.  splice_bounds reads, for each entry, the
+interval attainable over all rank choices off the two corners of the
+rank box, so callers can tell policy output from forced output.
 
-monad_table chains two splices (kernel, then quotient) and attaches the
-Chern classes read off the power-series oracle.  construction_spectrum
-and construction_table run the full pipeline from a construction recipe
-to a spectrum and back to a printed-window table; the raw policy h2 is
-discarded below the twist -3-e, where the generic-rank assumption is
-known to misread deep syzygies, and the spectrum inverter is fed only
-the sound window.
+construction_spectrum and construction_table run the full pipeline from
+a recipe to a spectrum and back to a printed-window table; the raw
+policy h2 is discarded below the twist -3-e, where the generic-rank
+assumption is known to misread deep syzygies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
-from .cohomology import CohomologyTable, spectrum_from_table, table_from_spectrum
+from .cohomology import (
+    CohomologyTable,
+    _check_chi,
+    p1_cohomology,
+    spectrum_from_table,
+    table_from_spectrum,
+)
 from .errors import (
     AmbiguousCurveModuleError,
     CatalogError,
-    RangeInsufficientError,
     RankMismatchError,
     SequenceInfeasibleError,
 )
@@ -41,7 +48,6 @@ from .invariants import (
     line_bundle_chi,
     splitting_type_from_e,
 )
-from .cohomology import p1_cohomology
 from .spectrum import SpectrumWithS
 
 __all__ = [
@@ -119,6 +125,10 @@ class IdealOfCurve:
 
     curve: object
 
+    @cached_property
+    def sequence(self) -> ShortExactSequenceSpec:  # 0 -> I_C -> O -> O_C -> 0
+        return ShortExactSequenceSpec(middle=LineBundle(0), right=self.curve)
+
 
 @dataclass(frozen=True)
 class Twist:
@@ -126,45 +136,63 @@ class Twist:
     n: int
 
 
-def _symbol_row(sym, t: int) -> tuple:
-    if isinstance(sym, LineBundle):
-        chi = line_bundle_chi(sym.a, t)
-        d = sym.a + t
+def _row(node, t: int) -> tuple:
+    """Row (h0, h1, h2, h3) of any construction node at twist t."""
+    if isinstance(node, LineBundle):
+        chi = line_bundle_chi(node.a, t)
+        d = node.a + t
         return (chi if d >= 0 else 0, 0, 0, -chi if d <= -4 else 0)
-    if isinstance(sym, DirectSum):
-        total = [0, 0, 0, 0]
-        for term in sym.terms:
-            row = _symbol_row(term, t)
-            for i in range(4):
-                total[i] += row[i]
-        return tuple(total)
-    if isinstance(sym, PointSheaf):
-        return (sym.n, 0, 0, 0)
-    if isinstance(sym, RationalCurveModule):
-        h0, h1 = p1_cohomology(sym.d * t + sym.b)
+    if isinstance(node, DirectSum):
+        # the zero row keeps an empty sum at zero; an unknown entry stays unknown
+        cols = zip((0, 0, 0, 0), *[_row(term, t) for term in node.terms])
+        return tuple([None if None in col else sum(col) for col in cols])
+    if isinstance(node, ShortExactSequenceSpec):
+        return _solve(*_blocks(node, t))
+    if isinstance(node, CohomologyTable):
+        return node.row(t)
+    if isinstance(node, PointSheaf):
+        return (node.n, 0, 0, 0)
+    if isinstance(node, RationalCurveModule):
+        h0, h1 = p1_cohomology(node.d * t + node.b)
         return (h0, h1, 0, 0)
-    if isinstance(sym, CurveModule):
-        chi = sym.slope * t + sym.offset
-        deg = chi + sym.genus - 1
-        if 0 <= deg <= 2 * sym.genus - 2 and not sym.generic:
+    if isinstance(node, CurveModule):
+        chi = node.slope * t + node.offset
+        deg = chi + node.genus - 1
+        if 0 <= deg <= 2 * node.genus - 2 and not node.generic:
             raise AmbiguousCurveModuleError(
-                f"degree {deg} lies in the special strip of a genus-{sym.genus} "
+                f"degree {deg} lies in the special strip of a genus-{node.genus} "
                 "curve and the module is not declared generic"
             )
         return (max(chi, 0), max(-chi, 0), 0, 0)
-    if isinstance(sym, IdealOfCurve):
-        ambient = _symbol_row(LineBundle(0), t)
-        curve = _symbol_row(sym.curve, t)
-        return _solve(*_BLOCKS["left"](ambient, curve))
-    if isinstance(sym, Twist):
-        return _symbol_row(sym.of, t + sym.n)
-    raise TypeError(f"not a sheaf symbol: {sym!r}")
+    if isinstance(node, IdealOfCurve):
+        return _row(node.sequence, t)
+    if isinstance(node, MonadShape):
+        row = _row(node.sequence, t)
+        _check_chi(node.chern(), t, row)  # also where the monad fills a slot
+        return row
+    if isinstance(node, Twist):
+        return _row(node.of, t + node.n)
+    raise TypeError(f"not a sheaf symbol: {node!r}")
 
 
 def block_table(sym, rng: tuple[int, int]) -> CohomologyTable:
-    """Total cohomology table of a building-block symbol."""
+    """Total cohomology table of any construction node over rng.
+
+    Twists are solved from the lowest up, so of several failing twists
+    the lowest raises.  A stored table must cover rng and is cut down to
+    it; a monad or a stored table keeps its Chern classes.  splice_ses
+    and monad_table are this function under their callers' names.
+    """
     lo, hi = rng
-    return CohomologyTable(lo, hi, {t: _symbol_row(sym, t) for t in range(lo, hi + 1)})
+    rows = {t: _row(sym, t) for t in range(lo, hi + 1)}
+    cc = sym.cc if isinstance(sym, CohomologyTable) else None
+    if isinstance(sym, MonadShape):
+        # _row has chi-checked every row already; the table checks them again
+        cc = sym.chern()
+    return CohomologyTable(lo, hi, rows, cc)
+
+
+splice_ses = monad_table = block_table
 
 
 # ------------------------------------------------------- sequence solving
@@ -233,8 +261,8 @@ def _solve(p: tuple, q: tuple, ranks=None) -> tuple:
 class ShortExactSequenceSpec:
     """0 -> left -> middle -> right -> 0 with exactly one unknown slot.
 
-    Known slots are sheaf symbols or ready-made total tables; the
-    unknown slot is None.
+    Known slots are construction nodes of any kind (symbols, stored
+    tables, sequences, monads); the unknown slot is None.
     """
 
     left: object = None
@@ -253,32 +281,11 @@ class ShortExactSequenceSpec:
         return "middle" if self.middle is None else "right"
 
 
-def _slot_table(slot, rng: tuple[int, int]) -> CohomologyTable:
-    # a stored table must cover rng and is cut down to it
-    if isinstance(slot, CohomologyTable):
-        if slot.lo > rng[0] or slot.hi < rng[1]:
-            raise RangeInsufficientError(
-                f"slot table covers [{slot.lo}, {slot.hi}], need [{rng[0]}, {rng[1]}]"
-            )
-        rows = {t: slot.row(t) for t in range(rng[0], rng[1] + 1)}
-        return CohomologyTable(rng[0], rng[1], rows, slot.cc)
-    return block_table(slot, rng)
-
-
-def _known_blocks(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> dict:
-    a, b = (
-        _slot_table(slot, rng)
-        for slot in (spec.left, spec.middle, spec.right)
-        if slot is not None
-    )
-    blocks = _BLOCKS[spec.unknown]
-    return {t: blocks(a.row(t), b.row(t)) for t in range(rng[0], rng[1] + 1)}
-
-
-def splice_ses(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> CohomologyTable:
-    """Solve the sequence for its unknown slot under maximal rank."""
-    rows = {t: _solve(p, q) for t, (p, q) in _known_blocks(spec, rng).items()}
-    return CohomologyTable(rng[0], rng[1], rows)
+def _blocks(spec: ShortExactSequenceSpec, t: int) -> tuple:
+    # the two known rows at twist t, as the blocks around the unknown
+    slots = (spec.left, spec.middle, spec.right)
+    a, b = [_row(slot, t) for slot in slots if slot is not None]
+    return _BLOCKS[spec.unknown](a, b)
 
 
 def splice_bounds(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> dict:
@@ -291,7 +298,8 @@ def splice_bounds(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> dict:
     entry is genuinely forced when its interval has length zero.
     """
     out = {}
-    for t, (p, q) in _known_blocks(spec, rng).items():
+    for t in range(rng[0], rng[1] + 1):
+        p, q = _blocks(spec, t)
         if None in p or None in q:
             out[t] = (None, None, None, None)
         else:
@@ -320,20 +328,19 @@ class MonadShape:
                 f"monad has rank {len(self.b) - len(self.a) - len(self.c)}, expected 2"
             )
 
+    @cached_property
+    def sequence(self) -> ShortExactSequenceSpec:
+        # 0 -> sum O(a) -> K -> E -> 0, with 0 -> K -> sum O(b) -> sum O(c) -> 0
+        bundle = lambda degrees: DirectSum(LineBundle(d) for d in degrees)
+        kernel = ShortExactSequenceSpec(middle=bundle(self.b), right=bundle(self.c))
+        return ShortExactSequenceSpec(left=bundle(self.a), middle=kernel)
+
     def chern(self) -> ChernClasses:
+        return self._chern
+
+    @cached_property
+    def _chern(self) -> ChernClasses:  # read by _row at every twist
         return chern_from_resolution(self.b, self.a + self.c)
-
-
-def monad_table(shape: MonadShape, rng: tuple[int, int]) -> CohomologyTable:
-    """Cohomology of the monad's middle term, Chern classes attached."""
-    bundle = lambda degrees: DirectSum(LineBundle(d) for d in degrees)
-    kernel = splice_ses(
-        ShortExactSequenceSpec(middle=bundle(shape.b), right=bundle(shape.c)), rng
-    )
-    out = splice_ses(
-        ShortExactSequenceSpec(left=bundle(shape.a), middle=kernel), rng
-    )
-    return CohomologyTable(out.lo, out.hi, out.rows, shape.chern())
 
 
 def _flatten_quotient(sym) -> list:
@@ -345,12 +352,8 @@ def _flatten_quotient(sym) -> list:
     return [sym]
 
 
-def quotient_table(ambient, quotient, rng: tuple[int, int]) -> CohomologyTable:
-    """Table of the kernel of ambient ->> quotient.
-
-    The quotient must be supported in dimension <= 1: a sum of point
-    sheaves with at most one rational-curve module.
-    """
+def _quotient(ambient, quotient) -> ShortExactSequenceSpec:
+    # the kernel of ambient ->> quotient, whose support has dimension <= 1
     leaves = _flatten_quotient(quotient)
     curves = [s for s in leaves if isinstance(s, RationalCurveModule)]
     points = [s for s in leaves if isinstance(s, PointSheaf)]
@@ -359,10 +362,16 @@ def quotient_table(ambient, quotient, rng: tuple[int, int]) -> CohomologyTable:
             "quotient must be a sum of point sheaves and at most one "
             "rational-curve module"
         )
-    ambient_table = _slot_table(ambient, rng)
-    return splice_ses(
-        ShortExactSequenceSpec(middle=ambient_table, right=quotient), rng
-    )
+    return ShortExactSequenceSpec(middle=ambient, right=quotient)
+
+
+def quotient_table(ambient, quotient, rng: tuple[int, int]) -> CohomologyTable:
+    """Table of the kernel of ambient ->> quotient.
+
+    The quotient must be supported in dimension <= 1: a sum of point
+    sheaves with at most one rational-curve module.
+    """
+    return block_table(_quotient(ambient, quotient), rng)
 
 
 # ------------------------------------------------------------- recipes
@@ -374,11 +383,17 @@ def _exact(value, kind: type = int):
     return value
 
 
-def symbol_from_json(node: Mapping):
-    """Build a sheaf symbol from its catalog JSON form.
+_SLOTS = ("left", "middle", "right")
 
-    Integer fields must be JSON integers and generic a JSON boolean;
-    anything else raises CatalogError instead of being coerced.
+
+def symbol_from_json(node: Mapping):
+    """Build a construction node from its catalog JSON form.
+
+    A node of any kind may fill the terms of a sum, the curve of an
+    ideal, the of of a twist, the slots of an ses and the ambient of a
+    quotient.  Integer fields and monad degrees must be JSON integers
+    and generic a JSON boolean; anything else raises CatalogError
+    instead of being coerced.
     """
     try:
         kind = node["kind"]
@@ -401,54 +416,30 @@ def symbol_from_json(node: Mapping):
             return IdealOfCurve(symbol_from_json(node["curve"]))
         if kind == "twist":
             return Twist(symbol_from_json(node["of"]), _exact(node["n"]))
+        if kind == "table":
+            return CohomologyTable.from_json_dict(node["table"])
+        if kind == "ses":
+            names = [name for name in _SLOTS if node.get(name) is not None]
+            slots = {name: symbol_from_json(node[name]) for name in names}
+            unknown = node.get("unknown")
+            if unknown not in _SLOTS or unknown in slots:
+                raise CatalogError(
+                    f"recipe must leave exactly the slot {unknown!r} empty"
+                )
+            return ShortExactSequenceSpec(**slots)
+        if kind == "monad":
+            return MonadShape(*([_exact(d) for d in node[k]] for k in "abc"))
+        if kind == "quotient":
+            return _quotient(
+                symbol_from_json(node["ambient"]), symbol_from_json(node["quotient"])
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"malformed symbol node {node!r}: {exc}") from exc
     raise CatalogError(f"unknown symbol kind {kind!r}")
 
 
 def recipe_table(node: Mapping, rng: tuple[int, int]) -> CohomologyTable:
-    """Evaluate a construction recipe node to a cohomology table.
-
-    The slots of an ses and the ambient of a quotient are recipe nodes
-    themselves; a node of any other kind is read as a sheaf symbol.
-    Monad degrees must be JSON integers.
-    """
-    if not isinstance(node, Mapping):
-        raise CatalogError(f"malformed recipe node {node!r}")
-    kind = node.get("kind")
-    if kind == "table":
-        try:
-            stored = CohomologyTable.from_json_dict(node["table"])
-        except (KeyError, ValueError) as exc:
-            raise CatalogError(f"malformed stored table: {exc}") from exc
-        return _slot_table(stored, rng)
-    if kind == "ses":
-        slots = {
-            name: recipe_table(node[name], rng)
-            for name in ("left", "middle", "right")
-            if node.get(name) is not None
-        }
-        unknown = node.get("unknown")
-        if unknown not in ("left", "middle", "right") or unknown in slots:
-            raise CatalogError(f"recipe must leave exactly the slot {unknown!r} empty")
-        try:
-            return splice_ses(ShortExactSequenceSpec(**slots), rng)
-        except ValueError as exc:
-            raise CatalogError(str(exc)) from exc
-    if kind == "monad":
-        try:
-            shape = MonadShape(*([_exact(d) for d in node[k]] for k in "abc"))
-        except (KeyError, TypeError) as exc:
-            raise CatalogError(f"malformed monad node {node!r}: {exc}") from exc
-        return monad_table(shape, rng)
-    if kind == "quotient":
-        if "ambient" not in node or "quotient" not in node:
-            raise CatalogError(f"quotient node needs ambient and quotient: {node!r}")
-        ambient = recipe_table(node["ambient"], rng)
-        try:
-            return quotient_table(ambient, symbol_from_json(node["quotient"]), rng)
-        except ValueError as exc:
-            raise CatalogError(str(exc)) from exc
+    """Evaluate a construction recipe node to a cohomology table."""
     return block_table(symbol_from_json(node), rng)
 
 

@@ -87,8 +87,8 @@ def c3_from_spectrum(e: int, c2: int, sw: SpectrumWithS) -> int:
         raise InadmissibleSpectrumError(
             f"spectrum has {len(spec)} entries, expected m = c2 = {c2}"
         )
-    if sw.s < 0:
-        raise InadmissibleSpectrumError(f"s must be nonnegative, got {sw.s}")
+    if type(sw.s) is not int or sw.s < 0:
+        raise InadmissibleSpectrumError(f"s must be a nonnegative int, got {sw.s!r}")
     total = sum(spec)
     if e == -1:
         return -2 * total - c2 - 2 * sw.s

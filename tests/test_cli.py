@@ -289,3 +289,42 @@ def test_bad_moduli_shape(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_invert_table_refuses_a_contradicting_e(capsys, tmp_path):
+    # an e = -1 table read with --e 0 would print (-1,0), s=0, the class (0,2,2)
+    code, out, _ = run(capsys, "table", "--spectrum=-1,0", "--s", "0",
+                       "--e", "-1", "--range=-8:0", "--format", "json")
+    path = tmp_path / "t.json"
+    path.write_text(out)
+    code, out, err = run(capsys, "invert-table", str(path), "--e", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "classes" in err
+
+
+@pytest.mark.parametrize("wrap", [False, True])
+def test_table_rows_must_be_an_object(capsys, tmp_path, wrap):
+    doc = {"range": [0, 1], "rows": []}
+    path = tmp_path / "t.json"
+    if wrap:
+        path.write_text(json.dumps({"kind": "table", "table": doc}))
+        code, out, err = run(capsys, "splice", "--spec", str(path), "--range=0:1")
+    else:
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "invert-table", str(path), "--e", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_splice_sum_keeps_stored_nulls(capsys, tmp_path):
+    table = {"range": [-2, 0], "rows": {"-2": [0, None, 3, 0], "-1": [0, 1, None, 0],
+                                        "0": [1, 0, 0, None]}}
+    node = {"kind": "sum", "terms": [{"kind": "table", "table": table},
+                                     {"kind": "line", "a": 0}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(node))
+    code, out, _ = run(capsys, "splice", "--spec", str(path), "--range=-2:0",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"] == {"-2": [0, None, 3, 0], "-1": [0, 1, None, 0],
+                                       "0": [2, 0, 0, None]}

@@ -375,3 +375,24 @@ def test_inversion_regenerates_every_known_entry(data):
         for i in (1, 2):
             if table.entry(t, i) is not None:
                 assert regen.entry(t, i) == table.entry(t, i), (t, i)
+
+
+@pytest.mark.parametrize("cc,agrees", [((-1, 2, 0), True), ((-1, 2, 2), False),
+                                       ((-1, 2, -4), False)])
+def test_inversion_checks_attached_classes(cc, agrees):
+    # the h1/h2 rows of (-1,0), s=0 with h0/h3 unknown, so no row is
+    # fully known and only the inverter can compare the classes
+    full = table_from_spectrum(SpectrumWithS((-1, 0), 0), ST_MINUS, (-8, 0))
+    rows = {t: (None, h1, h2, None) for t, (_, h1, h2, _) in full.rows.items()}
+    table = CohomologyTable(-8, 0, rows, ChernClasses(*cc))
+    if agrees:
+        assert spectrum_from_table(table, ST_MINUS) == SpectrumWithS((-1, 0), 0)
+    else:
+        with pytest.raises(InconsistentTableError, match="classes"):
+            spectrum_from_table(table, ST_MINUS)
+
+
+@pytest.mark.parametrize("rows", [[], 5, "rows", None])
+def test_from_json_refuses_non_object_rows(rows):
+    with pytest.raises(ValueError):
+        CohomologyTable.from_json_dict({"range": [0, 1], "rows": rows})

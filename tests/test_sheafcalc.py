@@ -8,6 +8,7 @@ from sheafspectra.cohomology import CohomologyTable, table_from_spectrum
 from sheafspectra.errors import (
     AmbiguousCurveModuleError,
     CatalogError,
+    InconsistentTableError,
     RangeInsufficientError,
     RankMismatchError,
     SequenceInfeasibleError,
@@ -494,3 +495,114 @@ def test_monad_degrees_must_be_ints(degree):
 def test_malformed_slots_raise_catalog_error(node):
     with pytest.raises(CatalogError):
         recipe_table(node, (-2, 0))
+
+
+# ------------------------------------------------------------- one grammar
+
+
+@pytest.mark.parametrize(
+    "node,kind",
+    [
+        (EXTENSION_OVER_TWO_CONICS, ShortExactSequenceSpec),
+        (LINE_QUOTIENT_OF_COKERNEL, ShortExactSequenceSpec),
+        (EIN_MONAD, MonadShape),
+        ({"kind": "table", "table": CohomologyTable(-1, 0, {}).to_json_dict()},
+         CohomologyTable),
+        ({"kind": "ideal", "curve": EIN_MONAD}, IdealOfCurve),
+    ],
+)
+def test_symbol_from_json_reads_every_kind(node, kind):
+    assert isinstance(symbol_from_json(node), kind)
+
+
+def test_quotient_is_a_sequence_onto_the_quotient():
+    sym = symbol_from_json(LINE_QUOTIENT_OF_COKERNEL)
+    assert sym.unknown == "left" and sym.right == RationalCurveModule(1, 1)
+    assert sym.middle == symbol_from_json(LINE_QUOTIENT_OF_COKERNEL["ambient"])
+
+
+def _outcome(node, rng):
+    try:
+        table = recipe_table(node, rng)
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+    return (table.lo, table.hi, table.rows, table.cc)
+
+
+# position -> (template, shift): the template reads its node at t + shift
+TEMPLATES = {
+    "ses_right": (lambda x: {"kind": "ses", "unknown": "middle", "right": x,
+                             "left": {"kind": "line", "a": -2}}, 0),
+    "ses_left": (lambda x: {"kind": "ses", "unknown": "right", "left": x, "middle": {
+        "kind": "sum", "terms": [{"kind": "line", "a": 2}] * 4}}, 0),
+    "ambient": (lambda x: {"kind": "quotient", "ambient": x,
+                           "quotient": {"kind": "points", "n": 1}}, 0),
+    "terms": (lambda x: {"kind": "sum", "terms": [x, {"kind": "line", "a": -1}]}, 0),
+    "curve": (lambda x: {"kind": "ideal", "curve": x}, 0),
+    "of": (lambda x: {"kind": "twist", "n": 2, "of": x}, 2),
+}
+INNER = {"monad": EIN_MONAD, "ses": EXTENSION_OVER_TWO_CONICS,
+         "quotient": LINE_QUOTIENT_OF_COKERNEL, "cubic": PLANE_CUBIC_SECTIONS}
+
+
+@pytest.mark.parametrize("position", TEMPLATES)
+@pytest.mark.parametrize("inner", INNER)
+def test_any_kind_nests_anywhere(position, inner):
+    # a nested node reads exactly like its own table stored in its place
+    template, shift = TEMPLATES[position]
+    inner = INNER[inner]
+    rng = (-6, 0)
+    stored = recipe_table(inner, (rng[0] + shift, rng[1] + shift))
+    frozen = {"kind": "table", "table": stored.to_json_dict()}
+    outcome = _outcome(template(inner), rng)
+    assert outcome == _outcome(template(frozen), rng)
+    assert outcome is not CatalogError  # every slot reads every kind
+
+
+def test_nested_monad_rows_are_chi_checked(monkeypatch):
+    import sheafspectra.sheafcalc as sheafcalc
+
+    monkeypatch.setattr(sheafcalc, "chern_from_resolution",
+                        lambda pos, neg: ChernClasses(0, 5, 0))
+    node = {"kind": "ses", "unknown": "right", "left": EIN_MONAD,
+            "middle": {"kind": "sum", "terms": [{"kind": "line", "a": 2}] * 4}}
+    with pytest.raises(InconsistentTableError, match="t=-3"):
+        recipe_table(node, (-3, 0))
+    with pytest.raises(InconsistentTableError):
+        recipe_table(EIN_MONAD, (-3, 0))
+
+
+def test_sequences_are_built_once_per_node(monkeypatch):
+    built = []
+    check = ShortExactSequenceSpec.__post_init__
+    monkeypatch.setattr(ShortExactSequenceSpec, "__post_init__",
+                        lambda self: built.append(check(self)))
+    monad_table(MonadShape(*(INSTANTON_MONAD[k] for k in "abc")), (-8, 0))
+    assert len(built) == 2  # the kernel and the cokernel, not one per twist
+    built.clear()
+    recipe_table(EXTENSION_OVER_TWO_CONICS, (-8, 0))
+    assert len(built) == 2  # the extension and the ideal
+
+
+def test_lowest_failing_twist_raises():
+    # the stored middle stops at t=-1, the non-generic cubic fails at t=-2
+    stored = block_table(DirectSum([LineBundle(0)] * 2), (-8, -1))
+    node = {
+        "kind": "ses",
+        "unknown": "left",
+        "middle": {"kind": "table", "table": stored.to_json_dict()},
+        "right": {"kind": "twist", "n": 2, "of": dict(ELLIPTIC, generic=False)},
+    }
+    with pytest.raises(AmbiguousCurveModuleError):
+        recipe_table(node, (-3, 0))
+    with pytest.raises(RangeInsufficientError, match=r"covers \[-8, -1\].*t=0"):
+        recipe_table(node, (-1, 0))
+
+
+def test_sum_keeps_unknown_entries():
+    stored = CohomologyTable(-1, 0, {-1: (0, None, 1, 0), 0: (1, 0, None, 0)})
+    total = block_table(DirectSum([stored, LineBundle(0)]), (-1, 0))
+    assert total.rows == {-1: (0, None, 1, 0), 0: (2, 0, None, 0)}
+    bounds = splice_bounds(ShortExactSequenceSpec(left=LineBundle(-1),
+                                                  middle=DirectSum([stored])), (-1, 0))
+    assert bounds == {t: (None, None, None, None) for t in (-1, 0)}

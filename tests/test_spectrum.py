@@ -337,3 +337,13 @@ def test_enumeration_matches_counting_oracle(e, c2):
 def test_pinned_counts(e, c2, count):
     assert _count_spectra(e, c2, 0) == count
     assert len(enumerate_spectra(ChernClasses(e, c2, 0))) == count
+
+
+@pytest.mark.parametrize("s", [True, 0.5, -1])
+def test_s_must_be_a_nonnegative_int(s):
+    # one check in c3_from_spectrum serves table_from_spectrum too
+    sw = SpectrumWithS((-1, 0), s)
+    with pytest.raises(InadmissibleSpectrumError):
+        c3_from_spectrum(-1, 2, sw)
+    with pytest.raises(InadmissibleSpectrumError):
+        table_from_spectrum(sw, ST_MINUS, (-4, -1))
