@@ -238,6 +238,9 @@ def main(argv=None) -> int:
     except (SheafSpectraError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,17 +7,21 @@ table_from_spectrum fills the two formula windows
     h1(l) = s + sum_i h0(O_P1(k_i + l + 1))   for l <= -a2 - 1
     h2(l) = sum_i h1(O_P1(k_i + l + 1))       for l >= a1 - 3
 
-and spectrum_from_table inverts them: on both windows the second
-difference of the known column at twist l is the multiplicity of the
-spectrum value -l-1, and the stabilized deep value of h1 is s.
+from prefix sums of the sorted spectrum (only k >= -l-1 adds to h1 and
+only k <= -l-3 to h2), and spectrum_from_table inverts them: on both
+windows the second difference of the known column at twist l is the
+multiplicity of the spectrum value -l-1, and the stabilized deep value
+of h1 is s; the answer is checked against the recomputed windows.
 Unknown entries stay unknown; they are never conflated with zero.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from itertools import accumulate
+from typing import Mapping
 
 from .errors import InconsistentTableError, RangeInsufficientError
 from .invariants import ChernClasses, SplittingType, euler_characteristic
@@ -111,13 +115,8 @@ class CohomologyTable:
         return self.row(t)[i]
 
     def to_json_dict(self) -> dict:
-        out = {
-            "range": [self.lo, self.hi],
-            "rows": {
-                str(t): [h for h in self.rows[t]]
-                for t in range(self.lo, self.hi + 1)
-            },
-        }
+        rows = {str(t): list(row) for t, row in self.rows.items()}
+        out = {"range": [self.lo, self.hi], "rows": rows}
         if self.cc is not None:
             out["cc"] = list(self.cc.as_tuple())
         return out
@@ -130,6 +129,9 @@ class CohomologyTable:
         try:
             lo, hi = data["range"]
             rows = {int(key): tuple(row) for key, row in data["rows"].items()}
+            bad = [key for key in data["rows"] if key != str(int(key))]
+            if bad:
+                raise ValueError(f"row key {bad[0]!r} is not a decimal twist")
             cc = None
             if data.get("cc") is not None:
                 cc = ChernClasses(*data["cc"])
@@ -154,26 +156,30 @@ def table_from_spectrum(
 ) -> CohomologyTable:
     """Fill the h1/h2 formula windows over rng and the vanishing windows.
 
-    The vanishing windows h0 = 0 (t <= -1) and h3 = 0 (t >= -3-e,
-    e = a1+a2) rest on (semi)stability; everything else stays unknown.
+    The h1/h2 windows come from prefix sums of the sorted spectrum, in
+    O(m + range log m) steps.  The vanishing windows h0 = 0 (t <= -1) and
+    h3 = 0 (t >= -3-e, e = a1+a2) rest on (semi)stability; everything
+    else stays unknown.
     """
     e = st.a1 + st.a2
     m = len(sw.values)
     cc = ChernClasses(e, m, c3_from_spectrum(e, m, sw))  # validates values and s
     lo, hi = rng
-    win = ValidityWindows.from_splitting_type(st)
-    rows = {}
-    for t in range(lo, hi + 1):
-        h0 = 0 if t <= -1 else None
-        h3 = 0 if t >= -3 - e else None
-        h1 = None
-        if t <= win.h1_max:
-            h1 = sw.s + sum(p1_cohomology(k + t + 1)[0] for k in sw.values)
-        h2 = None
-        if t >= win.h2_min:
-            h2 = sum(p1_cohomology(k + t + 1)[1] for k in sw.values)
-        rows[t] = (h0, h1, h2, h3)
+    windows = _windows(sw, ValidityWindows.from_splitting_type(st), lo, hi)
+    rows = {t: (0 if t <= -1 else None, h1, h2, 0 if t >= -3 - e else None)
+            for t, (h1, h2) in enumerate(windows, lo)}
     return CohomologyTable(lo, hi, rows, cc)
+
+
+def _windows(sw: SpectrumWithS, win: ValidityWindows, lo: int, hi: int):
+    # (h1, h2) at each twist t of [lo, hi], None outside the windows: the
+    # values k >= -t-1 add t+2+k to h1 and those k <= -t-3 add -t-2-k to h2
+    ks, pre = sw.values, [0, *accumulate(sw.values)]  # validated nondecreasing
+    for t in range(lo, hi + 1):
+        up, down = bisect_left(ks, -t - 1), bisect_right(ks, -t - 3)
+        h1 = sw.s + (t + 2) * (len(ks) - up) + pre[-1] - pre[up]
+        h2 = -(t + 2) * down - pre[down]
+        yield (h1 if t <= win.h1_max else None, h2 if t >= win.h2_min else None)
 
 
 def _known_run(
@@ -182,15 +188,15 @@ def _known_run(
     # maximal run [u, v] of known h_i entries inside [floor, ceil] that
     # contains every twist of need
     for t in need:
-        if not table.lo <= t <= table.hi or table.entry(t, i) is None:
+        if not table.lo <= t <= table.hi or table.rows[t][i] is None:
             raise RangeInsufficientError(
                 f"h{i} must be known at t={', '.join(map(str, need))} "
                 "to count the spectrum"
             )
     u, v = min(need), max(need)
-    while u - 1 >= max(floor, table.lo) and table.entry(u - 1, i) is not None:
+    while u - 1 >= max(floor, table.lo) and table.rows[u - 1][i] is not None:
         u -= 1
-    while v + 1 <= min(ceil, table.hi) and table.entry(v + 1, i) is not None:
+    while v + 1 <= min(ceil, table.hi) and table.rows[v + 1][i] is not None:
         v += 1
     return u, v
 
@@ -201,7 +207,7 @@ def _differences(table: CohomologyTable, i: int, lo: int, hi: int) -> dict:
     sign = 1 if i == 1 else -1
     d = {}
     for l in range(lo + 1, hi + 1):
-        d[l] = table.entry(l, i) - table.entry(l - 1, i)
+        d[l] = table.rows[l][i] - table.rows[l - 1][i]
         if sign * d[l] < 0:
             raise InconsistentTableError(
                 f"h{i} {'falls' if i == 1 else 'rises'} from t={l - 1} to t={l}"
@@ -223,8 +229,8 @@ def spectrum_from_table(table: CohomologyTable, st: SplittingType) -> SpectrumWi
     that must be pinned by one of four closed rules.  No extrapolation:
     anything unwitnessed raises a range error, and any column running
     in a forbidden direction raises an inconsistency error.  The result
-    is verified by regenerating the windows and comparing every known
-    in-window entry, and the Chern classes when the table carries them.
+    is verified against its recomputed windows, entry by known in-window
+    entry, and against the Chern classes when the table carries them.
     """
     win = ValidityWindows.from_splitting_type(st)
     a2 = st.a2
@@ -275,17 +281,17 @@ def spectrum_from_table(table: CohomologyTable, st: SplittingType) -> SpectrumWi
         raise InconsistentTableError("table forces an empty spectrum")
     result = SpectrumWithS(tuple(sorted(values)), s)
 
-    # --- verify: regenerate, then compare the classes and every known entry
-    regen = table_from_spectrum(result, st, (table.lo, table.hi))
-    if table.cc is not None and table.cc != regen.cc:
+    # --- verify: the classes, then every known entry of both windows
+    e, m = st.a1 + st.a2, len(result.values)
+    cc = ChernClasses(e, m, c3_from_spectrum(e, m, result))  # validates values and s
+    if table.cc is not None and table.cc != cc:
         raise InconsistentTableError(
             f"recovered spectrum {result.values}, s={s} has classes "
-            f"{regen.cc.as_tuple()}, table says {table.cc.as_tuple()}"
+            f"{cc.as_tuple()}, table says {table.cc.as_tuple()}"
         )
-    for t in range(table.lo, table.hi + 1):
-        for i in (1, 2):
-            have = table.entry(t, i)
-            want = regen.entry(t, i)
+    for t, regen in enumerate(_windows(result, win, table.lo, table.hi), table.lo):
+        for i, want in enumerate(regen, 1):
+            have = table.rows[t][i]
             if have is not None and want is not None and have != want:
                 raise InconsistentTableError(
                     f"recovered spectrum {result.values}, s={s} regenerates "

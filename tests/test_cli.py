@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from sheafspectra import SpectrumWithS, splitting_type_from_e, table_from_spectrum
 from sheafspectra.cli import main
 
 
@@ -118,6 +119,21 @@ def test_invert_table_refuses_non_int_entries(capsys, tmp_path, row):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,canonical", [("1_0", "10"), (" -1 ", "-1"), ("+1", "1"),
+                                           ("01", "1")])
+def test_invert_table_refuses_non_canonical_row_keys(capsys, tmp_path, key, canonical):
+    doc = table_from_spectrum(SpectrumWithS((-1, 0), 0), splitting_type_from_e(-1),
+                              (-8, 10)).to_json_dict()
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "invert-table", str(path))[0] == 0
+    doc["rows"][key] = doc["rows"].pop(canonical)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "invert-table", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed table JSON: row key") and "Traceback" not in err
+
+
 def test_invert_table_needs_e(capsys, tmp_path):
     table = {"range": [-4, -1], "rows": {str(t): [0, 0, 0, 0] for t in range(-4, 0)}}
     path = tmp_path / "t.json"
@@ -203,6 +219,16 @@ def test_splice_unknown_kind(capsys, tmp_path):
     path.write_text(json.dumps({"kind": "mystery"}))
     code, _, _ = run(capsys, "splice", "--spec", str(path))
     assert code == 1
+
+
+def test_splice_deeply_nested_recipe_is_an_error_line(capsys, tmp_path):
+    # built as text: json.dump itself overflows at this depth
+    depth = 1200
+    text = '{"kind": "twist", "n": 1, "of": ' * depth + '{"kind": "line", "a": 0}' + "}" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "splice", "--spec", str(path))
+    assert (code, out, err) == (1, "", "error: input is nested too deeply\n")
 
 
 # ------------------------------------------------------------- reports

@@ -18,7 +18,7 @@ from sheafspectra.cohomology import (
     table_from_spectrum,
 )
 from sheafspectra.invariants import ChernClasses, SplittingType
-from sheafspectra.spectrum import SpectrumWithS
+from sheafspectra.spectrum import SpectrumWithS, c3_from_spectrum
 
 ST_MINUS = SplittingType(-1, 0)
 ST_ZERO = SplittingType(0, 0)
@@ -396,3 +396,83 @@ def test_inversion_checks_attached_classes(cc, agrees):
 def test_from_json_refuses_non_object_rows(rows):
     with pytest.raises(ValueError):
         CohomologyTable.from_json_dict({"range": [0, 1], "rows": rows})
+
+
+def _reference_table(sw, st_, rng) -> CohomologyTable:
+    # the generator before prefix sums: one O_P1 term per (twist, value)
+    e = st_.a1 + st_.a2
+    m = len(sw.values)
+    cc = ChernClasses(e, m, c3_from_spectrum(e, m, sw))
+    lo, hi = rng
+    win = ValidityWindows.from_splitting_type(st_)
+    rows = {}
+    for t in range(lo, hi + 1):
+        h0 = 0 if t <= -1 else None
+        h3 = 0 if t >= -3 - e else None
+        h1 = None
+        if t <= win.h1_max:
+            h1 = sw.s + sum(p1_cohomology(k + t + 1)[0] for k in sw.values)
+        h2 = None
+        if t >= win.h2_min:
+            h2 = sum(p1_cohomology(k + t + 1)[1] for k in sw.values)
+        rows[t] = (h0, h1, h2, h3)
+    return CohomologyTable(lo, hi, rows, cc)
+
+
+@st.composite
+def spectrum_and_range(draw):
+    # any nondecreasing spectrum with m <= 24, and a range below the h2
+    # window (t <= -5), across both windows, or above the h1 window (t >= 0)
+    e = draw(st.sampled_from([-1, 0]))
+    m = draw(st.integers(1, 24))
+    values = tuple(sorted(draw(st.lists(st.integers(-30, 30), min_size=m, max_size=m))))
+    s = draw(st.integers(0, 12))
+    where = draw(st.sampled_from(["below", "across", "above"]))
+    if where == "below":
+        hi = draw(st.integers(-45, -5))
+        lo = draw(st.integers(hi - 40, hi))
+    elif where == "across":
+        lo, hi = draw(st.integers(-45, -5)), draw(st.integers(0, 40))
+    else:
+        lo = draw(st.integers(0, 40))
+        hi = draw(st.integers(lo, lo + 40))
+    st_ = SplittingType(-1, 0) if e == -1 else SplittingType(0, 0)
+    return st_, SpectrumWithS(values, s), (lo, hi)
+
+
+@settings(deadline=None, max_examples=300)
+@given(spectrum_and_range())
+def test_generator_matches_per_value_reference(data):
+    st_, sw, rng = data
+    table = table_from_spectrum(sw, st_, rng)
+    ref = _reference_table(sw, st_, rng)
+    assert (table.lo, table.hi, table.cc) == (ref.lo, ref.hi, ref.cc)
+    for t in range(ref.lo, ref.hi + 1):
+        assert table.rows[t] == ref.rows[t], t
+
+
+def test_inversion_checks_h1_beyond_the_decoded_run():
+    # h1(-6) unknown cuts the decoded h1 run to [-5, -1], so the changed
+    # h1(-8) is caught only by the recomputed window
+    rows = dict(table_from_spectrum(SpectrumWithS((-1, 0), 0), ST_MINUS, (-8, 2)).rows)
+    rows[-6] = (0, None, None, None)
+    rows[-8] = (0, 2, None, None)
+    with pytest.raises(InconsistentTableError, match=r"regenerates h1\(t=-8\) = 0, table says 2"):
+        spectrum_from_table(CohomologyTable(-8, 2, rows), ST_MINUS)
+
+
+def test_inversion_checks_h2_beyond_the_decoded_run():
+    # h2(0) unknown cuts the decoded h2 run at t = -1, so the changed
+    # h2(2) is caught only by the recomputed window
+    rows = dict(table_from_spectrum(SpectrumWithS((-1, 0), 0), ST_MINUS, (-8, 2)).rows)
+    rows[0] = (None, None, None, 0)
+    rows[2] = (None, None, 3, 0)
+    with pytest.raises(InconsistentTableError, match=r"regenerates h2\(t=2\) = 0, table says 3"):
+        spectrum_from_table(CohomologyTable(-8, 2, rows), ST_MINUS)
+
+
+@pytest.mark.parametrize("key", ["1_0", " -1 ", "+1", "01"])
+def test_from_json_refuses_non_canonical_row_keys(key):
+    doc = {"range": [-2, 10], "rows": {key: [0, 1, 0, 0]}}
+    with pytest.raises(ValueError, match=r"malformed table JSON: row key"):
+        CohomologyTable.from_json_dict(doc)
