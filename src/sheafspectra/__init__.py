@@ -7,8 +7,9 @@ over a shared exception module:
   and total Chern series arithmetic.
 * :mod:`sheafspectra.spectrum` -- admissibility rules for spectra and the
   exhaustive enumerator.
-* :mod:`sheafspectra.cohomology` -- twist-indexed cohomology tables and the
-  spectrum <-> table translation in both directions.
+* :mod:`sheafspectra.cohomology` -- twist-indexed cohomology tables, the
+  spectrum <-> table translation in both directions, and the one writer
+  of printed JSON and markdown.
 * :mod:`sheafspectra.sheafcalc` -- symbolic building blocks, short exact
   sequence splicing, monads, and quotient recipes.
 * :mod:`sheafspectra.workbench` -- moduli component catalogs, verification

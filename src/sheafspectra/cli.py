@@ -16,19 +16,24 @@ import argparse
 import json
 import sys
 
-from .cohomology import CohomologyTable, spectrum_from_table, table_from_spectrum
+from .cohomology import (
+    CohomologyTable,
+    _markdown,
+    _spectrum_str,
+    report_json,
+    spectrum_from_table,
+    table_from_spectrum,
+)
 from .errors import VERIFICATION_ERRORS, SheafSpectraError
 from .invariants import ChernClasses, euler_characteristic, splitting_type_from_e
 from .sheafcalc import recipe_table
 from .spectrum import UNBOUNDED, ChainUpParam, SpectrumWithS, enumerate_spectra
 from .workbench import (
-    _spectrum_str,
     catalog_load,
     check_slope_examples,
     component_report,
     rao_pairs,
     realizability_gap,
-    report_json,
     report_markdown,
     slope_examples_markdown,
 )
@@ -45,33 +50,42 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int(text: str) -> int:
+    # only the form str() prints: no "+", "-0", spaces, underscores or leading zeros
+    try:
+        if text == str(int(text)):
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _moduli(text: str) -> ChernClasses:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"moduli must be E,C2,C3 with three entries, got {text!r}")
-    e, c2, c3 = (int(p) for p in parts)
-    return ChernClasses(e, c2, c3)
+    return ChernClasses(*map(_int, parts))
 
 
 def _twist_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise ValueError(f"range must be LO:HI, got {text!r}")
-    return int(lo), int(hi)
+    return _int(lo), _int(hi)
 
 
 def _values(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
+    return tuple(map(_int, text.split(",")))
 
 
 def _seh(text: str) -> ChainUpParam:
     if text == "unbounded":
         return UNBOUNDED
-    return ChainUpParam(int(text))
+    return ChainUpParam(_int(text))
 
 
-def _emit(args, as_json: str, as_md: str) -> int:
-    print(as_json if args.format == "json" else as_md)
+def _emit(args, payload, markdown: str) -> int:
+    print(report_json(payload) if args.format == "json" else markdown)
     return 0
 
 
@@ -88,15 +102,14 @@ def _cmd_enumerate(args) -> int:
         "moduli": list(cc.as_tuple()),
         "spectra": [{"values": list(sw.values), "s": sw.s} for sw in found],
     }
-    lines = ["| Spectrum | s |", "| --- | --- |"]
-    lines += [f"| {_spectrum_str(sw.values)} | {sw.s} |" for sw in found]
-    return _emit(args, report_json(payload), "\n".join(lines))
+    rows = ((_spectrum_str(sw.values), sw.s) for sw in found)
+    return _emit(args, payload, _markdown(("Spectrum", "s"), rows))
 
 
 def _cmd_table(args) -> int:
     sw = SpectrumWithS(args.spectrum, args.s)
     table = table_from_spectrum(sw, splitting_type_from_e(args.e), args.range)
-    return _emit(args, table.to_json(), table.to_markdown())
+    return _emit(args, table.to_json_dict(), table.to_markdown())
 
 
 def _cmd_invert_table(args) -> int:
@@ -109,28 +122,26 @@ def _cmd_invert_table(args) -> int:
         e = table.cc.e
     sw = spectrum_from_table(table, splitting_type_from_e(e))
     payload = {"values": list(sw.values), "s": sw.s}
-    return _emit(
-        args, report_json(payload), f"spectrum {_spectrum_str(sw.values)} with s={sw.s}"
-    )
+    return _emit(args, payload, f"spectrum {_spectrum_str(sw.values)} with s={sw.s}")
 
 
 def _cmd_splice(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as handle:
         node = json.load(handle)
     table = recipe_table(node, args.range)
-    return _emit(args, table.to_json(), table.to_markdown())
+    return _emit(args, table.to_json_dict(), table.to_markdown())
 
 
 def _cmd_report(args) -> int:
     report = component_report(catalog_load(args.catalog), args.moduli)
-    return _emit(args, report_json(report), report_markdown(report))
+    return _emit(args, report, report_markdown(report))
 
 
 def _cmd_rao_pairs(args) -> int:
     pairs = rao_pairs(catalog_load(args.catalog), args.moduli)
     payload = {"moduli": list(args.moduli.as_tuple()), "pairs": [list(p) for p in pairs]}
     md = "\n".join(f"{a} & {b}" for a, b in pairs) or "no shared spectra"
-    return _emit(args, report_json(payload), md)
+    return _emit(args, payload, md)
 
 
 def _cmd_gap(args) -> int:
@@ -144,12 +155,12 @@ def _cmd_gap(args) -> int:
     lines += [f"  {_spectrum_str(v)}" for v in missing] or ["  none"]
     lines.append("extra candidates (beyond the documented list):")
     lines += [f"  {_spectrum_str(v)}" for v in extra] or ["  none"]
-    return _emit(args, report_json(payload), "\n".join(lines))
+    return _emit(args, payload, "\n".join(lines))
 
 
 def _cmd_check_examples(args) -> int:
     report = check_slope_examples()
-    return _emit(args, report_json(report), slope_examples_markdown(report))
+    return _emit(args, report, slope_examples_markdown(report))
 
 
 def build_parser() -> _Parser:
@@ -160,16 +171,16 @@ def build_parser() -> _Parser:
         p.add_argument("--format", choices=("md", "json"), default="md")
 
     p = sub.add_parser("chi", help="Euler characteristic of a twist")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--c2", type=int, required=True)
-    p.add_argument("--c3", type=int, required=True)
-    p.add_argument("--twist", type=int, default=0)
+    p.add_argument("--e", type=_int, required=True)
+    p.add_argument("--c2", type=_int, required=True)
+    p.add_argument("--c3", type=_int, required=True)
+    p.add_argument("--twist", type=_int, default=0)
     p.set_defaults(func=_cmd_chi)
 
     p = sub.add_parser("enumerate", help="all admissible spectra for a class")
-    p.add_argument("--e", type=int, required=True)
-    p.add_argument("--c2", type=int, required=True)
-    p.add_argument("--c3", type=int, required=True)
+    p.add_argument("--e", type=_int, required=True)
+    p.add_argument("--c2", type=_int, required=True)
+    p.add_argument("--c3", type=_int, required=True)
     p.add_argument("--seh", type=_seh, default=UNBOUNDED,
                    help="chain-up threshold, an integer or 'unbounded'")
     fmt(p)
@@ -178,8 +189,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("table", help="cohomology table of a spectrum")
     p.add_argument("--spectrum", type=_values, required=True,
                    help="comma-separated values, e.g. --spectrum=-1,0")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
+    p.add_argument("--s", type=_int, required=True)
+    p.add_argument("--e", type=_int, required=True)
     p.add_argument("--range", type=_twist_range, default=(-4, -1),
                    help="twist range LO:HI, e.g. --range=-8:2")
     fmt(p)
@@ -187,7 +198,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("invert-table", help="recover (spectrum, s) from a table")
     p.add_argument("file", help="table JSON file")
-    p.add_argument("--e", type=int, default=None,
+    p.add_argument("--e", type=_int, default=None,
                    help="first Chern class if the table has none attached")
     fmt(p)
     p.set_defaults(func=_cmd_invert_table)
@@ -227,11 +238,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(argv)  # _moduli may raise a class error
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except VERIFICATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,10 @@ windows the second difference of the known column at twist l is the
 multiplicity of the spectrum value -l-1, and the stabilized deep value
 of h1 is s; the answer is checked against the recomputed windows.
 Unknown entries stay unknown; they are never conflated with zero.
+
+This is also the lowest layer that prints, so the one writer lives
+here: report_json renders every JSON document and _markdown every
+markdown table the package prints, tables, reports and CLI output alike.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "table_from_spectrum",
     "spectrum_from_table",
     "chi_consistency",
+    "report_json",
 ]
 
 Row = tuple  # (h0, h1, h2, h3), each int or None
@@ -122,7 +127,7 @@ class CohomologyTable:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return report_json(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "CohomologyTable":
@@ -144,11 +149,28 @@ class CohomologyTable:
         return cls.from_json_dict(json.loads(text))
 
     def to_markdown(self) -> str:
-        lines = ["| t | h0 | h1 | h2 | h3 |", "| --- | --- | --- | --- | --- |"]
-        for t in range(self.hi, self.lo - 1, -1):
-            cells = ["" if h is None else str(h) for h in self.rows[t]]
-            lines.append("| " + " | ".join([str(t)] + cells) + " |")
-        return "\n".join(lines)
+        rows = ((t, *self.rows[t]) for t in range(self.hi, self.lo - 1, -1))
+        return _markdown(("t", "h0", "h1", "h2", "h3"), rows)
+
+
+# ------------------------------------------------------------- writer
+
+def report_json(report: Mapping) -> str:
+    """Byte-deterministic JSON rendering of any report dict."""
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+
+
+def _markdown(header, rows) -> str:
+    # the one markdown table layout; None prints as an empty cell
+    lines = [header, ["---"] * len(header), *rows]
+    return "\n".join(
+        "| " + " | ".join("" if c is None else str(c) for c in line) + " |"
+        for line in lines
+    )
+
+
+def _spectrum_str(values) -> str:
+    return "(" + ",".join(str(k) for k in values) + ")"
 
 
 def table_from_spectrum(

@@ -103,6 +103,10 @@ class RationalCurveModule:
     d: int
     b: int
 
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"curve degree must be positive, got {self.d}")
+
 
 @dataclass(frozen=True)
 class CurveModule:
@@ -117,6 +121,10 @@ class CurveModule:
     slope: int
     offset: int
     generic: bool = True
+
+    def __post_init__(self):
+        if self.slope < 1:  # the degree of the curve
+            raise ValueError(f"curve degree must be positive, got slope {self.slope}")
 
 
 @dataclass(frozen=True)
@@ -215,23 +223,6 @@ splice_ses = monad_table = block_table
 # (x_0 = p_0 injects, x_4 = q_4 is hit); the inner three are free in
 # [0, min(p_k, q_k)].  Entries are ints or None; None propagates.
 
-def _min(a, b):
-    if a is None or b is None:
-        return None
-    return min(a, b)
-
-
-def _sub(a, b):
-    if a is None or b is None:
-        return None
-    return a - b
-
-
-def _add(a, b):
-    if a is None or b is None:
-        return None
-    return a + b
-
 
 # the known rows (a, b), in slot order, as the block entries (p, q)
 _BLOCKS = {
@@ -252,9 +243,11 @@ def _solve(p: tuple, q: tuple, ranks=None) -> tuple:
             f"h3 of the right column ({q[4]}) exceeds h3 of the middle ({p[4]})"
         )
     if ranks is None:
-        ranks = (_min(p[1], q[1]), _min(p[2], q[2]), _min(p[3], q[3]))
+        ranks = [None if a is None or b is None else (a if a < b else b)
+                 for a, b in zip(p[1:4], q[1:4])]
     x = (p[0], *ranks, q[4])
-    return tuple(_add(_sub(q[k], x[k]), _sub(p[k + 1], x[k + 1])) for k in range(4))
+    return tuple([None if None in (a, b, c, d) else a - b + c - d
+                  for a, b, c, d in zip(q, x, p[1:], x[1:])])
 
 
 @dataclass(frozen=True)

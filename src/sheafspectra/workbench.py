@@ -14,17 +14,23 @@ documented candidate list (which enumerated candidates are diagnostics
 of the unbounded chain-up default rather than documented possibilities).
 check_slope_examples reruns the slope-semistable kernel examples whose
 s-invariant breaks the zero-dimensional bound.
+
+A record is read and checked in one place, _descriptor_from_json, and
+any failure there is a CatalogError naming the component.  Reports are
+printed through the writer of the cohomology layer (report_json and its
+markdown table builder).
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .cohomology import _markdown, _spectrum_str
 from .errors import CatalogError, VerificationError
 from .invariants import ChernClasses, kernel_invariants
 from .sheafcalc import _exact, construction_spectrum
@@ -35,7 +41,6 @@ from .spectrum import (
     c3_from_spectrum,
     enumerate_spectra,
     s_upper_bound,
-    validate_spectrum,
 )
 
 __all__ = [
@@ -47,7 +52,6 @@ __all__ = [
     "component_dimension",
     "component_report",
     "report_markdown",
-    "report_json",
     "rao_pairs",
     "realizability_gap",
     "check_slope_examples",
@@ -115,46 +119,10 @@ class ComponentDescriptor:
     construction: Mapping | None = None
     level: str = "derived"
 
-    def validate(self) -> None:
-        try:
-            if self.family not in FAMILIES:
-                raise CatalogError(f"unknown family {self.family!r}")
-            if type(self.dimension) is not int or self.dimension < 0:
-                raise CatalogError(f"bad dimension {self.dimension!r}")
-            if self.level not in ("derived", "data"):
-                raise CatalogError(f"unknown verification level {self.level!r}")
-            values = validate_spectrum(self.spectrum.values)
-            c3 = c3_from_spectrum(
-                self.moduli.e, self.moduli.c2, SpectrumWithS(values, self.spectrum.s)
-            )
-            if c3 != self.moduli.c3:
-                raise CatalogError(
-                    f"spectrum and s give c3 = {c3}, moduli say {self.moduli.c3}"
-                )
-            if self.family in ("X", "T"):
-                if self.params is None:
-                    raise CatalogError(f"family {self.family} requires params")
-                dim, moduli = _family_invariants(
-                    self.family, self.params, self.moduli.e
-                )
-                if dim != self.dimension:
-                    raise CatalogError(
-                        f"closed-form dimension {dim} != stored {self.dimension}"
-                    )
-                if moduli != self.moduli.as_tuple():
-                    raise CatalogError(
-                        f"closed-form moduli {moduli} != stored "
-                        f"{self.moduli.as_tuple()}"
-                    )
-        except CatalogError as exc:
-            raise CatalogError(f"component {self.name!r}: {exc}") from None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CatalogError(f"component {self.name!r}: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class Catalog:
-    components: tuple = field(default_factory=tuple)
+    components: tuple
 
     def __init__(self, components=()):
         object.__setattr__(self, "components", tuple(components))
@@ -176,30 +144,42 @@ class Catalog:
 
 
 def _descriptor_from_json(record: Mapping) -> ComponentDescriptor:
+    # the one reader of a catalog record: any failure names the component
     if not isinstance(record, Mapping):
         raise CatalogError(f"component record must be an object, got {record!r}")
     name = record.get("name")
     if not isinstance(name, str) or not name:
         raise CatalogError(f"component without a usable name: {record!r}")
     try:
-        desc = ComponentDescriptor(
-            moduli=ChernClasses(*record["moduli"]),
-            name=name,
-            family=record["family"],
-            dimension=record["dimension"],
-            spectrum=SpectrumWithS(
-                tuple(map(_exact, record["spectrum"])), _exact(record["s"])
-            ),
-            params=record.get("params"),
-            construction=record.get("construction"),
-            level=record.get("level", "derived"),
-        )
-    except CatalogError:
-        raise
+        family, dimension = record["family"], record["dimension"]
+        level, params = record.get("level", "derived"), record.get("params")
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if type(dimension) is not int or dimension < 0:
+            raise ValueError(f"bad dimension {dimension!r}")
+        if level not in ("derived", "data"):
+            raise ValueError(f"unknown verification level {level!r}")
+        moduli = ChernClasses(*record["moduli"])
+        spectrum = SpectrumWithS(tuple(record["spectrum"]), record["s"])
+        c3 = c3_from_spectrum(moduli.e, moduli.c2, spectrum)  # validates both
+        if c3 != moduli.c3:
+            raise ValueError(f"spectrum and s give c3 = {c3}, moduli say {moduli.c3}")
+        if family in ("X", "T"):
+            if params is None:
+                raise ValueError(f"family {family} requires params")
+            dim, classes = _family_invariants(family, params, moduli.e)
+            if dim != dimension:
+                raise ValueError(f"closed-form dimension {dim} != stored {dimension}")
+            if classes != moduli.as_tuple():
+                raise ValueError(
+                    f"closed-form moduli {classes} != stored {moduli.as_tuple()}"
+                )
     except Exception as exc:
         raise CatalogError(f"component {name!r}: {exc}") from exc
-    desc.validate()
-    return desc
+    return ComponentDescriptor(
+        moduli, name, family, dimension, spectrum, params,
+        record.get("construction"), level,
+    )
 
 
 def catalog_load(source=None) -> Catalog:
@@ -261,32 +241,14 @@ def component_report(catalog: Catalog, moduli: ChernClasses) -> dict:
     return {"moduli": list(moduli.as_tuple()), "components": rows}
 
 
-def report_json(report: Mapping) -> str:
-    """Byte-deterministic JSON rendering of any report dict."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
-
-
-def _spectrum_str(values) -> str:
-    return "(" + ",".join(str(k) for k in values) + ")"
-
-
 def report_markdown(report: Mapping) -> str:
-    lines = [
-        "| Component | Dimension | Spectrum | s | Level | Verified |",
-        "| --- | --- | --- | --- | --- | --- |",
-    ]
-    for row in report["components"]:
-        lines.append(
-            "| {name} | {dimension} | {spec} | {s} | {level} | {ver} |".format(
-                name=row["name"],
-                dimension=row["dimension"],
-                spec=_spectrum_str(row["spectrum"]),
-                s=row["s"],
-                level=row["level"],
-                ver="yes" if row["verified"] else "-",
-            )
-        )
-    return "\n".join(lines)
+    rows = (
+        (r["name"], r["dimension"], _spectrum_str(r["spectrum"]), r["s"], r["level"],
+         "yes" if r["verified"] else "-")
+        for r in report["components"]
+    )
+    header = ("Component", "Dimension", "Spectrum", "s", "Level", "Verified")
+    return _markdown(header, rows)
 
 
 def rao_pairs(catalog: Catalog, moduli: ChernClasses) -> list:
@@ -374,19 +336,9 @@ def check_slope_examples() -> dict:
 
 
 def slope_examples_markdown(report: Mapping) -> str:
-    lines = [
-        "| Case | Kernel | s | Spectrum | Bound | Verdict |",
-        "| --- | --- | --- | --- | --- | --- |",
-    ]
-    for case in report["cases"]:
-        lines.append(
-            "| {label} | {kernel} | {s} | {spec} | {bound} | {verdict} |".format(
-                label=case["label"],
-                kernel=_spectrum_str(case["kernel"]),
-                s=case["s"],
-                spec=_spectrum_str(case["spectrum"]),
-                bound=case["zero_dimensional_bound"],
-                verdict=case["verdict"],
-            )
-        )
-    return "\n".join(lines)
+    rows = (
+        (c["label"], _spectrum_str(c["kernel"]), c["s"], _spectrum_str(c["spectrum"]),
+         c["zero_dimensional_bound"], c["verdict"])
+        for c in report["cases"]
+    )
+    return _markdown(("Case", "Kernel", "s", "Spectrum", "Bound", "Verdict"), rows)

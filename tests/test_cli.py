@@ -189,6 +189,8 @@ def test_splice_infeasible(capsys, tmp_path):
         {"kind": "ses", "unknown": "middle", "left": 5, "right": {"kind": "line", "a": 0}},
         {"kind": "quotient", "ambient": {"kind": "line", "a": 0}},
         {"kind": "monad", "a": [True], "b": [0, 0, 0, 0], "c": [1]},
+        {"kind": "ses", "unknown": "middle", "left": {"kind": "line", "a": -2},
+         "right": {"kind": "rational_curve", "d": -3, "b": 0}},
     ],
 )
 def test_splice_malformed_recipe_is_an_error_line(capsys, tmp_path, node):
@@ -311,6 +313,32 @@ def test_no_command(capsys):
 
 def test_bad_moduli_shape(capsys):
     assert run(capsys, "report", "--moduli=1,2")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chi", "--e", "0", "--c2", "1_0", "--c3", "0"),
+        ("chi", "--e", "0", "--c2", "2", "--c3", " 0"),
+        ("chi", "--e", "0", "--c2", "2", "--c3", "0", "--twist=+1"),
+        ("chi", "--e", "-0", "--c2", "2", "--c3", "0"),
+        ("enumerate", "--e", "0", "--c2", "3", "--c3", "0", "--seh", "01"),
+        ("table", "--spectrum=-1,+0", "--s", "0", "--e", "-1"),
+        ("table", "--spectrum=-1,0", "--s", "0", "--e", "-1", "--range= -4:-0_1"),
+        ("report", "--moduli=-1,2,0_0"),
+    ],
+)
+def test_integer_flags_must_be_canonical(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "error: argument" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("moduli", ["0,2,1", "1,2,0"])
+def test_inadmissible_moduli_is_an_error_line(capsys, moduli):
+    code, out, err = run(capsys, "report", f"--moduli={moduli}")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_help_exits_zero(capsys):

@@ -471,11 +471,25 @@ def test_non_generic_curve_recipe_is_refused():
         {"kind": "table", "table": {"lo": 0}},
         {"kind": "quotient", "ambient": {"kind": "line", "a": 0},
          "quotient": {"kind": "curve", "genus": 1, "slope": 3, "offset": 0}},
+        {"kind": "ses", "unknown": "middle", "left": {"kind": "line", "a": -2},
+         "right": {"kind": "rational_curve", "d": -3, "b": 0}},
+        {"kind": "ideal", "curve": {"kind": "rational_curve", "d": 0, "b": 1}},
+        {"kind": "twist", "n": 1, "of": dict(ELLIPTIC, slope=0)},
     ],
 )
 def test_malformed_recipes_raise_catalog_error(node):
     with pytest.raises(CatalogError):
         recipe_table(node, (-2, 0))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: RationalCurveModule(0, 0), lambda: RationalCurveModule(-3, 0),
+     lambda: CurveModule(1, 0, 0), lambda: CurveModule(0, -2, 1)],
+)
+def test_curve_degree_must_be_positive(make):
+    with pytest.raises(ValueError, match="curve degree must be positive"):
+        make()
 
 
 @pytest.mark.parametrize("degree", [True, 1.5])

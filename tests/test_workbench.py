@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sheafspectra import report_json
 from sheafspectra.errors import CatalogError, VerificationError
 from sheafspectra.invariants import ChernClasses
 from sheafspectra.spectrum import enumerate_spectra
@@ -18,7 +19,6 @@ from sheafspectra.workbench import (
     component_report,
     rao_pairs,
     realizability_gap,
-    report_json,
     report_markdown,
     slope_examples_markdown,
 )
@@ -90,6 +90,10 @@ def test_level_defaults_to_derived():
         {"params": None},
         {"moduli": [-1, 2, 2]},
         {"level": "guessed"},
+        {"spectrum": [0, -1]},
+        {"s": -1},
+        {"spectrum": []},
+        {"moduli": [-1, 0, 0]},
     ],
 )
 def test_tampered_records_fail_named(mutation):
