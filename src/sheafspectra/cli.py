@@ -63,14 +63,16 @@ def _int(text: str) -> int:
 def _moduli(text: str) -> ChernClasses:
     parts = text.split(",")
     if len(parts) != 3:
-        raise ValueError(f"moduli must be E,C2,C3 with three entries, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"moduli must be E,C2,C3 with three entries, got {text!r}"
+        )
     return ChernClasses(*map(_int, parts))
 
 
 def _twist_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     if not sep:
-        raise ValueError(f"range must be LO:HI, got {text!r}")
+        raise argparse.ArgumentTypeError(f"range must be LO:HI, got {text!r}")
     return _int(lo), _int(hi)
 
 
@@ -81,7 +83,10 @@ def _values(text: str) -> tuple[int, ...]:
 def _seh(text: str) -> ChainUpParam:
     if text == "unbounded":
         return UNBOUNDED
-    return ChainUpParam(_int(text))
+    try:
+        return ChainUpParam(_int(text))
+    except ValueError as exc:  # argparse would print only the converter's name
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _emit(args, payload, markdown: str) -> int:

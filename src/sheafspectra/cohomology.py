@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InconsistentTableError, RangeInsufficientError
 from .invariants import ChernClasses, SplittingType, euler_characteristic
@@ -49,8 +48,7 @@ def p1_cohomology(d: int) -> tuple[int, int]:
     return (max(0, d + 1), max(0, -d - 1))
 
 
-@dataclass(frozen=True)
-class ValidityWindows:
+class ValidityWindows(NamedTuple):
     """Twist windows on which the two spectrum formulas are asserted."""
 
     h1_max: int  # h1 formula valid for l <= h1_max
@@ -70,8 +68,9 @@ def _check_chi(cc: ChernClasses, t: int, row: Row) -> None:
             raise InconsistentTableError(f"row t={t} has chi {chi}, class demands {want}")
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(NamedTuple("CohomologyTable", [
+    ("lo", int), ("hi", int), ("rows", dict), ("cc", ChernClasses | None),
+])):
     """Partial or total table of h^i(E(t)) over a twist range.
 
     rows maps each twist of [lo, hi] to a 4-tuple; missing twists are
@@ -81,33 +80,30 @@ class CohomologyTable:
     Euler characteristic.
     """
 
-    lo: int
-    hi: int
-    rows: dict = field(default_factory=dict)
-    cc: ChernClasses | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.lo) is not int or type(self.hi) is not int:
-            raise ValueError(f"bad twist range [{self.lo!r}, {self.hi!r}]")
-        if self.lo > self.hi:
-            raise ValueError(f"empty twist range [{self.lo}, {self.hi}]")
+    def __new__(cls, lo: int, hi: int, rows: Mapping = {}, cc=None):
+        # rows is only read (the table keeps a normalized copy), so {} is safe
+        if type(lo) is not int or type(hi) is not int:
+            raise ValueError(f"bad twist range [{lo!r}, {hi!r}]")
+        if lo > hi:
+            raise ValueError(f"empty twist range [{lo}, {hi}]")
         normalized = {}
-        for t in range(self.lo, self.hi + 1):
-            row = self.rows.get(t, (None, None, None, None))
-            row = tuple(row)
+        for t in range(lo, hi + 1):
+            row = tuple(rows.get(t, (None, None, None, None)))
             if len(row) != 4:
                 raise ValueError(f"row at t={t} must have 4 entries, got {row}")
             for h in row:
                 if h is not None and (type(h) is not int or h < 0):
                     raise ValueError(f"bad entry {h!r} at t={t}")
             normalized[t] = row
-        for t in self.rows:
-            if not self.lo <= t <= self.hi:
-                raise ValueError(f"row at t={t} outside range [{self.lo}, {self.hi}]")
-        object.__setattr__(self, "rows", normalized)
-        if self.cc is not None:
+        for t in rows:
+            if not lo <= t <= hi:
+                raise ValueError(f"row at t={t} outside range [{lo}, {hi}]")
+        if cc is not None:
             for t, row in normalized.items():
-                _check_chi(self.cc, t, row)
+                _check_chi(cc, t, row)
+        return tuple.__new__(cls, (lo, hi, normalized, cc))
 
     def row(self, t: int) -> Row:
         if not self.lo <= t <= self.hi:

@@ -18,7 +18,6 @@ enforced at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -40,8 +39,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChernClasses:
+def _exact(value, kind: type = int):
+    # no coercion: bool passes isinstance(int), and bool("false") is True
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+class ChernClasses(NamedTuple("ChernClasses", [("e", int), ("c2", int), ("c3", int)])):
     """Normalized rank-2 numerical class (e, c2, c3).
 
     e is the first Chern class after normalization, so e in {-1, 0}.
@@ -50,25 +55,24 @@ class ChernClasses:
     constructor rejects them.
     """
 
-    e: int
-    c2: int
-    c3: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name, value in zip(("e", "c2", "c3"), self.as_tuple()):
+    def __new__(cls, e: int, c2: int, c3: int):
+        for name, value in zip(("e", "c2", "c3"), (e, c2, c3)):
             # bool is an int subclass and float would leak into chi
             if type(value) is not int:
                 raise TypeError(f"{name} must be an int, got {value!r}")
-        if self.e not in (-1, 0):
+        if e not in (-1, 0):
             raise NotNormalizedError(
-                f"first Chern class must be -1 or 0 after normalization, got {self.e}"
+                f"first Chern class must be -1 or 0 after normalization, got {e}"
             )
-        if self.e == 0 and self.c3 % 2 != 0:
-            raise ParityError(f"c3 must be even when e = 0, got c3 = {self.c3}")
-        if self.e == -1 and (self.c2 + self.c3) % 2 != 0:
+        if e == 0 and c3 % 2 != 0:
+            raise ParityError(f"c3 must be even when e = 0, got c3 = {c3}")
+        if e == -1 and (c2 + c3) % 2 != 0:
             raise ParityError(
-                f"c2 + c3 must be even when e = -1, got c2 = {self.c2}, c3 = {self.c3}"
+                f"c2 + c3 must be even when e = -1, got c2 = {c2}, c3 = {c3}"
             )
+        return tuple.__new__(cls, (e, c2, c3))
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.e, self.c2, self.c3)
@@ -116,8 +120,7 @@ def splitting_type_from_e(e: int) -> SplittingType:
     raise NotNormalizedError(f"no semistable splitting type for e = {e}")
 
 
-@dataclass(frozen=True)
-class ChernSeries:
+class ChernSeries(NamedTuple):
     """Total Chern polynomial truncated at degree 3, with int coefficients.
 
     Only series with constant term 1 are inverted, and those invert over

@@ -25,9 +25,8 @@ assumption is known to misread deep syzygies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .cohomology import (
     CohomologyTable,
@@ -44,6 +43,7 @@ from .errors import (
 )
 from .invariants import (
     ChernClasses,
+    _exact,
     chern_from_resolution,
     line_bundle_chi,
     splitting_type_from_e,
@@ -74,42 +74,44 @@ __all__ = [
 
 # ---------------------------------------------------------------- symbols
 
-@dataclass(frozen=True)
-class LineBundle:
-    a: int
+class LineBundle(NamedTuple("LineBundle", [("a", int)])):
+    __slots__ = ()
+
+    def __new__(cls, a: int):
+        return tuple.__new__(cls, (_exact(a),))
 
 
-@dataclass(frozen=True)
-class DirectSum:
-    terms: tuple
+class DirectSum(NamedTuple("DirectSum", [("terms", tuple)])):
+    __slots__ = ()
 
-    def __init__(self, terms):
-        object.__setattr__(self, "terms", tuple(terms))
-
-
-@dataclass(frozen=True)
-class PointSheaf:
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"point count must be nonnegative, got {self.n}")
+    def __new__(cls, terms):
+        return tuple.__new__(cls, (tuple(terms),))
 
 
-@dataclass(frozen=True)
-class RationalCurveModule:
+class PointSheaf(NamedTuple("PointSheaf", [("n", int)])):
+    __slots__ = ()
+
+    def __new__(cls, n: int):
+        if _exact(n) < 0:
+            raise ValueError(f"point count must be nonnegative, got {n}")
+        return tuple.__new__(cls, (n,))
+
+
+class RationalCurveModule(NamedTuple("RationalCurveModule", [("d", int), ("b", int)])):
     """Pushforward of O(d t + b) from a degree-d rational curve."""
 
-    d: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"curve degree must be positive, got {self.d}")
+    def __new__(cls, d: int, b: int):
+        self = tuple.__new__(cls, (_exact(d), _exact(b)))
+        if d < 1:
+            raise ValueError(f"curve degree must be positive, got {d}")
+        return self
 
 
-@dataclass(frozen=True)
-class CurveModule:
+class CurveModule(NamedTuple("CurveModule", [
+    ("genus", int), ("slope", int), ("offset", int), ("generic", bool),
+])):
     """Module on a genus-g curve with Hilbert polynomial slope*t + offset.
 
     Line bundles of degree outside [0, 2g-2] have one-sided cohomology;
@@ -117,31 +119,32 @@ class CurveModule:
     and non-generic input is refused rather than guessed.
     """
 
-    genus: int
-    slope: int
-    offset: int
-    generic: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.slope < 1:  # the degree of the curve
-            raise ValueError(f"curve degree must be positive, got slope {self.slope}")
+    def __new__(cls, genus: int, slope: int, offset: int, generic: bool = True):
+        self = tuple.__new__(
+            cls, (_exact(genus), _exact(slope), _exact(offset), _exact(generic, bool))
+        )
+        if slope < 1:  # the degree of the curve
+            raise ValueError(f"curve degree must be positive, got slope {slope}")
+        return self
 
 
-@dataclass(frozen=True)
-class IdealOfCurve:
+class IdealOfCurve(NamedTuple("IdealOfCurve", [("curve", object)])):
     """Ideal sheaf of the curve whose structure module is given."""
 
-    curve: object
+    # no __slots__: the instance dict holds the cached sequence
 
     @cached_property
     def sequence(self) -> ShortExactSequenceSpec:  # 0 -> I_C -> O -> O_C -> 0
         return ShortExactSequenceSpec(middle=LineBundle(0), right=self.curve)
 
 
-@dataclass(frozen=True)
-class Twist:
-    of: object
-    n: int
+class Twist(NamedTuple("Twist", [("of", object), ("n", int)])):
+    __slots__ = ()
+
+    def __new__(cls, of, n: int):
+        return tuple.__new__(cls, (of, _exact(n)))
 
 
 def _row(node, t: int) -> tuple:
@@ -250,34 +253,37 @@ def _solve(p: tuple, q: tuple, ranks=None) -> tuple:
                   for a, b, c, d in zip(q, x, p[1:], x[1:])])
 
 
-@dataclass(frozen=True)
-class ShortExactSequenceSpec:
+_SLOTS = ("left", "middle", "right")
+
+
+class ShortExactSequenceSpec(NamedTuple("ShortExactSequenceSpec", [
+    ("left", object), ("middle", object), ("right", object),
+])):
     """0 -> left -> middle -> right -> 0 with exactly one unknown slot.
 
     Known slots are construction nodes of any kind (symbols, stored
     tables, sequences, monads); the unknown slot is None.
     """
 
-    left: object = None
-    middle: object = None
-    right: object = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        unknowns = [s is None for s in (self.left, self.middle, self.right)]
-        if sum(unknowns) != 1:
+    def __new__(cls, left=None, middle=None, right=None):
+        self = tuple.__new__(cls, (left, middle, right))
+        self.__post_init__()
+        return self
+
+    def __post_init__(self):  # run by __new__, so a hook can count constructions
+        if sum(slot is None for slot in self) != 1:
             raise ValueError("exactly one slot of the sequence must be unknown")
 
     @property
     def unknown(self) -> str:
-        if self.left is None:
-            return "left"
-        return "middle" if self.middle is None else "right"
+        return _SLOTS[self.index(None)]
 
 
 def _blocks(spec: ShortExactSequenceSpec, t: int) -> tuple:
     # the two known rows at twist t, as the blocks around the unknown
-    slots = (spec.left, spec.middle, spec.right)
-    a, b = [_row(slot, t) for slot in slots if slot is not None]
+    a, b = [_row(slot, t) for slot in spec if slot is not None]
     return _BLOCKS[spec.unknown](a, b)
 
 
@@ -300,26 +306,22 @@ def splice_bounds(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class MonadShape:
+class MonadShape(NamedTuple("MonadShape", [("a", tuple), ("b", tuple), ("c", tuple)])):
     """Line-bundle degrees (a, b, c) of a three-term monad.
 
     The middle cohomology of 0 -> sum O(a_i) -> sum O(b_j) -> sum O(c_k) -> 0
     is a rank-2 sheaf; its Chern classes come from the series oracle.
     """
 
-    a: tuple
-    b: tuple
-    c: tuple
+    # no __slots__: the instance dict holds the cached sequence and classes
 
-    def __init__(self, a, b, c):
-        object.__setattr__(self, "a", tuple(a))
-        object.__setattr__(self, "b", tuple(b))
-        object.__setattr__(self, "c", tuple(c))
+    def __new__(cls, a, b, c):
+        self = tuple.__new__(cls, (tuple(a), tuple(b), tuple(c)))
         if len(self.b) - len(self.a) - len(self.c) != 2:
             raise RankMismatchError(
                 f"monad has rank {len(self.b) - len(self.a) - len(self.c)}, expected 2"
             )
+        return self
 
     @cached_property
     def sequence(self) -> ShortExactSequenceSpec:
@@ -369,16 +371,6 @@ def quotient_table(ambient, quotient, rng: tuple[int, int]) -> CohomologyTable:
 
 # ------------------------------------------------------------- recipes
 
-def _exact(value, kind: type = int):
-    # no coercion: bool passes isinstance(int), and bool("false") is True
-    if type(value) is not kind:
-        raise TypeError(f"expected {kind.__name__}, got {value!r}")
-    return value
-
-
-_SLOTS = ("left", "middle", "right")
-
-
 def symbol_from_json(node: Mapping):
     """Build a construction node from its catalog JSON form.
 
@@ -391,24 +383,21 @@ def symbol_from_json(node: Mapping):
     try:
         kind = node["kind"]
         if kind == "line":
-            return LineBundle(_exact(node["a"]))
+            return LineBundle(node["a"])
         if kind == "sum":
             return DirectSum(symbol_from_json(term) for term in node["terms"])
         if kind == "points":
-            return PointSheaf(_exact(node["n"]))
+            return PointSheaf(node["n"])
         if kind == "rational_curve":
-            return RationalCurveModule(_exact(node["d"]), _exact(node["b"]))
+            return RationalCurveModule(node["d"], node["b"])
         if kind == "curve":
             return CurveModule(
-                _exact(node["genus"]),
-                _exact(node["slope"]),
-                _exact(node["offset"]),
-                _exact(node.get("generic", True), bool),
+                node["genus"], node["slope"], node["offset"], node.get("generic", True)
             )
         if kind == "ideal":
             return IdealOfCurve(symbol_from_json(node["curve"]))
         if kind == "twist":
-            return Twist(symbol_from_json(node["of"]), _exact(node["n"]))
+            return Twist(symbol_from_json(node["of"]), node["n"])
         if kind == "table":
             return CohomologyTable.from_json_dict(node["table"])
         if kind == "ses":

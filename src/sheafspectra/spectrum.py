@@ -16,13 +16,13 @@ of the walk, so its cost is roughly proportional to its output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .errors import DegenerateClassError, InadmissibleSpectrumError
 from .invariants import (
     ChernClasses,
     SplittingType,
+    _exact,
     euler_characteristic,
     splitting_type_from_e,
 )
@@ -49,8 +49,7 @@ class SpectrumWithS(NamedTuple):
     s: int
 
 
-@dataclass(frozen=True)
-class ChainUpParam:
+class ChainUpParam(NamedTuple("ChainUpParam", [("s_eh", int | None)])):
     """Threshold s_eh for the ascending chain rule.
 
     s_eh = None means "unbounded": the rule never triggers.  This is the
@@ -58,11 +57,12 @@ class ChainUpParam:
     realized spectrum (see enumerate_spectra).
     """
 
-    s_eh: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.s_eh is not None and self.s_eh < 0:
-            raise ValueError(f"s_eh must be nonnegative or None, got {self.s_eh}")
+    def __new__(cls, s_eh: int | None = None):
+        if s_eh is not None and _exact(s_eh) < 0:
+            raise ValueError(f"s_eh must be nonnegative or None, got {s_eh}")
+        return tuple.__new__(cls, (s_eh,))
 
 
 UNBOUNDED = ChainUpParam(None)
@@ -214,12 +214,13 @@ def enumerate_spectra(
 
     results: list[SpectrumWithS] = []
     prefix: list[int] = []
+    bounded = p.s_eh is not None  # read once, not at every leaf
 
     def walk(total: int, start: int, stop: int):
         depth = len(prefix)
         if depth == m:
             values = tuple(prefix)
-            if p.s_eh is None or not validate_chain_up(values, st, p):
+            if not bounded or not validate_chain_up(values, st, p):
                 results.append(SpectrumWithS(values, sum_max - total))
             return
         remaining = m - depth

@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .cohomology import _markdown, _spectrum_str
 from .errors import CatalogError, VerificationError
-from .invariants import ChernClasses, kernel_invariants
-from .sheafcalc import _exact, construction_spectrum
+from .invariants import ChernClasses, _exact, kernel_invariants
+from .sheafcalc import construction_spectrum
 from .spectrum import (
     UNBOUNDED,
     ChainUpParam,
@@ -106,8 +105,7 @@ def component_dimension(family: str, params: Mapping, e: int) -> int:
     return _family_invariants(family, params, e)[0]
 
 
-@dataclass(frozen=True)
-class ComponentDescriptor:
+class ComponentDescriptor(NamedTuple):
     """One catalog row: a known irreducible component of a moduli space."""
 
     moduli: ChernClasses
@@ -120,12 +118,11 @@ class ComponentDescriptor:
     level: str = "derived"
 
 
-@dataclass(frozen=True)
-class Catalog:
-    components: tuple
+class Catalog(NamedTuple("Catalog", [("components", tuple)])):
+    __slots__ = ()
 
-    def __init__(self, components=()):
-        object.__setattr__(self, "components", tuple(components))
+    def __new__(cls, components=()):
+        self = tuple.__new__(cls, (tuple(components),))
         seen = set()
         for desc in self.components:
             key = (desc.moduli.as_tuple(), desc.name)
@@ -135,6 +132,7 @@ class Catalog:
                     f"{desc.moduli.as_tuple()}"
                 )
             seen.add(key)
+        return self
 
     def moduli_classes(self) -> list:
         return sorted({d.moduli.as_tuple() for d in self.components})

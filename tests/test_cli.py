@@ -334,11 +334,32 @@ def test_integer_flags_must_be_canonical(capsys, argv):
     assert "error: argument" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("moduli", ["0,2,1", "1,2,0"])
+@pytest.mark.parametrize("moduli", ["0,2,1", "1,2,0", "-1,2,1"])
 def test_inadmissible_moduli_is_an_error_line(capsys, moduli):
     code, out, err = run(capsys, "report", f"--moduli={moduli}")
     assert code == 1 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("report", "--moduli=-1,2"),
+         "report: error: argument --moduli: moduli must be E,C2,C3 with three "
+         "entries, got '-1,2'"),
+        (("table", "--spectrum=-1,0", "--s", "0", "--e", "-1", "--range", "3"),
+         "table: error: argument --range: range must be LO:HI, got '3'"),
+        (("enumerate", "--e", "0", "--c2", "3", "--c3", "0", "--seh=-1"),
+         "enumerate: error: argument --seh: s_eh must be nonnegative or None, got -1"),
+        (("gap", "--moduli=-1,2,0", "--seh=-2"),
+         "gap: error: argument --seh: s_eh must be nonnegative or None, got -2"),
+    ],
+    ids=["moduli", "range", "seh", "gap-seh"],
+)
+def test_converter_errors_print_their_message(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert message in err and "invalid _" not in err
 
 
 def test_help_exits_zero(capsys):
