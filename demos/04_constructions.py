@@ -15,7 +15,6 @@ from sheafspectra import (
     ShortExactSequenceSpec,
     Twist,
     construction_spectrum,
-    monad_table,
     splice_bounds,
     splice_ses,
 )
@@ -46,7 +45,7 @@ for t in (-1, -3):
 shape = MonadShape(a=(-1, -1, -1), b=(0,) * 8, c=(1, 1, 1))
 print()
 print("monad classes:", shape.chern().as_tuple())
-print(monad_table(shape, (-3, 0)).to_markdown())
+print(splice_ses(shape, (-3, 0)).to_markdown())
 
 # The full pipeline: recipe in, spectrum out.  Rows below the sound
 # window are discarded before inversion, so the policy's deep-twist

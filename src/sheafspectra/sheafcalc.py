@@ -7,20 +7,21 @@ sequence with one unknown slot, or two of them nested: an ideal of a
 curve is the kernel of O ->> O_C, a quotient the kernel of ambient ->>
 quotient, and a monad 0 -> sum O(a) -> sum O(b) -> sum O(c) -> 0 the
 cokernel of sum O(a) -> K, K the kernel of sum O(b) ->> sum O(c).
-symbol_from_json reads every node kind, and _row evaluates any node at
-one twist: a sequence is solved from its twelve-term cohomology sequence
-under the generic maximal-rank policy (every free connecting or interior
-map takes the largest rank its source and target allow; forced maps,
-injective at the left end and surjective at the right, are checked for
-feasibility), and a monad row is checked against the Chern classes of
-the power-series oracle.  splice_bounds reads, for each entry, the
-interval attainable over all rank choices off the two corners of the
-rank box, so callers can tell policy output from forced output.
+symbol_from_json reads every node kind, and splice_ses evaluates any
+node over a twist range, one _row per twist: a sequence is solved from
+its twelve-term cohomology sequence under the generic maximal-rank
+policy (every free connecting or interior map takes the largest rank its
+source and target allow; forced maps, injective at the left end and
+surjective at the right, are checked for feasibility), and a monad row
+is checked against the Chern classes of the power-series oracle.
+splice_bounds reads, for each entry, the interval attainable over all
+rank choices off the two corners of the rank box, so callers can tell
+policy output from forced output.
 
 construction_spectrum and construction_table run the full pipeline from
 a recipe to a spectrum and back to a printed-window table; the raw
-policy h2 is discarded below the twist -3-e, where the generic-rank
-assumption is known to misread deep syzygies.
+policy h2 is withheld below the twist -3-e as the rows are built, since
+the generic-rank assumption is known to misread deep syzygies there.
 """
 
 from __future__ import annotations
@@ -60,10 +61,8 @@ __all__ = [
     "Twist",
     "ShortExactSequenceSpec",
     "MonadShape",
-    "block_table",
     "splice_ses",
     "splice_bounds",
-    "monad_table",
     "quotient_table",
     "symbol_from_json",
     "recipe_table",
@@ -186,24 +185,20 @@ def _row(node, t: int) -> tuple:
     raise TypeError(f"not a sheaf symbol: {node!r}")
 
 
-def block_table(sym, rng: tuple[int, int]) -> CohomologyTable:
+def splice_ses(node, rng: tuple[int, int]) -> CohomologyTable:
     """Total cohomology table of any construction node over rng.
 
     Twists are solved from the lowest up, so of several failing twists
     the lowest raises.  A stored table must cover rng and is cut down to
-    it; a monad or a stored table keeps its Chern classes.  splice_ses
-    and monad_table are this function under their callers' names.
+    it; a monad or a stored table keeps its Chern classes.
     """
     lo, hi = rng
-    rows = {t: _row(sym, t) for t in range(lo, hi + 1)}
-    cc = sym.cc if isinstance(sym, CohomologyTable) else None
-    if isinstance(sym, MonadShape):
+    rows = {t: _row(node, t) for t in range(lo, hi + 1)}
+    cc = node.cc if isinstance(node, CohomologyTable) else None
+    if isinstance(node, MonadShape):
         # _row has chi-checked every row already; the table checks them again
-        cc = sym.chern()
+        cc = node.chern()
     return CohomologyTable(lo, hi, rows, cc)
-
-
-splice_ses = monad_table = block_table
 
 
 # ------------------------------------------------------- sequence solving
@@ -366,7 +361,7 @@ def quotient_table(ambient, quotient, rng: tuple[int, int]) -> CohomologyTable:
     The quotient must be supported in dimension <= 1: a sum of point
     sheaves with at most one rational-curve module.
     """
-    return block_table(_quotient(ambient, quotient), rng)
+    return splice_ses(_quotient(ambient, quotient), rng)
 
 
 # ------------------------------------------------------------- recipes
@@ -422,31 +417,25 @@ def symbol_from_json(node: Mapping):
 
 def recipe_table(node: Mapping, rng: tuple[int, int]) -> CohomologyTable:
     """Evaluate a construction recipe node to a cohomology table."""
-    return block_table(symbol_from_json(node), rng)
+    return splice_ses(symbol_from_json(node), rng)
 
 
 # ------------------------------------------------------------- pipeline
 
-def _drop_unsound_h2(table: CohomologyTable, e: int) -> CohomologyTable:
-    # below t = -3-e the maximal-rank policy can misjudge deep syzygies,
-    # so the h2 column is withheld from the inverter there
-    rows = {}
-    for t in range(table.lo, table.hi + 1):
-        h0, h1, h2, h3 = table.row(t)
-        if t < -3 - e:
-            h2 = None
-        rows[t] = (h0, h1, h2, h3)
-    return CohomologyTable(table.lo, table.hi, rows)
-
-
 def construction_spectrum(construction: Mapping, e: int) -> SpectrumWithS:
-    """Spectrum of a constructed sheaf: splice over twists -8..0, trim, invert."""
+    """Spectrum of a constructed sheaf: splice over twists -8..0, invert.
+
+    Below the twist -3-e the maximal-rank policy can misjudge deep
+    syzygies, so the h2 column is withheld from the inverter there.
+    """
     if not isinstance(construction, Mapping):
         raise TypeError(f"expected a recipe node, got {construction!r}")
-    table = recipe_table(construction, (-8, 0))
-    return spectrum_from_table(
-        _drop_unsound_h2(table, e), splitting_type_from_e(e)
-    )
+    node = symbol_from_json(construction)
+    rows = {}
+    for t in range(-8, 1):
+        h0, h1, h2, h3 = _row(node, t)
+        rows[t] = (h0, h1, h2 if t >= -3 - e else None, h3)
+    return spectrum_from_table(CohomologyTable(-8, 0, rows), splitting_type_from_e(e))
 
 
 def construction_table(construction: Mapping, e: int) -> CohomologyTable:

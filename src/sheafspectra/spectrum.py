@@ -89,12 +89,11 @@ def c3_from_spectrum(e: int, c2: int, sw: SpectrumWithS) -> int:
         )
     if type(sw.s) is not int or sw.s < 0:
         raise InadmissibleSpectrumError(f"s must be a nonnegative int, got {sw.s!r}")
+    splitting_type_from_e(e)  # NotNormalizedError unless e is -1 or 0
     total = sum(spec)
     if e == -1:
         return -2 * total - c2 - 2 * sw.s
-    if e == 0:
-        return -2 * total - 2 * sw.s
-    raise InadmissibleSpectrumError(f"e must be -1 or 0, got {e}")
+    return -2 * total - 2 * sw.s
 
 
 def _sum_max(cc: ChernClasses) -> int:
@@ -173,21 +172,18 @@ def s_upper_bound(e: int, c2: int, regime: str = "general") -> int:
     regime "general" covers all semistable torsion-free sheaves;
     "zero_dimensional" assumes the double-dual quotient has dimension 0.
     """
-    if c2 < 1:
+    if _exact(c2) < 1:
         raise DegenerateClassError(f"bounds need c2 >= 1, got {c2}")
+    splitting_type_from_e(e)  # NotNormalizedError unless e is -1 or 0
     if regime == "general":
         if e == 0:
             return (c2 * c2 + c2) // 2
-        if e == -1:
-            return (c2 * c2 + 3 * c2) // 2
-    elif regime == "zero_dimensional":
+        return (c2 * c2 + 3 * c2) // 2
+    if regime == "zero_dimensional":
         if e == 0:
             return (c2 * c2 - c2 + 2) // 2
-        if e == -1:
-            return c2 * c2 // 2 if c2 % 2 == 0 else (c2 * c2 - 1) // 2
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    raise DegenerateClassError(f"e must be -1 or 0, got {e}")
+        return c2 * c2 // 2 if c2 % 2 == 0 else (c2 * c2 - 1) // 2
+    raise ValueError(f"unknown regime {regime!r}")
 
 
 def enumerate_spectra(

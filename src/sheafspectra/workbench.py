@@ -15,10 +15,10 @@ of the unbounded chain-up default rather than documented possibilities).
 check_slope_examples reruns the slope-semistable kernel examples whose
 s-invariant breaks the zero-dimensional bound.
 
-A record is read and checked in one place, _descriptor_from_json, and
-any failure there is a CatalogError naming the component.  Reports are
-printed through the writer of the cohomology layer (report_json and its
-markdown table builder).
+A record, its recipe included, is read and checked in one place,
+_descriptor_from_json, and any failure there is a CatalogError naming
+the component.  Reports are printed through the writer of the
+cohomology layer (report_json and its markdown table builder).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .cohomology import _markdown, _spectrum_str
 from .errors import CatalogError, VerificationError
 from .invariants import ChernClasses, _exact, kernel_invariants
-from .sheafcalc import construction_spectrum
+from .sheafcalc import construction_spectrum, symbol_from_json
 from .spectrum import (
     UNBOUNDED,
     ChainUpParam,
@@ -172,11 +172,13 @@ def _descriptor_from_json(record: Mapping) -> ComponentDescriptor:
                 raise ValueError(
                     f"closed-form moduli {classes} != stored {moduli.as_tuple()}"
                 )
+        construction = record.get("construction")
+        if construction is not None:
+            symbol_from_json(construction)  # reports rebuild it from the raw JSON
     except Exception as exc:
         raise CatalogError(f"component {name!r}: {exc}") from exc
     return ComponentDescriptor(
-        moduli, name, family, dimension, spectrum, params,
-        record.get("construction"), level,
+        moduli, name, family, dimension, spectrum, params, construction, level
     )
 
 

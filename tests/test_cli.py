@@ -275,6 +275,25 @@ def test_report_catalog_name_looking_like_json(capsys, tmp_path, monkeypatch):
     assert "| C(2) | 11 | (-1,0) | 0 | derived | yes |" in out
 
 
+@pytest.mark.parametrize("construction", [{"kind": "bogus"}, [1, 2]], ids=["bogus", "list"])
+@pytest.mark.parametrize("command", ["report", "rao-pairs", "gap"])
+def test_broken_recipe_is_an_error_line_naming_the_component(
+    capsys, tmp_path, command, construction
+):
+    doc = json.loads(
+        resources.files("sheafspectra").joinpath("data/catalog.json").read_text()
+    )
+    for record in doc["components"]:
+        if record["name"] == "C(2)":
+            record["construction"] = construction
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--moduli=-1,2,0", "--catalog", str(path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1, err  # one error line, no traceback
+    assert err.startswith("error: component 'C(2)': ")
+
+
 def test_rao_pairs_both_classes(capsys):
     code, out, _ = run(capsys, "rao-pairs", "--moduli=-1,2,0")
     assert code == 0 and "C(2) & X(-1,1,1,1,0)" in out

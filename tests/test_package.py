@@ -1,8 +1,10 @@
-"""The package root re-exports exactly the public names of its layers, and
+"""The package root re-exports exactly the public names of its layers, each
+public object under one name; the names the benchmark calls exist; and
 importing the command line loads neither `dataclasses` nor `inspect`."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 import sheafspectra
 
 SRC = str(Path(sheafspectra.__file__).resolve().parents[1])
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 LAYERS = ("errors", "invariants", "spectrum", "cohomology", "sheafcalc", "workbench")
 
@@ -27,6 +30,24 @@ def test_every_exported_name_resolves_to_its_layer():
         module = importlib.import_module(f"sheafspectra.{layer}")
         for name in module.__all__:
             assert getattr(sheafspectra, name) is getattr(module, name), name
+
+
+def test_no_public_object_has_two_names():
+    for layer in LAYERS:
+        module = importlib.import_module(f"sheafspectra.{layer}")
+        names = {}
+        for name in module.__all__:
+            names.setdefault(id(getattr(module, name)), []).append(name)
+        assert [group for group in names.values() if len(group) > 1] == [], layer
+
+
+def test_names_the_benchmark_calls_exist():
+    # read as text: the benchmark's modules are not imported by the tests
+    called = set()
+    for script in ("workloads.py", "run.py"):
+        called |= set(re.findall(r"\blib\.(\w+)", (BENCH / script).read_text()))
+    assert "splice_ses" in called
+    assert [name for name in sorted(called) if not hasattr(sheafspectra, name)] == []
 
 
 def _modules_after(code):

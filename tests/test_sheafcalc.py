@@ -29,10 +29,8 @@ from sheafspectra.sheafcalc import (
     RationalCurveModule,
     ShortExactSequenceSpec,
     Twist,
-    block_table,
     construction_spectrum,
     construction_table,
-    monad_table,
     quotient_table,
     recipe_table,
     splice_bounds,
@@ -116,22 +114,22 @@ def symbols():
 
 
 def test_line_on_a_line_has_one_section_at_minus_one():
-    table = block_table(RationalCurveModule(1, 1), (-1, -1))
+    table = splice_ses(RationalCurveModule(1, 1), (-1, -1))
     assert table.row(-1) == (1, 0, 0, 0)
 
 
 def test_two_conics_at_t_one():
-    table = block_table(symbol_from_json(TWO_CONICS), (1, 1))
+    table = splice_ses(symbol_from_json(TWO_CONICS), (1, 1))
     assert table.row(1) == (6, 0, 0, 0)
 
 
 def test_point_sheaf_rows_are_constant():
-    table = block_table(PointSheaf(2), (-5, 2))
+    table = splice_ses(PointSheaf(2), (-5, 2))
     assert all(table.row(t) == (2, 0, 0, 0) for t in range(-5, 3))
 
 
 def test_line_bundle_rows_are_one_sided():
-    table = block_table(LineBundle(-2), (-6, 4))
+    table = splice_ses(LineBundle(-2), (-6, 4))
     for t in range(-6, 5):
         h0, h1, h2, h3 = table.row(t)
         assert h1 == h2 == 0
@@ -141,23 +139,23 @@ def test_line_bundle_rows_are_one_sided():
 
 def test_generic_curve_module_in_special_strip():
     # degree 0 on a genus-1 curve: chi = 0, generic means no sections
-    table = block_table(CurveModule(1, 3, 0, generic=True), (0, 0))
+    table = splice_ses(CurveModule(1, 3, 0, generic=True), (0, 0))
     assert table.row(0) == (0, 0, 0, 0)
 
 
 def test_special_strip_requires_generic_flag():
     with pytest.raises(AmbiguousCurveModuleError):
-        block_table(CurveModule(1, 3, 0, generic=False), (0, 0))
+        splice_ses(CurveModule(1, 3, 0, generic=False), (0, 0))
 
 
 def test_twist_shifts_rows():
-    plain = block_table(RationalCurveModule(2, 1), (-4, 4))
-    shifted = block_table(Twist(RationalCurveModule(2, 1), 3), (-4, 1))
+    plain = splice_ses(RationalCurveModule(2, 1), (-4, 4))
+    shifted = splice_ses(Twist(RationalCurveModule(2, 1), 3), (-4, 1))
     assert all(shifted.row(t) == plain.row(t + 3) for t in range(-4, 2))
 
 
 def test_ideal_of_conic_sections():
-    table = block_table(IdealOfCurve(RationalCurveModule(2, 0)), (0, 2))
+    table = splice_ses(IdealOfCurve(RationalCurveModule(2, 0)), (0, 2))
     assert table.entry(0, 0) == 0
     assert table.entry(2, 0) == 5  # quadrics through a conic
 
@@ -213,9 +211,9 @@ def test_euler_characteristic_is_additive(first, second, unknown):
     except SequenceInfeasibleError:
         return
     tables = {
-        "left": solved if unknown == "left" else block_table(spec.left, rng),
-        "middle": solved if unknown == "middle" else block_table(spec.middle, rng),
-        "right": solved if unknown == "right" else block_table(spec.right, rng),
+        "left": solved if unknown == "left" else splice_ses(spec.left, rng),
+        "middle": solved if unknown == "middle" else splice_ses(spec.middle, rng),
+        "right": solved if unknown == "right" else splice_ses(spec.right, rng),
     }
     for t in range(rng[0], rng[1] + 1):
         chi = {
@@ -259,7 +257,7 @@ def test_policy_rows_lie_inside_bounds(first, second, unknown):
     names = ("left", "middle", "right")
     slots = dict(zip([name for name in names if name != unknown], (first, second)))
     spec = ShortExactSequenceSpec(**slots)
-    columns = {name: block_table(sym, rng) for name, sym in slots.items()}
+    columns = {name: splice_ses(sym, rng) for name, sym in slots.items()}
     chased = {}
     for t in range(rng[0], rng[1] + 1):
         rows = {name: columns[name].row(t) if name in columns else (None,) * 4
@@ -303,7 +301,7 @@ def test_monad_rank_guard():
 def test_instanton_monad_classes_and_rows():
     shape = MonadShape([-1, -1, -1], [0] * 8, [1, 1, 1])
     assert shape.chern() == ChernClasses(0, 3, 0)
-    table = monad_table(shape, (-4, 0))
+    table = splice_ses(shape, (-4, 0))
     assert table.row(0) == (0, 4, 0, 0)
     assert table.row(-1) == (0, 3, 0, 0)
     assert table.row(-3) == (0, 0, 3, 0)
@@ -313,13 +311,13 @@ def test_instanton_monad_classes_and_rows():
 def test_ein_monad_classes():
     shape = MonadShape([-2], [-1, 0, 0, 1], [2])
     assert shape.chern() == ChernClasses(0, 3, 0)
-    assert monad_table(shape, (-1, -1)).row(-1) == (0, 3, 0, 0)
+    assert splice_ses(shape, (-1, -1)).row(-1) == (0, 3, 0, 0)
 
 
 def test_degenerate_monad_is_a_direct_sum():
     shape = MonadShape([], [0, -1], [])
-    table = monad_table(shape, (-2, 1))
-    direct = block_table(DirectSum([LineBundle(0), LineBundle(-1)]), (-2, 1))
+    table = splice_ses(shape, (-2, 1))
+    direct = splice_ses(DirectSum([LineBundle(0), LineBundle(-1)]), (-2, 1))
     assert all(table.row(t) == direct.row(t) for t in range(-2, 2))
 
 
@@ -591,7 +589,7 @@ def test_sequences_are_built_once_per_node(monkeypatch):
     check = ShortExactSequenceSpec.__post_init__
     monkeypatch.setattr(ShortExactSequenceSpec, "__post_init__",
                         lambda self: built.append(check(self)))
-    monad_table(MonadShape(*(INSTANTON_MONAD[k] for k in "abc")), (-8, 0))
+    splice_ses(MonadShape(*(INSTANTON_MONAD[k] for k in "abc")), (-8, 0))
     assert len(built) == 2  # the kernel and the cokernel, not one per twist
     built.clear()
     recipe_table(EXTENSION_OVER_TWO_CONICS, (-8, 0))
@@ -600,7 +598,7 @@ def test_sequences_are_built_once_per_node(monkeypatch):
 
 def test_lowest_failing_twist_raises():
     # the stored middle stops at t=-1, the non-generic cubic fails at t=-2
-    stored = block_table(DirectSum([LineBundle(0)] * 2), (-8, -1))
+    stored = splice_ses(DirectSum([LineBundle(0)] * 2), (-8, -1))
     node = {
         "kind": "ses",
         "unknown": "left",
@@ -615,7 +613,7 @@ def test_lowest_failing_twist_raises():
 
 def test_sum_keeps_unknown_entries():
     stored = CohomologyTable(-1, 0, {-1: (0, None, 1, 0), 0: (1, 0, None, 0)})
-    total = block_table(DirectSum([stored, LineBundle(0)]), (-1, 0))
+    total = splice_ses(DirectSum([stored, LineBundle(0)]), (-1, 0))
     assert total.rows == {-1: (0, None, 1, 0), 0: (2, 0, None, 0)}
     bounds = splice_bounds(ShortExactSequenceSpec(left=LineBundle(-1),
                                                   middle=DirectSum([stored])), (-1, 0))

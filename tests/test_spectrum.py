@@ -6,8 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sheafspectra.cohomology import table_from_spectrum
-from sheafspectra.errors import DegenerateClassError, InadmissibleSpectrumError
-from sheafspectra.invariants import ChernClasses, SplittingType
+from sheafspectra.errors import (
+    DegenerateClassError,
+    InadmissibleSpectrumError,
+    NotNormalizedError,
+)
+from sheafspectra.invariants import (
+    ChernClasses,
+    SplittingType,
+    kernel_invariants,
+    splitting_type_from_e,
+)
 from sheafspectra.spectrum import (
     UNBOUNDED,
     ChainUpParam,
@@ -90,6 +99,32 @@ def test_s_upper_bound_frozen():
         s_upper_bound(0, 0, "general")
     with pytest.raises(ValueError):
         s_upper_bound(0, 3, "sharp")
+
+
+# every entry point that takes e alone decides it the same way
+BAD_E = {
+    "ChernClasses": lambda e: ChernClasses(e, 2, 0),
+    "splitting_type_from_e": splitting_type_from_e,
+    "c3_from_spectrum": lambda e: c3_from_spectrum(e, 2, SpectrumWithS((-1, 0), 0)),
+    "s_upper_bound": lambda e: s_upper_bound(e, 2),
+}
+
+
+@pytest.mark.parametrize("e", [1, -2])
+@pytest.mark.parametrize("entry", BAD_E)
+def test_bad_e_is_one_error(entry, e):
+    with pytest.raises(NotNormalizedError):
+        BAD_E[entry](e)
+
+
+@pytest.mark.parametrize("call,text", [
+    (lambda: kernel_invariants(ChernClasses(0, 3, 12), True), "expected int, got True"),
+    (lambda: s_upper_bound(0, 2.0), "expected int, got 2.0"),
+], ids=["kernel_invariants", "s_upper_bound"])
+def test_counts_are_strict_ints(call, text):
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == text
 
 
 def test_bound_dominance():

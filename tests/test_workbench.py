@@ -128,6 +128,22 @@ def test_record_fields_are_not_coerced(index, mutation):
     assert record["name"] in str(err.value)
 
 
+def records_with_recipe(name, construction):
+    records = bundled_records()
+    for record in records:
+        if record["name"] == name:
+            record["construction"] = construction
+    return records
+
+
+@pytest.mark.parametrize("construction", [{"kind": "bogus"}, [1, 2]], ids=["bogus", "list"])
+def test_broken_recipe_fails_at_load_named(construction):
+    # checked when the catalog is read, not first when a report runs it
+    with pytest.raises(CatalogError) as err:
+        catalog_load(records_with_recipe("C(2)", construction))
+    assert str(err.value).startswith("component 'C(2)': ")
+
+
 # ----------------------------------------------------- closed dimensions
 
 
