@@ -69,4 +69,4 @@ recipe = {
         },
     },
 }
-print("pipeline result:", construction_spectrum(recipe, -1))
+print("pipeline result:", construction_spectrum(recipe))

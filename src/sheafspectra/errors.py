@@ -46,8 +46,8 @@ class DegenerateClassError(SheafSpectraError):
 
 
 class InadmissibleSpectrumError(SheafSpectraError):
-    """Spectrum incompatible with the given Chern classes (wrong length,
-    or the solved s-invariant comes out negative)."""
+    """Spectrum incompatible with its Chern classes (wrong length, negative
+    s, or a recipe's answer breaking the chain-down rule or the s bound)."""
 
 
 class RankMismatchError(SheafSpectraError):

@@ -113,11 +113,9 @@ def line_bundle_chi(a: int, t: int) -> int:
 
 def splitting_type_from_e(e: int) -> SplittingType:
     """Generic splitting type of a normalized semistable sheaf with c1 = e."""
-    if e == -1:
-        return SplittingType(-1, 0)
-    if e == 0:
-        return SplittingType(0, 0)
-    raise NotNormalizedError(f"no semistable splitting type for e = {e}")
+    if _exact(e) not in (-1, 0):
+        raise NotNormalizedError(f"no semistable splitting type for e = {e}")
+    return SplittingType(e, 0)
 
 
 class ChernSeries(NamedTuple):

@@ -19,9 +19,10 @@ rank choices off the two corners of the rank box, so callers can tell
 policy output from forced output.
 
 construction_spectrum and construction_table run the full pipeline from
-a recipe to a spectrum and back to a printed-window table; the raw
-policy h2 is withheld below the twist -3-e as the rows are built, since
-the generic-rank assumption is known to misread deep syzygies there.
+a recipe to a spectrum and back to a printed-window table: the rows and
+the spectrum must fit the class read from the rows' chi and be
+admissible, and the raw policy h2 is withheld below the twist -3-e,
+since the generic-rank assumption is known to misread deep syzygies there.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .cohomology import (
 from .errors import (
     AmbiguousCurveModuleError,
     CatalogError,
+    InadmissibleSpectrumError,
+    RangeInsufficientError,
     RankMismatchError,
     SequenceInfeasibleError,
 )
@@ -49,7 +52,7 @@ from .invariants import (
     line_bundle_chi,
     splitting_type_from_e,
 )
-from .spectrum import SpectrumWithS
+from .spectrum import SpectrumWithS, s_upper_bound, validate_chain_down
 
 __all__ = [
     "LineBundle",
@@ -422,23 +425,44 @@ def recipe_table(node: Mapping, rng: tuple[int, int]) -> CohomologyTable:
 
 # ------------------------------------------------------------- pipeline
 
-def construction_spectrum(construction: Mapping, e: int) -> SpectrumWithS:
-    """Spectrum of a constructed sheaf: splice over twists -8..0, invert.
+def _class_from_rows(rows: Mapping) -> ChernClasses:
+    # chi is exact on a known row whatever ranks the policy chose; for rank 2,
+    # e = its second difference, c2 = chi(-2) - chi(-1), c3 = 2 chi(-2) + e c2
+    if any(None in rows[t] for t in (-3, -2, -1)):
+        raise RangeInsufficientError("rows t=-3..-1 must be known to read the class")
+    x, y, z = [h0 - h1 + h2 - h3 for h0, h1, h2, h3 in (rows[-3], rows[-2], rows[-1])]
+    e, c2 = z - 2 * y + x, y - z
+    return ChernClasses(e, c2, 2 * y + e * c2)
 
-    Below the twist -3-e the maximal-rank policy can misjudge deep
-    syzygies, so the h2 column is withheld from the inverter there.
-    """
+
+def _class_and_spectrum(construction: Mapping) -> tuple[ChernClasses, SpectrumWithS]:
     if not isinstance(construction, Mapping):
         raise TypeError(f"expected a recipe node, got {construction!r}")
     node = symbol_from_json(construction)
-    rows = {}
-    for t in range(-8, 1):
-        h0, h1, h2, h3 = _row(node, t)
-        rows[t] = (h0, h1, h2 if t >= -3 - e else None, h3)
-    return spectrum_from_table(CohomologyTable(-8, 0, rows), splitting_type_from_e(e))
+    rows = {t: _row(node, t) for t in range(-8, 1)}
+    cc = _class_from_rows(rows)  # from the raw rows, before h2 is withheld
+    for t in range(-8, -3 - cc.e):  # h2 withheld below -3-e
+        rows[t] = rows[t][:2] + (None, rows[t][3])
+    st = splitting_type_from_e(cc.e)
+    sw = spectrum_from_table(CohomologyTable(-8, 0, rows, cc), st)
+    if validate_chain_down(sw.values, st) or sw.s > s_upper_bound(cc.e, cc.c2):
+        raise InadmissibleSpectrumError(
+            f"spectrum {sw.values}, s={sw.s} breaks the chain-down rule or the bound on s"
+        )
+    return cc, sw
 
 
-def construction_table(construction: Mapping, e: int) -> CohomologyTable:
+def construction_spectrum(construction: Mapping) -> SpectrumWithS:
+    """Spectrum of a constructed sheaf: splice over twists -8..0, invert.
+
+    The answer must be admissible and, with every known row, fit the
+    class read from the rows' chi.  h2 is withheld below the twist -3-e,
+    where the maximal-rank policy can misjudge deep syzygies.
+    """
+    return _class_and_spectrum(construction)[1]
+
+
+def construction_table(construction: Mapping) -> CohomologyTable:
     """Printed-window table of a constructed sheaf (twists -4..-1)."""
-    sw = construction_spectrum(construction, e)
-    return table_from_spectrum(sw, splitting_type_from_e(e), (-4, -1))
+    cc, sw = _class_and_spectrum(construction)
+    return table_from_spectrum(sw, splitting_type_from_e(cc.e), (-4, -1))

@@ -90,17 +90,12 @@ def c3_from_spectrum(e: int, c2: int, sw: SpectrumWithS) -> int:
     if type(sw.s) is not int or sw.s < 0:
         raise InadmissibleSpectrumError(f"s must be a nonnegative int, got {sw.s!r}")
     splitting_type_from_e(e)  # NotNormalizedError unless e is -1 or 0
-    total = sum(spec)
-    if e == -1:
-        return -2 * total - c2 - 2 * sw.s
-    return -2 * total - 2 * sw.s
+    return -2 * sum(spec) + e * c2 - 2 * sw.s
 
 
 def _sum_max(cc: ChernClasses) -> int:
     # sum(k_i) at s = 0, from the c3 identities
-    if cc.e == -1:
-        return -(cc.c2 + cc.c3) // 2
-    return -cc.c3 // 2
+    return (cc.e * cc.c2 - cc.c3) // 2
 
 
 def s_from_spectrum(cc: ChernClasses, values: Iterable[int]) -> int:

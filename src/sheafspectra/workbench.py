@@ -30,9 +30,9 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .cohomology import _markdown, _spectrum_str
-from .errors import CatalogError, VerificationError
+from .errors import CatalogError, SheafSpectraError, VerificationError
 from .invariants import ChernClasses, _exact, kernel_invariants
-from .sheafcalc import construction_spectrum, symbol_from_json
+from .sheafcalc import _class_and_spectrum, symbol_from_json
 from .spectrum import (
     UNBOUNDED,
     ChainUpParam,
@@ -213,7 +213,8 @@ def component_report(catalog: Catalog, moduli: ChernClasses) -> dict:
     """Rows (name, dimension, spectrum, s, level) for one moduli class.
 
     Components carrying a construction recipe are re-derived through the
-    splice pipeline; a spectrum mismatch is a hard verification failure.
+    splice pipeline; any failure names the component, and a class or
+    spectrum mismatch is a hard verification failure.
     """
     rows = []
     for desc in sorted(
@@ -221,11 +222,14 @@ def component_report(catalog: Catalog, moduli: ChernClasses) -> dict:
     ):
         verified = False
         if desc.construction is not None:
-            recomputed = construction_spectrum(desc.construction, moduli.e)
-            if recomputed != desc.spectrum:
+            try:
+                cc, recomputed = _class_and_spectrum(desc.construction)
+            except SheafSpectraError as exc:  # same class, so the exit code holds
+                raise type(exc)(f"component {desc.name!r}: {exc}") from exc
+            if (cc, recomputed) != (desc.moduli, desc.spectrum):
                 raise VerificationError(
-                    f"component {desc.name!r}: construction gives "
-                    f"{recomputed}, catalog stores {desc.spectrum}"
+                    f"component {desc.name!r}: construction gives {cc.as_tuple()}, "
+                    f"{recomputed}; catalog stores {desc.moduli.as_tuple()}, {desc.spectrum}"
                 )
             verified = True
         rows.append(

@@ -92,7 +92,7 @@ def test_acceptance_2_table_reproduction():
         ("X(-1,1,1,1,0)", COKERNEL_QUOTIENT_TABLE),
     ]:
         recipe = _by_name(catalog, cc, name).construction
-        table = construction_table(recipe, -1)
+        table = construction_table(recipe)
         for t, (h1, h2) in published.items():
             assert (table.entry(t, 1), table.entry(t, 2)) == (h1, h2)
     _ok(2, "closed form and construction pipelines reproduce all four tables")
@@ -120,7 +120,7 @@ def test_acceptance_4_monad_spectra_and_chern():
         recipe = _by_name(catalog, cc, name).construction
         shape = MonadShape(recipe["a"], recipe["b"], recipe["c"])
         assert shape.chern() == cc
-        assert construction_spectrum(recipe, 0) == SpectrumWithS(values, 0)
+        assert construction_spectrum(recipe) == SpectrumWithS(values, 0)
     _ok(4, "instanton and Ein monads give (0,0,0) and (-1,0,1) on class (0,3,0)")
 
 

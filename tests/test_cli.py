@@ -294,6 +294,36 @@ def test_broken_recipe_is_an_error_line_naming_the_component(
     assert err.startswith("error: component 'C(2)': ")
 
 
+@pytest.mark.parametrize(
+    "name,moduli,construction,message",
+    [
+        ("T(-1,2,2,1)", "0,2,2", None,
+         "error: component 'relabelled': construction gives (-1, 2, 0), "),
+        ("C(2)", "-1,2,0", {"kind": "ses", "unknown": "left", "middle": {"kind": "line", "a": 0},
+                            "right": {"kind": "line", "a": -5}},
+         "error: component 'C(2)': h3 of the right column (220) exceeds h3 of the middle (35)"),
+    ],
+    ids=["relabelled-class", "infeasible-recipe"],
+)
+def test_report_recipe_failure_names_the_component(capsys, tmp_path, name, moduli,
+                                                    construction, message):
+    doc = json.loads(
+        resources.files("sheafspectra").joinpath("data/catalog.json").read_text()
+    )
+    record = next(r for r in doc["components"] if r["name"] == name)
+    if construction is None:  # a copy of the record claimed for another class
+        record = dict(record, name="relabelled", moduli=[0, 2, 2],
+                      family="quotient-sequence", params=None)
+        doc["components"].append(record)
+    else:
+        record["construction"] = construction
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "report", f"--moduli={moduli}", "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith(message), err
+
+
 def test_rao_pairs_both_classes(capsys):
     code, out, _ = run(capsys, "rao-pairs", "--moduli=-1,2,0")
     assert code == 0 and "C(2) & X(-1,1,1,1,0)" in out

@@ -1,13 +1,17 @@
 """Tests for building blocks, sequence splicing, monads and recipes."""
 
+import json
+from importlib import resources
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sheafspectra.cohomology import CohomologyTable, table_from_spectrum
 from sheafspectra.errors import (
     AmbiguousCurveModuleError,
     CatalogError,
+    InadmissibleSpectrumError,
     InconsistentTableError,
     RangeInsufficientError,
     RankMismatchError,
@@ -37,6 +41,7 @@ from sheafspectra.sheafcalc import (
     splice_ses,
     symbol_from_json,
 )
+from sheafspectra.sheafcalc import _class_and_spectrum, _class_from_rows
 from sheafspectra.spectrum import SpectrumWithS
 
 # construction recipes for the derived components, shared across tests
@@ -358,7 +363,7 @@ PIPELINES = [
 
 @pytest.mark.parametrize("node,e,values,s", PIPELINES)
 def test_construction_spectra(node, e, values, s):
-    assert construction_spectrum(node, e) == SpectrumWithS(values, s)
+    assert construction_spectrum(node) == SpectrumWithS(values, s)
 
 
 @pytest.mark.parametrize("node,e,values,s", PIPELINES)
@@ -366,7 +371,7 @@ def test_construction_tables_match_formula_tables(node, e, values, s):
     want = table_from_spectrum(
         SpectrumWithS(values, s), splitting_type_from_e(e), (-4, -1)
     )
-    got = construction_table(node, e)
+    got = construction_table(node)
     assert got.rows == want.rows and got.cc == want.cc
 
 
@@ -377,7 +382,7 @@ def test_stored_table_pipeline_recovers_double_point_spectrum():
         "ambient": {"kind": "table", "table": ambient.to_json_dict()},
         "quotient": {"kind": "points", "n": 1},
     }
-    assert construction_spectrum(node, -1) == SpectrumWithS((-1, -1), 1)
+    assert construction_spectrum(node) == SpectrumWithS((-1, -1), 1)
 
 
 def test_stored_table_recipe_honours_range():
@@ -410,7 +415,78 @@ def test_pipeline_chi_agreement():
 
 def test_construction_spectrum_accepts_tables_only_or_recipes():
     with pytest.raises(TypeError):
-        construction_spectrum(LineBundle(0), 0)
+        construction_spectrum(LineBundle(0))
+
+
+# O + O has no surjection onto a curve module of negative degree; the rows
+# still invert, to (-2,-2,-2) with s = 0, which misses -1 under chain-down
+KERNEL_ONTO_NEGATIVE_CUBIC = {
+    "kind": "ses",
+    "unknown": "left",
+    "middle": {"kind": "sum", "terms": [{"kind": "line", "a": 0}] * 2},
+    "right": {"kind": "rational_curve", "d": 3, "b": -1},
+}
+
+
+@pytest.mark.parametrize(
+    "node,error,text",
+    [
+        (KERNEL_ONTO_NEGATIVE_CUBIC, InadmissibleSpectrumError, r"\(-2, -2, -2\), s=0"),
+        # six points off C(2) give s = 6, one above the general bound for c2 = 2
+        ({"kind": "quotient", "ambient": EXTENSION_OVER_TWO_CONICS,
+          "quotient": {"kind": "points", "n": 6}}, InadmissibleSpectrumError, "s=6"),
+        # O fits (0, 0, 0) at t = -3..-1, but rank 1 shows at t = 0
+        ({"kind": "line", "a": 0}, InconsistentTableError, "t=0 has chi 1, class demands 2"),
+        ({"kind": "table", "table": CohomologyTable(
+            -8, 0, {**EXTENSION_OVER_ONE_CONIC_ROWS, -2: (0, None, 2, 0)}
+        ).to_json_dict()}, RangeInsufficientError, "to read the class"),
+    ],
+    ids=["negative-cubic-kernel", "six-points", "line", "unknown-at-minus-two"],
+)
+def test_pipeline_refuses_what_no_rank_2_class_explains(node, error, text):
+    with pytest.raises(error, match=text):
+        construction_spectrum(node)
+    with pytest.raises(error, match=text):
+        construction_table(node)
+
+
+def bundled_recipes():
+    text = resources.files("sheafspectra").joinpath("data/catalog.json").read_text()
+    records = json.loads(text)["components"]
+    return [pytest.param(r["construction"], r["moduli"], id=r["name"]) for r in records
+            if r.get("construction") is not None]
+
+
+@pytest.mark.parametrize("node,moduli", bundled_recipes())
+def test_recipe_class_is_the_records_moduli(node, moduli):
+    assert _class_and_spectrum(node)[0] == ChernClasses(*moduli)
+
+
+@pytest.mark.parametrize("node", [INSTANTON_MONAD, EIN_MONAD], ids=["Instanton", "Ein"])
+def test_fitted_class_of_a_monad_is_its_series_class(node):
+    shape = MonadShape(*(node[k] for k in "abc"))
+    assert _class_and_spectrum(node)[0] == shape.chern() == ChernClasses(0, 3, 0)
+
+
+@st.composite
+def normalised_monads(draw):
+    # the last degree of b makes c1 = e, so the series class is normalised
+    a = draw(st.lists(st.integers(-3, 0), max_size=2))
+    c = draw(st.lists(st.integers(0, 3), max_size=2))
+    b = draw(st.lists(st.integers(-2, 2), min_size=len(a) + len(c) + 1,
+                      max_size=len(a) + len(c) + 1))
+    e = draw(st.sampled_from([-1, 0]))
+    return MonadShape(a, b + [e + sum(a) + sum(c) - sum(b)], c)
+
+
+@given(normalised_monads())
+@settings(max_examples=60, deadline=None)
+def test_fitted_class_matches_the_series_oracle(shape):
+    try:
+        table = splice_ses(shape, (-3, -1))
+    except SequenceInfeasibleError:
+        assume(False)  # only monads that evaluate
+    assert _class_from_rows(table.rows) == shape.chern()
 
 
 # ------------------------------------------------------------- recipes

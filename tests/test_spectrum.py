@@ -117,6 +117,13 @@ def test_bad_e_is_one_error(entry, e):
         BAD_E[entry](e)
 
 
+@pytest.mark.parametrize("e", [False, -1.0])
+@pytest.mark.parametrize("entry", BAD_E)
+def test_e_is_a_strict_int(entry, e):
+    with pytest.raises(TypeError):
+        BAD_E[entry](e)
+
+
 @pytest.mark.parametrize("call,text", [
     (lambda: kernel_invariants(ChernClasses(0, 3, 12), True), "expected int, got True"),
     (lambda: s_upper_bound(0, 2.0), "expected int, got 2.0"),

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheafspectra import report_json
-from sheafspectra.errors import CatalogError, VerificationError
+from sheafspectra.errors import CatalogError, SequenceInfeasibleError, VerificationError
 from sheafspectra.invariants import ChernClasses
 from sheafspectra.spectrum import enumerate_spectra
 from sheafspectra.workbench import (
@@ -227,6 +227,34 @@ def test_report_catches_wrong_stored_spectrum():
     with pytest.raises(VerificationError) as err:
         component_report(catalog_load(records), M3)
     assert "Instanton" in str(err.value)
+
+
+def test_report_catches_a_recipe_of_another_class():
+    # T(-1,2,2,1) with its recipe, claimed for (0,2,2); the stored (-1,-1),
+    # s = 1 passes the c3 identity there too, so only the recipe's class can tell
+    records = bundled_records()
+    record = dict(next(r for r in records if r["name"] == "T(-1,2,2,1)"))
+    record.update(name="relabelled", moduli=[0, 2, 2], family="quotient-sequence")
+    del record["params"]
+    catalog = catalog_load(records + [record])
+    with pytest.raises(VerificationError) as err:
+        component_report(catalog, ChernClasses(0, 2, 2))
+    assert str(err.value).startswith("component 'relabelled': construction gives (-1, 2, 0)")
+    assert all(r["verified"] for r in component_report(catalog, M2)["components"])
+
+
+# parses, but at t = -8 O(-5) has more h3 than O, so there is no O ->> O(-5)
+INFEASIBLE_RECIPE = {"kind": "ses", "unknown": "left", "middle": {"kind": "line", "a": 0},
+                     "right": {"kind": "line", "a": -5}}
+
+
+def test_recipe_failure_names_the_component():
+    catalog = catalog_load(records_with_recipe("C(2)", INFEASIBLE_RECIPE))
+    with pytest.raises(SequenceInfeasibleError) as err:  # class kept for the exit code
+        component_report(catalog, M2)
+    assert str(err.value) == (
+        "component 'C(2)': h3 of the right column (220) exceeds h3 of the middle (35)"
+    )
 
 
 # ------------------------------------------------------------- rao pairs
