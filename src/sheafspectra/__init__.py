@@ -17,24 +17,25 @@ over a shared exception module:
 * :mod:`sheafspectra.errors` -- the exception hierarchy.
 
 Each module lists its public names in its own ``__all__``; the package
-root re-exports exactly those names.
+root re-exports exactly those names, on first access.  Importing the
+root loads no layer; the first read of a public name, or of ``__all__``,
+imports every layer and binds all their names here.
 """
-
-from . import cohomology, errors, invariants, sheafcalc, spectrum, workbench
-from .cohomology import *
-from .errors import *
-from .invariants import *
-from .sheafcalc import *
-from .spectrum import *
-from .workbench import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *errors.__all__,
-    *invariants.__all__,
-    *spectrum.__all__,
-    *cohomology.__all__,
-    *sheafcalc.__all__,
-    *workbench.__all__,
-]
+_LAYERS = ("errors", "invariants", "spectrum", "cohomology", "sheafcalc", "workbench")
+
+
+def __getattr__(name):
+    # PEP 562: called only for names not bound in this module yet
+    scope = globals()
+    if "__all__" not in scope:
+        from importlib import import_module
+
+        layers = [import_module(f"{__name__}.{layer}") for layer in _LAYERS]
+        scope.update((key, getattr(m, key)) for m in layers for key in m.__all__)
+        scope["__all__"] = [key for m in layers for key in m.__all__]
+        if name in scope:
+            return scope[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

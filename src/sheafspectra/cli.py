@@ -13,30 +13,13 @@ or --range=-8:2; bare negative integers such as --e -1 parse fine.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .cohomology import (
-    CohomologyTable,
-    _markdown,
-    _spectrum_str,
-    report_json,
-    spectrum_from_table,
-    table_from_spectrum,
-)
+from . import __version__
 from .errors import VERIFICATION_ERRORS, SheafSpectraError
 from .invariants import ChernClasses, euler_characteristic, splitting_type_from_e
-from .sheafcalc import recipe_table
-from .spectrum import UNBOUNDED, ChainUpParam, SpectrumWithS, enumerate_spectra
-from .workbench import (
-    catalog_load,
-    check_slope_examples,
-    component_report,
-    rao_pairs,
-    realizability_gap,
-    report_markdown,
-    slope_examples_markdown,
-)
+
+# Each handler imports the layers it uses, so a process compiles only those.
 
 __all__ = ["main"]
 
@@ -80,7 +63,9 @@ def _values(text: str) -> tuple[int, ...]:
     return tuple(map(_int, text.split(",")))
 
 
-def _seh(text: str) -> ChainUpParam:
+def _seh(text: str):
+    from .spectrum import UNBOUNDED, ChainUpParam
+
     if text == "unbounded":
         return UNBOUNDED
     try:
@@ -90,6 +75,8 @@ def _seh(text: str) -> ChainUpParam:
 
 
 def _emit(args, payload, markdown: str) -> int:
+    from .cohomology import report_json
+
     print(report_json(payload) if args.format == "json" else markdown)
     return 0
 
@@ -101,6 +88,9 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .cohomology import _markdown, _spectrum_str
+    from .spectrum import enumerate_spectra
+
     cc = ChernClasses(args.e, args.c2, args.c3)
     found = enumerate_spectra(cc, args.seh)
     payload = {
@@ -112,25 +102,38 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .cohomology import table_from_spectrum
+    from .spectrum import SpectrumWithS
+
     sw = SpectrumWithS(args.spectrum, args.s)
     table = table_from_spectrum(sw, splitting_type_from_e(args.e), args.range)
     return _emit(args, table.to_json_dict(), table.to_markdown())
 
 
 def _cmd_invert_table(args) -> int:
+    import json
+
+    from .cohomology import CohomologyTable, _spectrum_str, spectrum_from_table
+
     with open(args.file, "r", encoding="utf-8") as handle:
         table = CohomologyTable.from_json_dict(json.load(handle))
     e = args.e
-    if e is None:
-        if table.cc is None:
-            raise ValueError("supply --e or a table with attached Chern classes")
+    if table.cc is not None:
+        if e not in (None, table.cc.e):
+            raise ValueError(f"--e {e} contradicts e = {table.cc.e} of the table's classes")
         e = table.cc.e
+    elif e is None:
+        raise ValueError("supply --e or a table with attached Chern classes")
     sw = spectrum_from_table(table, splitting_type_from_e(e))
     payload = {"values": list(sw.values), "s": sw.s}
     return _emit(args, payload, f"spectrum {_spectrum_str(sw.values)} with s={sw.s}")
 
 
 def _cmd_splice(args) -> int:
+    import json
+
+    from .sheafcalc import recipe_table
+
     with open(args.spec, "r", encoding="utf-8") as handle:
         node = json.load(handle)
     table = recipe_table(node, args.range)
@@ -138,11 +141,15 @@ def _cmd_splice(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .workbench import catalog_load, component_report, report_markdown
+
     report = component_report(catalog_load(args.catalog), args.moduli)
     return _emit(args, report, report_markdown(report))
 
 
 def _cmd_rao_pairs(args) -> int:
+    from .workbench import catalog_load, rao_pairs
+
     pairs = rao_pairs(catalog_load(args.catalog), args.moduli)
     payload = {"moduli": list(args.moduli.as_tuple()), "pairs": [list(p) for p in pairs]}
     md = "\n".join(f"{a} & {b}" for a, b in pairs) or "no shared spectra"
@@ -150,6 +157,9 @@ def _cmd_rao_pairs(args) -> int:
 
 
 def _cmd_gap(args) -> int:
+    from .cohomology import _spectrum_str
+    from .workbench import catalog_load, realizability_gap
+
     missing, extra = realizability_gap(catalog_load(args.catalog), args.moduli, args.seh)
     payload = {
         "moduli": list(args.moduli.as_tuple()),
@@ -164,12 +174,15 @@ def _cmd_gap(args) -> int:
 
 
 def _cmd_check_examples(args) -> int:
+    from .workbench import check_slope_examples, slope_examples_markdown
+
     report = check_slope_examples()
     return _emit(args, report, slope_examples_markdown(report))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sheafspectra", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def fmt(p):
@@ -186,7 +199,7 @@ def build_parser() -> _Parser:
     p.add_argument("--e", type=_int, required=True)
     p.add_argument("--c2", type=_int, required=True)
     p.add_argument("--c3", type=_int, required=True)
-    p.add_argument("--seh", type=_seh, default=UNBOUNDED,
+    p.add_argument("--seh", type=_seh, default="unbounded",
                    help="chain-up threshold, an integer or 'unbounded'")
     fmt(p)
     p.set_defaults(func=_cmd_enumerate)
@@ -230,7 +243,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gap", help="enumerated spectra with no known component")
     p.add_argument("--moduli", type=_moduli, required=True)
     p.add_argument("--catalog", default=None)
-    p.add_argument("--seh", type=_seh, default=UNBOUNDED)
+    p.add_argument("--seh", type=_seh, default="unbounded")
     fmt(p)
     p.set_defaults(func=_cmd_gap)
 

@@ -415,15 +415,22 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
-def test_invert_table_refuses_a_contradicting_e(capsys, tmp_path):
-    # an e = -1 table read with --e 0 would print (-1,0), s=0, the class (0,2,2)
-    code, out, _ = run(capsys, "table", "--spectrum=-1,0", "--s", "0",
-                       "--e", "-1", "--range=-8:0", "--format", "json")
+def test_version_prints_the_package_version(capsys):
+    assert run(capsys, "--version") == (0, "sheafspectra 0.1.0\n", "")
+
+
+@pytest.mark.parametrize("values,table_e,flag_e", [("-1,0", "-1", "0"), ("0,0", "0", "-1")])
+def test_invert_table_refuses_a_contradicting_e(capsys, tmp_path, values, table_e, flag_e):
+    # a flag that contradicts the file is malformed input, refused before inverting
+    code, out, _ = run(capsys, "table", f"--spectrum={values}", "--s", "0",
+                       "--e", table_e, "--range=-8:0", "--format", "json")
     path = tmp_path / "t.json"
     path.write_text(out)
-    code, out, err = run(capsys, "invert-table", str(path), "--e", "0")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "classes" in err
+    code, out, err = run(capsys, "invert-table", str(path), "--e", flag_e)
+    assert code == 1 and out == ""
+    assert err == f"error: --e {flag_e} contradicts e = {table_e} of the table's classes\n"
+    code, out, _ = run(capsys, "invert-table", str(path), "--e", table_e)
+    assert code == 0 and out == f"spectrum ({values}) with s=0\n"
 
 
 @pytest.mark.parametrize("wrap", [False, True])

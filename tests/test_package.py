@@ -1,6 +1,7 @@
-"""The package root re-exports exactly the public names of its layers, each
-public object under one name; the names the benchmark calls exist; and
-importing the command line loads neither `dataclasses` nor `inspect`."""
+"""The package root re-exports exactly the public names of its layers, on
+first access, each public object under one name; the names the benchmark
+calls exist; importing the root loads no layer; and each subcommand loads
+only the layers it uses, with neither `dataclasses` nor `inspect`."""
 
 import importlib
 import os
@@ -8,6 +9,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import sheafspectra
 
@@ -50,12 +53,82 @@ def test_names_the_benchmark_calls_exist():
     assert [name for name in sorted(called) if not hasattr(sheafspectra, name)] == []
 
 
-def _modules_after(code):
+def test_star_import_binds_exactly_all():
+    scope = {}
+    exec("from sheafspectra import *", scope)
+    del scope["__builtins__"]
+    assert sorted(scope) == sorted(sheafspectra.__all__)
+
+
+def test_unknown_name_raises_attribute_error():
+    assert not hasattr(sheafspectra, "monad_table")
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        sheafspectra.no_such_name
+
+
+def test_version_is_the_project_version():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', text, re.M)[1] == sheafspectra.__version__
+
+
+def _run(code):
+    # the last line of a fresh interpreter's stdout
     env = dict(os.environ, PYTHONPATH=SRC)
-    script = f"import sys; {code}; print(*sorted(sys.modules))"
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    return set(out.split())
+    return out.splitlines()[-1]
+
+
+def test_first_public_name_binds_every_layer_name():
+    # bench/spans.py rebinds the root's names through vars(), so all must be there
+    names = _run("import sheafspectra as s; s.ChernClasses; print(*vars(s))").split()
+    for layer in LAYERS:
+        missing = set(importlib.import_module(f"sheafspectra.{layer}").__all__) - set(names)
+        assert not missing, (layer, sorted(missing))
+
+
+def _modules_after(code, argv=None):
+    if argv is not None:
+        code += f"; from sheafspectra.cli import main; assert main({argv!r}) == 0"
+    return set(_run(f"import sys; {code}; print(*sorted(sys.modules))").split())
+
+
+def _layers_after(argv, tmp_path):
+    table = sheafspectra.table_from_spectrum(sheafspectra.SpectrumWithS((-1, 0), 0),
+                                             sheafspectra.splitting_type_from_e(-1), (-8, 0))
+    (tmp_path / "table.json").write_text(table.to_json())
+    (tmp_path / "recipe.json").write_text('{"kind": "line", "a": 0}')
+    argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
+    return {name.split(".")[1] for name in _modules_after("pass", argv)
+            if name.startswith("sheafspectra.")}
+
+
+def test_root_import_loads_no_layer():
+    assert [m for m in _modules_after("import sheafspectra") if "sheafspectra." in m] == []
+
+
+@pytest.mark.parametrize("argv", [["chi", "--e", "-1", "--c2", "2", "--c3", "0"],
+                                  ["--version"]])
+def test_chi_and_version_load_only_invariants(argv):
+    loaded = _modules_after("pass", argv)
+    assert {m for m in loaded if m.startswith("sheafspectra")} == {
+        "sheafspectra", "sheafspectra.cli", "sheafspectra.errors", "sheafspectra.invariants"}
+    assert "json" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--e", "-1", "--c2", "2", "--c3", "0"],
+    ["table", "--spectrum=-1,0", "--s", "0", "--e", "-1", "--format", "json"],
+    ["invert-table", "TMP/table.json"],
+])
+def test_spectrum_and_table_commands_load_no_construction_layer(argv, tmp_path):
+    loaded = _layers_after(argv, tmp_path)
+    assert "cohomology" in loaded and not loaded & {"sheafcalc", "workbench"}
+
+
+def test_splice_loads_no_workbench(tmp_path):
+    loaded = _layers_after(["splice", "--spec", "TMP/recipe.json"], tmp_path)
+    assert "sheafcalc" in loaded and "workbench" not in loaded
 
 
 def test_cli_import_adds_neither_dataclasses_nor_inspect():
