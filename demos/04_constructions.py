@@ -47,26 +47,7 @@ print()
 print("monad classes:", shape.chern().as_tuple())
 print(splice_ses(shape, (-3, 0)).to_markdown())
 
-# The full pipeline: recipe in, spectrum out.  Rows below the sound
-# window are discarded before inversion, so the policy's deep-twist
-# guesses never contaminate the answer.
-recipe = {
-    "kind": "ses",
-    "unknown": "middle",
-    "left": {"kind": "line", "a": -2},
-    "right": {
-        "kind": "twist",
-        "n": 1,
-        "of": {
-            "kind": "ideal",
-            "curve": {
-                "kind": "sum",
-                "terms": [
-                    {"kind": "rational_curve", "d": 2, "b": 0},
-                    {"kind": "rational_curve", "d": 2, "b": 0},
-                ],
-            },
-        },
-    },
-}
-print("pipeline result:", construction_spectrum(recipe))
+# The full pipeline on the extension above: spectrum out.  Rows below
+# the sound window are discarded before inversion, so the policy's
+# deep-twist guesses never contaminate the answer.
+print("pipeline result:", construction_spectrum(spec))

@@ -7,19 +7,20 @@ sequence with one unknown slot, or two of them nested: an ideal of a
 curve is the kernel of O ->> O_C, a quotient the kernel of ambient ->>
 quotient, and a monad 0 -> sum O(a) -> sum O(b) -> sum O(c) -> 0 the
 cokernel of sum O(a) -> K, K the kernel of sum O(b) ->> sum O(c).
-symbol_from_json reads every node kind, and splice_ses evaluates any
-node over a twist range, one _row per twist: a sequence is solved from
-its twelve-term cohomology sequence under the generic maximal-rank
-policy (every free connecting or interior map takes the largest rank its
-source and target allow; forced maps, injective at the left end and
-surjective at the right, are checked for feasibility), and a monad row
-is checked against the Chern classes of the power-series oracle.
+A recipe is a construction node; symbol_from_json is the one reader of
+its JSON form.  splice_ses evaluates any node over a twist range, one
+_row per twist: a sequence is solved from its twelve-term cohomology
+sequence under the generic maximal-rank policy (every free connecting
+or interior map takes the largest rank its source and target allow;
+forced maps, injective at the left end and surjective at the right, are
+checked for feasibility), and a monad row is checked against the Chern
+classes of the power-series oracle.
 splice_bounds reads, for each entry, the interval attainable over all
 rank choices off the two corners of the rank box, so callers can tell
 policy output from forced output.
 
 construction_spectrum and construction_table run the full pipeline from
-a recipe to a spectrum and back to a printed-window table: the rows and
+a node to a spectrum and back to a printed-window table: the rows and
 the spectrum must fit the class read from the rows' chi and be
 admissible, and the raw policy h2 is withheld below the twist -3-e,
 since the generic-rank assumption is known to misread deep syzygies there.
@@ -66,7 +67,6 @@ __all__ = [
     "MonadShape",
     "splice_ses",
     "splice_bounds",
-    "quotient_table",
     "symbol_from_json",
     "recipe_table",
     "construction_spectrum",
@@ -127,6 +127,8 @@ class CurveModule(NamedTuple("CurveModule", [
         self = tuple.__new__(
             cls, (_exact(genus), _exact(slope), _exact(offset), _exact(generic, bool))
         )
+        if genus < 0:
+            raise ValueError(f"curve genus must be nonnegative, got {genus}")
         if slope < 1:  # the degree of the curve
             raise ValueError(f"curve degree must be positive, got slope {slope}")
         return self
@@ -294,6 +296,8 @@ def splice_bounds(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> dict:
     splice_ses and the high end is the value at zero free ranks; an
     entry is genuinely forced when its interval has length zero.
     """
+    if not isinstance(spec, ShortExactSequenceSpec):
+        raise TypeError(f"splice_bounds needs a ShortExactSequenceSpec, got {spec!r}")
     out = {}
     for t in range(rng[0], rng[1] + 1):
         p, q = _blocks(spec, t)
@@ -314,7 +318,7 @@ class MonadShape(NamedTuple("MonadShape", [("a", tuple), ("b", tuple), ("c", tup
     # no __slots__: the instance dict holds the cached sequence and classes
 
     def __new__(cls, a, b, c):
-        self = tuple.__new__(cls, (tuple(a), tuple(b), tuple(c)))
+        self = tuple.__new__(cls, tuple(tuple([_exact(d) for d in x]) for x in (a, b, c)))
         if len(self.b) - len(self.a) - len(self.c) != 2:
             raise RankMismatchError(
                 f"monad has rank {len(self.b) - len(self.a) - len(self.c)}, expected 2"
@@ -358,15 +362,6 @@ def _quotient(ambient, quotient) -> ShortExactSequenceSpec:
     return ShortExactSequenceSpec(middle=ambient, right=quotient)
 
 
-def quotient_table(ambient, quotient, rng: tuple[int, int]) -> CohomologyTable:
-    """Table of the kernel of ambient ->> quotient.
-
-    The quotient must be supported in dimension <= 1: a sum of point
-    sheaves with at most one rational-curve module.
-    """
-    return splice_ses(_quotient(ambient, quotient), rng)
-
-
 # ------------------------------------------------------------- recipes
 
 def symbol_from_json(node: Mapping):
@@ -408,7 +403,7 @@ def symbol_from_json(node: Mapping):
                 )
             return ShortExactSequenceSpec(**slots)
         if kind == "monad":
-            return MonadShape(*([_exact(d) for d in node[k]] for k in "abc"))
+            return MonadShape(node["a"], node["b"], node["c"])
         if kind == "quotient":
             return _quotient(
                 symbol_from_json(node["ambient"]), symbol_from_json(node["quotient"])
@@ -419,7 +414,7 @@ def symbol_from_json(node: Mapping):
 
 
 def recipe_table(node: Mapping, rng: tuple[int, int]) -> CohomologyTable:
-    """Evaluate a construction recipe node to a cohomology table."""
+    """Read a recipe's JSON form and evaluate it over rng."""
     return splice_ses(symbol_from_json(node), rng)
 
 
@@ -435,10 +430,7 @@ def _class_from_rows(rows: Mapping) -> ChernClasses:
     return ChernClasses(e, c2, 2 * y + e * c2)
 
 
-def _class_and_spectrum(construction: Mapping) -> tuple[ChernClasses, SpectrumWithS]:
-    if not isinstance(construction, Mapping):
-        raise TypeError(f"expected a recipe node, got {construction!r}")
-    node = symbol_from_json(construction)
+def _class_and_spectrum(node) -> tuple[ChernClasses, SpectrumWithS]:
     rows = {t: _row(node, t) for t in range(-8, 1)}
     cc = _class_from_rows(rows)  # from the raw rows, before h2 is withheld
     for t in range(-8, -3 - cc.e):  # h2 withheld below -3-e
@@ -452,17 +444,17 @@ def _class_and_spectrum(construction: Mapping) -> tuple[ChernClasses, SpectrumWi
     return cc, sw
 
 
-def construction_spectrum(construction: Mapping) -> SpectrumWithS:
-    """Spectrum of a constructed sheaf: splice over twists -8..0, invert.
+def construction_spectrum(node) -> SpectrumWithS:
+    """Spectrum of a construction node: splice over twists -8..0, invert.
 
     The answer must be admissible and, with every known row, fit the
     class read from the rows' chi.  h2 is withheld below the twist -3-e,
     where the maximal-rank policy can misjudge deep syzygies.
     """
-    return _class_and_spectrum(construction)[1]
+    return _class_and_spectrum(node)[1]
 
 
-def construction_table(construction: Mapping) -> CohomologyTable:
-    """Printed-window table of a constructed sheaf (twists -4..-1)."""
-    cc, sw = _class_and_spectrum(construction)
+def construction_table(node) -> CohomologyTable:
+    """Printed-window table of a construction node (twists -4..-1)."""
+    cc, sw = _class_and_spectrum(node)
     return table_from_spectrum(sw, splitting_type_from_e(cc.e), (-4, -1))

@@ -15,10 +15,10 @@ of the unbounded chain-up default rather than documented possibilities).
 check_slope_examples reruns the slope-semistable kernel examples whose
 s-invariant breaks the zero-dimensional bound.
 
-A record, its recipe included, is read and checked in one place,
-_descriptor_from_json, and any failure there is a CatalogError naming
-the component.  Reports are printed through the writer of the
-cohomology layer (report_json and its markdown table builder).
+_descriptor_from_json alone reads and checks a record, and turns its
+recipe into the construction node that reports evaluate; any failure
+there is a CatalogError naming the component.  Reports print through
+the cohomology layer's writer (report_json and its markdown builder).
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class ComponentDescriptor(NamedTuple):
     dimension: int
     spectrum: SpectrumWithS
     params: Mapping | None = None
-    construction: Mapping | None = None
+    construction: object = None  # a construction node, as symbol_from_json reads it
     level: str = "derived"
 
 
@@ -174,7 +174,7 @@ def _descriptor_from_json(record: Mapping) -> ComponentDescriptor:
                 )
         construction = record.get("construction")
         if construction is not None:
-            symbol_from_json(construction)  # reports rebuild it from the raw JSON
+            construction = symbol_from_json(construction)
     except Exception as exc:
         raise CatalogError(f"component {name!r}: {exc}") from exc
     return ComponentDescriptor(

@@ -118,7 +118,7 @@ def test_acceptance_4_monad_spectra_and_chern():
     expected = {"Instanton": (0, 0, 0), "Ein": (-1, 0, 1)}
     for name, values in expected.items():
         recipe = _by_name(catalog, cc, name).construction
-        shape = MonadShape(recipe["a"], recipe["b"], recipe["c"])
+        shape = MonadShape(recipe.a, recipe.b, recipe.c)
         assert shape.chern() == cc
         assert construction_spectrum(recipe) == SpectrumWithS(values, 0)
     _ok(4, "instanton and Ein monads give (0,0,0) and (-1,0,1) on class (0,3,0)")

@@ -1,7 +1,8 @@
 """The package root re-exports exactly the public names of its layers, on
 first access, each public object under one name; the names the benchmark
-calls exist; importing the root loads no layer; and each subcommand loads
-only the layers it uses, with neither `dataclasses` nor `inspect`."""
+calls and the names in the README's Library table exist; importing the
+root loads no layer; and each subcommand loads only the layers it uses,
+with neither `dataclasses` nor `inspect`."""
 
 import importlib
 import os
@@ -51,6 +52,15 @@ def test_names_the_benchmark_calls_exist():
         called |= set(re.findall(r"\blib\.(\w+)", (BENCH / script).read_text()))
     assert "splice_ses" in called
     assert [name for name in sorted(called) if not hasattr(sheafspectra, name)] == []
+
+
+def test_names_in_the_readme_library_table_exist():
+    # the Contents column of each "| `sheafspectra.<layer>` | ... |" row
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `sheafspectra\.\w+` \| (.*) \|$", readme, re.M)
+    named = [name for row in rows for name in re.findall(r"`(\w+)`", row)]
+    assert len(rows) == len(LAYERS) and "splice_ses" in named
+    assert [name for name in named if not hasattr(sheafspectra, name)] == []
 
 
 def test_star_import_binds_exactly_all():

@@ -147,6 +147,7 @@ INVALID = [
     (MonadShape, ([0], [0], [0]), RankMismatchError, "monad has rank -1"),
     (Catalog, ([ComponentDescriptor(**DESCRIPTOR)] * 2,), CatalogError,
      "duplicate component 'N'"),
+    (CurveModule, (-1, 3, 0), ValueError, "curve genus must be nonnegative, got -1"),
 ]
 
 
@@ -171,6 +172,9 @@ NOT_INT = [
     (Twist, (LineBundle(0), 1.0), "expected int, got 1.0"),
     (ChainUpParam, (True,), "expected int, got True"),
     (ChainUpParam, (1.5,), "expected int, got 1.5"),
+    (MonadShape, ((-1.0,), (0, 0, 0, 0), (1,)), "expected int, got -1.0"),
+    (MonadShape, (("a",), (0, 0, 0, 0), (1,)), "expected int, got 'a'"),
+    (MonadShape, ((-1,), (0, 0, 0, True), (1,)), "expected int, got True"),
 ]
 
 

@@ -35,7 +35,6 @@ from sheafspectra.sheafcalc import (
     Twist,
     construction_spectrum,
     construction_table,
-    quotient_table,
     recipe_table,
     splice_bounds,
     splice_ses,
@@ -88,6 +87,15 @@ PLANE_CUBIC_SECTIONS = {
     },
 }
 
+# the recipes above as construction nodes, parsed once
+TWO_CONICS_NODE = symbol_from_json(TWO_CONICS)
+EXTENSION_NODE = symbol_from_json(EXTENSION_OVER_TWO_CONICS)
+LINE_QUOTIENT_NODE = symbol_from_json(LINE_QUOTIENT_OF_COKERNEL)
+POINT_QUOTIENT_NODE = symbol_from_json(POINT_QUOTIENT_OF_CONIC_EXTENSION)
+INSTANTON_NODE = symbol_from_json(INSTANTON_MONAD)
+EIN_NODE = symbol_from_json(EIN_MONAD)
+CUBIC_NODE = symbol_from_json(PLANE_CUBIC_SECTIONS)
+
 # total cohomology of the rank-2 sheaf behind the point-quotient pipeline
 # with one point removed, copied row by row from an independent source
 EXTENSION_OVER_ONE_CONIC_ROWS = {
@@ -124,7 +132,7 @@ def test_line_on_a_line_has_one_section_at_minus_one():
 
 
 def test_two_conics_at_t_one():
-    table = splice_ses(symbol_from_json(TWO_CONICS), (1, 1))
+    table = splice_ses(TWO_CONICS_NODE, (1, 1))
     assert table.row(1) == (6, 0, 0, 0)
 
 
@@ -284,13 +292,7 @@ def test_policy_rows_lie_inside_bounds(first, second, unknown):
 
 
 def test_extension_bounds_leave_deep_entries_free():
-    spec = ShortExactSequenceSpec(
-        left=symbol_from_json({"kind": "line", "a": -2}),
-        right=symbol_from_json(
-            {"kind": "twist", "n": 1, "of": {"kind": "ideal", "curve": TWO_CONICS}}
-        ),
-    )
-    bounds = splice_bounds(spec, (-3, -1))
+    bounds = splice_bounds(EXTENSION_NODE, (-3, -1))
     assert bounds[-1] == ((0, 0), (1, 1), (0, 0), (0, 0))
     assert bounds[-3][2] == (2, 6)  # h2 depends on a free connecting rank
 
@@ -329,20 +331,9 @@ def test_degenerate_monad_is_a_direct_sum():
 # ------------------------------------------------------------- quotients
 
 
-def test_quotient_rejects_higher_dimensional_support():
-    with pytest.raises(ValueError):
-        quotient_table(LineBundle(0), CurveModule(1, 3, 0), (-1, 0))
-    with pytest.raises(ValueError):
-        quotient_table(
-            LineBundle(0),
-            DirectSum([RationalCurveModule(1, 0), RationalCurveModule(1, 1)]),
-            (-1, 0),
-        )
-
-
 def test_point_quotient_of_stored_table():
     ambient = CohomologyTable(-8, 0, EXTENSION_OVER_ONE_CONIC_ROWS)
-    raw = quotient_table(ambient, PointSheaf(1), (-8, 0))
+    raw = splice_ses(ShortExactSequenceSpec(middle=ambient, right=PointSheaf(1)), (-8, 0))
     assert raw.row(-1) == (0, 1, 0, 0)
     assert raw.row(-2) == (0, 1, 2, 0)
     assert raw.row(-3) == (0, 1, 4, 1)
@@ -352,12 +343,12 @@ def test_point_quotient_of_stored_table():
 # ------------------------------------------------------------- pipeline
 
 PIPELINES = [
-    (EXTENSION_OVER_TWO_CONICS, -1, (-1, 0), 0),
-    (LINE_QUOTIENT_OF_COKERNEL, -1, (-1, 0), 0),
-    (POINT_QUOTIENT_OF_CONIC_EXTENSION, -1, (-2, -1), 2),
-    (INSTANTON_MONAD, 0, (0, 0, 0), 0),
-    (EIN_MONAD, 0, (-1, 0, 1), 0),
-    (PLANE_CUBIC_SECTIONS, 0, (0, 0, 0), 0),
+    (EXTENSION_NODE, -1, (-1, 0), 0),
+    (LINE_QUOTIENT_NODE, -1, (-1, 0), 0),
+    (POINT_QUOTIENT_NODE, -1, (-2, -1), 2),
+    (INSTANTON_NODE, 0, (0, 0, 0), 0),
+    (EIN_NODE, 0, (-1, 0, 1), 0),
+    (CUBIC_NODE, 0, (0, 0, 0), 0),
 ]
 
 
@@ -382,7 +373,7 @@ def test_stored_table_pipeline_recovers_double_point_spectrum():
         "ambient": {"kind": "table", "table": ambient.to_json_dict()},
         "quotient": {"kind": "points", "n": 1},
     }
-    assert construction_spectrum(node) == SpectrumWithS((-1, -1), 1)
+    assert construction_spectrum(symbol_from_json(node)) == SpectrumWithS((-1, -1), 1)
 
 
 def test_stored_table_recipe_honours_range():
@@ -413,9 +404,22 @@ def test_pipeline_chi_agreement():
         assert chi == euler_characteristic(cc, t)
 
 
-def test_construction_spectrum_accepts_tables_only_or_recipes():
-    with pytest.raises(TypeError):
-        construction_spectrum(LineBundle(0))
+def test_construction_pipeline_takes_nodes_not_json():
+    # a recipe's JSON form is read by symbol_from_json and recipe_table only
+    with pytest.raises(TypeError, match="not a sheaf symbol"):
+        construction_spectrum(EXTENSION_OVER_TWO_CONICS)
+    with pytest.raises(TypeError, match="not a sheaf symbol"):
+        construction_table(EXTENSION_OVER_TWO_CONICS)
+
+
+@pytest.mark.parametrize(
+    "node",
+    [INSTANTON_NODE, IdealOfCurve(RationalCurveModule(2, 0)), LineBundle(0)],
+    ids=["monad", "ideal", "line"],
+)
+def test_splice_bounds_takes_only_a_sequence(node):
+    with pytest.raises(TypeError, match="needs a ShortExactSequenceSpec"):
+        splice_bounds(node, (-1, 0))
 
 
 # O + O has no surjection onto a curve module of negative degree; the rows
@@ -431,15 +435,18 @@ KERNEL_ONTO_NEGATIVE_CUBIC = {
 @pytest.mark.parametrize(
     "node,error,text",
     [
-        (KERNEL_ONTO_NEGATIVE_CUBIC, InadmissibleSpectrumError, r"\(-2, -2, -2\), s=0"),
+        (symbol_from_json(KERNEL_ONTO_NEGATIVE_CUBIC), InadmissibleSpectrumError,
+         r"\(-2, -2, -2\), s=0"),
         # six points off C(2) give s = 6, one above the general bound for c2 = 2
-        ({"kind": "quotient", "ambient": EXTENSION_OVER_TWO_CONICS,
-          "quotient": {"kind": "points", "n": 6}}, InadmissibleSpectrumError, "s=6"),
+        (symbol_from_json({"kind": "quotient", "ambient": EXTENSION_OVER_TWO_CONICS,
+                           "quotient": {"kind": "points", "n": 6}}),
+         InadmissibleSpectrumError, "s=6"),
         # O fits (0, 0, 0) at t = -3..-1, but rank 1 shows at t = 0
-        ({"kind": "line", "a": 0}, InconsistentTableError, "t=0 has chi 1, class demands 2"),
-        ({"kind": "table", "table": CohomologyTable(
+        (symbol_from_json({"kind": "line", "a": 0}), InconsistentTableError,
+         "t=0 has chi 1, class demands 2"),
+        (symbol_from_json({"kind": "table", "table": CohomologyTable(
             -8, 0, {**EXTENSION_OVER_ONE_CONIC_ROWS, -2: (0, None, 2, 0)}
-        ).to_json_dict()}, RangeInsufficientError, "to read the class"),
+        ).to_json_dict()}), RangeInsufficientError, "to read the class"),
     ],
     ids=["negative-cubic-kernel", "six-points", "line", "unknown-at-minus-two"],
 )
@@ -453,8 +460,8 @@ def test_pipeline_refuses_what_no_rank_2_class_explains(node, error, text):
 def bundled_recipes():
     text = resources.files("sheafspectra").joinpath("data/catalog.json").read_text()
     records = json.loads(text)["components"]
-    return [pytest.param(r["construction"], r["moduli"], id=r["name"]) for r in records
-            if r.get("construction") is not None]
+    return [pytest.param(symbol_from_json(r["construction"]), r["moduli"], id=r["name"])
+            for r in records if r.get("construction") is not None]
 
 
 @pytest.mark.parametrize("node,moduli", bundled_recipes())
@@ -462,9 +469,9 @@ def test_recipe_class_is_the_records_moduli(node, moduli):
     assert _class_and_spectrum(node)[0] == ChernClasses(*moduli)
 
 
-@pytest.mark.parametrize("node", [INSTANTON_MONAD, EIN_MONAD], ids=["Instanton", "Ein"])
+@pytest.mark.parametrize("node", [INSTANTON_NODE, EIN_NODE], ids=["Instanton", "Ein"])
 def test_fitted_class_of_a_monad_is_its_series_class(node):
-    shape = MonadShape(*(node[k] for k in "abc"))
+    shape = MonadShape(*node)
     assert _class_and_spectrum(node)[0] == shape.chern() == ChernClasses(0, 3, 0)
 
 
@@ -549,6 +556,10 @@ def test_non_generic_curve_recipe_is_refused():
          "right": {"kind": "rational_curve", "d": -3, "b": 0}},
         {"kind": "ideal", "curve": {"kind": "rational_curve", "d": 0, "b": 1}},
         {"kind": "twist", "n": 1, "of": dict(ELLIPTIC, slope=0)},
+        {"kind": "quotient", "ambient": {"kind": "line", "a": 0},
+         "quotient": {"kind": "sum", "terms": [{"kind": "rational_curve", "d": 1, "b": 0},
+                                               {"kind": "rational_curve", "d": 1, "b": 1}]}},
+        dict(ELLIPTIC, genus=-1),
     ],
 )
 def test_malformed_recipes_raise_catalog_error(node):

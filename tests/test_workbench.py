@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sheafspectra import report_json
 from sheafspectra.errors import CatalogError, SequenceInfeasibleError, VerificationError
 from sheafspectra.invariants import ChernClasses
+from sheafspectra.sheafcalc import symbol_from_json
 from sheafspectra.spectrum import enumerate_spectra
 from sheafspectra.workbench import (
     DOCUMENTED_CANDIDATES,
@@ -241,6 +242,32 @@ def test_report_catches_a_recipe_of_another_class():
         component_report(catalog, ChernClasses(0, 2, 2))
     assert str(err.value).startswith("component 'relabelled': construction gives (-1, 2, 0)")
     assert all(r["verified"] for r in component_report(catalog, M2)["components"])
+
+
+def test_descriptor_keeps_the_node_read_from_its_recipe():
+    records = bundled_records()
+    descs = catalog_load(records).components
+    assert sum(d.construction is not None for d in descs) == 7
+    for record, desc in zip(records, descs):
+        recipe = record.get("construction")
+        assert desc.construction == (None if recipe is None else symbol_from_json(recipe))
+
+
+def test_reports_parse_no_recipe(monkeypatch):
+    import sheafspectra.sheafcalc as sheafcalc
+    import sheafspectra.workbench as workbench
+
+    catalog = catalog_load()
+
+    def refuse(node):
+        raise AssertionError(f"recipe parsed again: {node!r}")
+
+    monkeypatch.setattr(sheafcalc, "symbol_from_json", refuse)
+    monkeypatch.setattr(workbench, "symbol_from_json", refuse)
+    verified = {r["name"] for cc in (M2, M3)
+                for r in component_report(catalog, cc)["components"] if r["verified"]}
+    assert verified == {"C(2)", "X(-1,1,1,1,0)", "T(-1,2,2,1)", "T(-1,2,4,2)",
+                        "Instanton", "Ein", "C"}
 
 
 # parses, but at t = -8 O(-5) has more h3 than O, so there is no O ->> O(-5)
