@@ -7,11 +7,10 @@ sequence, under the maximal-rank policy for the connecting maps.
 """
 
 from sheafspectra import (
+    CurveModule,
     DirectSum,
-    IdealOfCurve,
     LineBundle,
     MonadShape,
-    RationalCurveModule,
     ShortExactSequenceSpec,
     Twist,
     construction_spectrum,
@@ -20,11 +19,14 @@ from sheafspectra import (
 )
 
 # An extension 0 -> O(-2) -> E -> I_Y(1) -> 0 over two disjoint conics.
-conics = DirectSum((RationalCurveModule(2, 0), RationalCurveModule(2, 0)))
+# A conic is a genus-0 curve of degree 2 (Hilbert polynomial 2t + 1), and
+# the ideal sheaf of Y is the kernel in 0 -> I_Y -> O -> O_Y -> 0.
+conic = CurveModule(genus=0, slope=2, offset=1)
+ideal = ShortExactSequenceSpec(middle=LineBundle(0), right=DirectSum((conic, conic)))
 spec = ShortExactSequenceSpec(
     left=LineBundle(-2),
     middle=None,
-    right=Twist(IdealOfCurve(conics), 1),
+    right=Twist(ideal, 1),
 )
 table = splice_ses(spec, (-8, 0))
 print("extension over two conics:")

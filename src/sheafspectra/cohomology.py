@@ -27,7 +27,7 @@ from itertools import accumulate
 from typing import Mapping, NamedTuple
 
 from .errors import InconsistentTableError, RangeInsufficientError
-from .invariants import ChernClasses, SplittingType, euler_characteristic
+from .invariants import ChernClasses, SplittingType, _Checked, euler_characteristic
 from .spectrum import SpectrumWithS, c3_from_spectrum
 
 __all__ = [
@@ -68,7 +68,7 @@ def _check_chi(cc: ChernClasses, t: int, row: Row) -> None:
             raise InconsistentTableError(f"row t={t} has chi {chi}, class demands {want}")
 
 
-class CohomologyTable(NamedTuple("CohomologyTable", [
+class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
     ("lo", int), ("hi", int), ("rows", dict), ("cc", ChernClasses | None),
 ])):
     """Partial or total table of h^i(E(t)) over a twist range.

@@ -46,7 +46,19 @@ def _exact(value, kind: type = int):
     return value
 
 
-class ChernClasses(NamedTuple("ChernClasses", [("e", int), ("c2", int), ("c3", int)])):
+class _Checked:
+    # for a NamedTuple that validates in __new__: NamedTuple's own _make, and
+    # _replace through it, call tuple.__new__ and would skip the checks
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class ChernClasses(_Checked, NamedTuple("ChernClasses", [
+    ("e", int), ("c2", int), ("c3", int),
+])):
     """Normalized rank-2 numerical class (e, c2, c3).
 
     e is the first Chern class after normalization, so e in {-1, 0}.

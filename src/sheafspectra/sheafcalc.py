@@ -3,18 +3,21 @@
 Leaves (line bundles, point sheaves, modules pushed forward from
 curves, stored tables) have closed-form or recorded cohomology rows;
 sums add rows and twists shift them.  Every other node is a short exact
-sequence with one unknown slot, or two of them nested: an ideal of a
-curve is the kernel of O ->> O_C, a quotient the kernel of ambient ->>
-quotient, and a monad 0 -> sum O(a) -> sum O(b) -> sum O(c) -> 0 the
-cokernel of sum O(a) -> K, K the kernel of sum O(b) ->> sum O(c).
+sequence with one unknown slot, or two of them nested: a monad
+0 -> sum O(a) -> sum O(b) -> sum O(c) -> 0 is the cokernel of
+sum O(a) -> K, K the kernel of sum O(b) ->> sum O(c).
 A recipe is a construction node; symbol_from_json is the one reader of
-its JSON form.  splice_ses evaluates any node over a twist range, one
-_row per twist: a sequence is solved from its twelve-term cohomology
-sequence under the generic maximal-rank policy (every free connecting
-or interior map takes the largest rank its source and target allow;
-forced maps, injective at the left end and surjective at the right, are
-checked for feasibility), and a monad row is checked against the Chern
-classes of the power-series oracle.
+its JSON form, and reads the kinds without a node class of their own
+into the nodes they denote: a rational curve as a genus-0 curve module,
+an ideal of a curve as the kernel of O ->> O_C and a quotient as the
+kernel of ambient ->> quotient.
+splice_ses evaluates any node over a twist range, one _row per twist:
+a sequence is solved from its twelve-term cohomology sequence under the
+generic maximal-rank policy (every free connecting or interior map
+takes the largest rank its source and target allow; forced maps,
+injective at the left end and surjective at the right, are checked for
+feasibility), and a monad row is checked against the Chern classes of
+the power-series oracle.
 splice_bounds reads, for each entry, the interval attainable over all
 rank choices off the two corners of the rank box, so callers can tell
 policy output from forced output.
@@ -34,7 +37,6 @@ from typing import Mapping, NamedTuple
 from .cohomology import (
     CohomologyTable,
     _check_chi,
-    p1_cohomology,
     spectrum_from_table,
     table_from_spectrum,
 )
@@ -48,6 +50,7 @@ from .errors import (
 )
 from .invariants import (
     ChernClasses,
+    _Checked,
     _exact,
     chern_from_resolution,
     line_bundle_chi,
@@ -59,9 +62,7 @@ __all__ = [
     "LineBundle",
     "DirectSum",
     "PointSheaf",
-    "RationalCurveModule",
     "CurveModule",
-    "IdealOfCurve",
     "Twist",
     "ShortExactSequenceSpec",
     "MonadShape",
@@ -76,21 +77,21 @@ __all__ = [
 
 # ---------------------------------------------------------------- symbols
 
-class LineBundle(NamedTuple("LineBundle", [("a", int)])):
+class LineBundle(_Checked, NamedTuple("LineBundle", [("a", int)])):
     __slots__ = ()
 
     def __new__(cls, a: int):
         return tuple.__new__(cls, (_exact(a),))
 
 
-class DirectSum(NamedTuple("DirectSum", [("terms", tuple)])):
+class DirectSum(_Checked, NamedTuple("DirectSum", [("terms", tuple)])):
     __slots__ = ()
 
     def __new__(cls, terms):
         return tuple.__new__(cls, (tuple(terms),))
 
 
-class PointSheaf(NamedTuple("PointSheaf", [("n", int)])):
+class PointSheaf(_Checked, NamedTuple("PointSheaf", [("n", int)])):
     __slots__ = ()
 
     def __new__(cls, n: int):
@@ -99,19 +100,7 @@ class PointSheaf(NamedTuple("PointSheaf", [("n", int)])):
         return tuple.__new__(cls, (n,))
 
 
-class RationalCurveModule(NamedTuple("RationalCurveModule", [("d", int), ("b", int)])):
-    """Pushforward of O(d t + b) from a degree-d rational curve."""
-
-    __slots__ = ()
-
-    def __new__(cls, d: int, b: int):
-        self = tuple.__new__(cls, (_exact(d), _exact(b)))
-        if d < 1:
-            raise ValueError(f"curve degree must be positive, got {d}")
-        return self
-
-
-class CurveModule(NamedTuple("CurveModule", [
+class CurveModule(_Checked, NamedTuple("CurveModule", [
     ("genus", int), ("slope", int), ("offset", int), ("generic", bool),
 ])):
     """Module on a genus-g curve with Hilbert polynomial slope*t + offset.
@@ -134,17 +123,7 @@ class CurveModule(NamedTuple("CurveModule", [
         return self
 
 
-class IdealOfCurve(NamedTuple("IdealOfCurve", [("curve", object)])):
-    """Ideal sheaf of the curve whose structure module is given."""
-
-    # no __slots__: the instance dict holds the cached sequence
-
-    @cached_property
-    def sequence(self) -> ShortExactSequenceSpec:  # 0 -> I_C -> O -> O_C -> 0
-        return ShortExactSequenceSpec(middle=LineBundle(0), right=self.curve)
-
-
-class Twist(NamedTuple("Twist", [("of", object), ("n", int)])):
+class Twist(_Checked, NamedTuple("Twist", [("of", object), ("n", int)])):
     __slots__ = ()
 
     def __new__(cls, of, n: int):
@@ -167,9 +146,6 @@ def _row(node, t: int) -> tuple:
         return node.row(t)
     if isinstance(node, PointSheaf):
         return (node.n, 0, 0, 0)
-    if isinstance(node, RationalCurveModule):
-        h0, h1 = p1_cohomology(node.d * t + node.b)
-        return (h0, h1, 0, 0)
     if isinstance(node, CurveModule):
         chi = node.slope * t + node.offset
         deg = chi + node.genus - 1
@@ -179,8 +155,6 @@ def _row(node, t: int) -> tuple:
                 "curve and the module is not declared generic"
             )
         return (max(chi, 0), max(-chi, 0), 0, 0)
-    if isinstance(node, IdealOfCurve):
-        return _row(node.sequence, t)
     if isinstance(node, MonadShape):
         row = _row(node.sequence, t)
         _check_chi(node.chern(), t, row)  # also where the monad fills a slot
@@ -256,7 +230,7 @@ def _solve(p: tuple, q: tuple, ranks=None) -> tuple:
 _SLOTS = ("left", "middle", "right")
 
 
-class ShortExactSequenceSpec(NamedTuple("ShortExactSequenceSpec", [
+class ShortExactSequenceSpec(_Checked, NamedTuple("ShortExactSequenceSpec", [
     ("left", object), ("middle", object), ("right", object),
 ])):
     """0 -> left -> middle -> right -> 0 with exactly one unknown slot.
@@ -308,7 +282,9 @@ def splice_bounds(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> dict:
     return out
 
 
-class MonadShape(NamedTuple("MonadShape", [("a", tuple), ("b", tuple), ("c", tuple)])):
+class MonadShape(_Checked, NamedTuple("MonadShape", [
+    ("a", tuple), ("b", tuple), ("c", tuple),
+])):
     """Line-bundle degrees (a, b, c) of a three-term monad.
 
     The middle cohomology of 0 -> sum O(a_i) -> sum O(b_j) -> sum O(c_k) -> 0
@@ -340,24 +316,21 @@ class MonadShape(NamedTuple("MonadShape", [("a", tuple), ("b", tuple), ("c", tup
         return chern_from_resolution(self.b, self.a + self.c)
 
 
-def _flatten_quotient(sym) -> list:
+def _leaves(sym) -> list:
     if isinstance(sym, DirectSum):
-        leaves = []
-        for term in sym.terms:
-            leaves.extend(_flatten_quotient(term))
-        return leaves
+        return [leaf for term in sym.terms for leaf in _leaves(term)]
     return [sym]
 
 
 def _quotient(ambient, quotient) -> ShortExactSequenceSpec:
     # the kernel of ambient ->> quotient, whose support has dimension <= 1
-    leaves = _flatten_quotient(quotient)
-    curves = [s for s in leaves if isinstance(s, RationalCurveModule)]
+    leaves = _leaves(quotient)
+    curves = [s for s in leaves if isinstance(s, CurveModule) and s.genus == 0]
     points = [s for s in leaves if isinstance(s, PointSheaf)]
     if len(curves) > 1 or len(points) + len(curves) != len(leaves):
         raise ValueError(
             "quotient must be a sum of point sheaves and at most one "
-            "rational-curve module"
+            "genus-0 curve module"
         )
     return ShortExactSequenceSpec(middle=ambient, right=quotient)
 
@@ -381,14 +354,16 @@ def symbol_from_json(node: Mapping):
             return DirectSum(symbol_from_json(term) for term in node["terms"])
         if kind == "points":
             return PointSheaf(node["n"])
-        if kind == "rational_curve":
-            return RationalCurveModule(node["d"], node["b"])
+        if kind == "rational_curve":  # O(d t + b) on a degree-d rational curve
+            return CurveModule(0, node["d"], _exact(node["b"]) + 1)
         if kind == "curve":
             return CurveModule(
                 node["genus"], node["slope"], node["offset"], node.get("generic", True)
             )
-        if kind == "ideal":
-            return IdealOfCurve(symbol_from_json(node["curve"]))
+        if kind == "ideal":  # 0 -> I_C -> O -> O_C -> 0
+            return ShortExactSequenceSpec(
+                middle=LineBundle(0), right=symbol_from_json(node["curve"])
+            )
         if kind == "twist":
             return Twist(symbol_from_json(node["of"]), node["n"])
         if kind == "table":

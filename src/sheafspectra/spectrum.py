@@ -22,6 +22,7 @@ from .errors import DegenerateClassError, InadmissibleSpectrumError
 from .invariants import (
     ChernClasses,
     SplittingType,
+    _Checked,
     _exact,
     euler_characteristic,
     splitting_type_from_e,
@@ -49,7 +50,7 @@ class SpectrumWithS(NamedTuple):
     s: int
 
 
-class ChainUpParam(NamedTuple("ChainUpParam", [("s_eh", int | None)])):
+class ChainUpParam(_Checked, NamedTuple("ChainUpParam", [("s_eh", int | None)])):
     """Threshold s_eh for the ascending chain rule.
 
     s_eh = None means "unbounded": the rule never triggers.  This is the
@@ -191,7 +192,8 @@ def enumerate_spectra(
     each step: with a1 in {-1, 0} it fires exactly when an entry is below
     -1, and then an entry v < -1 is followed by v or v + 1 and needs
     -1 - v entries after it to reach -1.  The window 0 <= s <=
-    s_upper_bound(general) on sum(k_i) bounds entries above.  Every leaf
+    s_upper_bound(general) on sum(k_i) bounds entries on both sides, so
+    no entry below the window is visited, however large |c3|.  Every leaf
     survives (the chain-up rule, when s_eh is set, is checked at the
     leaf), so the cost is roughly proportional to the output.
     """
@@ -215,11 +217,12 @@ def enumerate_spectra(
                 results.append(SpectrumWithS(values, sum_max - total))
             return
         remaining = m - depth
-        for v in range(start, stop + 1):
+        # below low even hi in every later slot leaves the sum under sum_min;
+        # a conditional, not max(), since this runs at every inner node
+        low = sum_min - total - (remaining - 1) * hi
+        for v in range(low if low > start else start, stop + 1):
             if total + v * remaining > sum_max:
                 break  # larger v only increases the minimum achievable sum
-            if total + v + (remaining - 1) * hi < sum_min:
-                continue
             if v < -1 and remaining - 1 < -1 - v:
                 continue  # too few entries left to climb to -1
             prefix.append(v)

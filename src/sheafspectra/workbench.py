@@ -6,7 +6,8 @@ family parameters, dimension, generic spectrum, and, where the
 construction is expressible with the recipe grammar, a recipe that
 component_report re-executes to confirm the stored spectrum.  Closed
 dimension and Chern-class formulas for the X and T families are
-enforced at load time, as is the c3 identity between spectrum and s.
+enforced at load time, as is the c3 identity between spectrum and s;
+the other families have no closed forms and take no params.
 
 realizability_gap diffs the exhaustive spectrum enumeration against the
 catalog (which candidates have no known component) and against the
@@ -31,7 +32,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .cohomology import _markdown, _spectrum_str
 from .errors import CatalogError, SheafSpectraError, VerificationError
-from .invariants import ChernClasses, _exact, kernel_invariants
+from .invariants import ChernClasses, _Checked, _exact, kernel_invariants
 from .sheafcalc import _class_and_spectrum, symbol_from_json
 from .spectrum import (
     UNBOUNDED,
@@ -118,7 +119,7 @@ class ComponentDescriptor(NamedTuple):
     level: str = "derived"
 
 
-class Catalog(NamedTuple("Catalog", [("components", tuple)])):
+class Catalog(_Checked, NamedTuple("Catalog", [("components", tuple)])):
     __slots__ = ()
 
     def __new__(cls, components=()):
@@ -172,6 +173,8 @@ def _descriptor_from_json(record: Mapping) -> ComponentDescriptor:
                 raise ValueError(
                     f"closed-form moduli {classes} != stored {moduli.as_tuple()}"
                 )
+        elif params is not None:
+            raise ValueError(f"family {family} takes no params, got {params!r}")
         construction = record.get("construction")
         if construction is not None:
             construction = symbol_from_json(construction)
@@ -280,9 +283,8 @@ def realizability_gap(
     documented candidate list.  A catalog spectrum missing from the
     enumeration means the enumerator or the catalog is wrong.
     """
-    enumerated = list(
-        dict.fromkeys(sw.values for sw in enumerate_spectra(cc, p))
-    )
+    # enumerate_spectra emits each nondecreasing tuple once
+    enumerated = [sw.values for sw in enumerate_spectra(cc, p)]
     realized = {d.spectrum.values for d in catalog.for_moduli(cc)}
     stray = realized.difference(enumerated)
     if stray:

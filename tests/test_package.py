@@ -2,7 +2,8 @@
 first access, each public object under one name; the names the benchmark
 calls and the names in the README's Library table exist; importing the
 root loads no layer; and each subcommand loads only the layers it uses,
-with neither `dataclasses` nor `inspect`."""
+with neither `dataclasses` nor `inspect`; and the recipe kinds the README
+lists are exactly the kinds symbol_from_json reads."""
 
 import importlib
 import os
@@ -146,3 +147,46 @@ def test_cli_import_adds_neither_dataclasses_nor_inspect():
     added = _modules_after("import sheafspectra.cli") - _modules_after("pass")
     assert "sheafspectra.cli" in added
     assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
+# one minimal node per recipe kind, each evaluable over (-2, 0)
+LINE = {"kind": "line", "a": 0}
+CONIC = {"kind": "rational_curve", "d": 2, "b": 0}
+MINIMAL_RECIPES = {
+    "line": LINE,
+    "sum": {"kind": "sum", "terms": [LINE, LINE]},
+    "points": {"kind": "points", "n": 1},
+    "rational_curve": CONIC,
+    "curve": {"kind": "curve", "genus": 0, "slope": 2, "offset": 1},
+    "ideal": {"kind": "ideal", "curve": CONIC},
+    "twist": {"kind": "twist", "of": LINE, "n": 1},
+    "ses": {"kind": "ses", "unknown": "right", "left": {"kind": "line", "a": -1},
+            "middle": LINE},
+    "monad": {"kind": "monad", "a": [-1], "b": [0, 0, 0, 0], "c": [1]},
+    "quotient": {"kind": "quotient", "ambient": LINE, "quotient": {"kind": "points", "n": 1}},
+    "table": {"kind": "table", "table": {"range": [-2, 0], "rows": {}}},
+}
+COUNTS = {"nine": 9, "ten": 10, "eleven": 11, "twelve": 12, "thirteen": 13}
+
+
+def _readme_kinds():
+    # the sentence "... one grammar with <count> kinds: `line` (`a`), ... ."
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    count, listing = re.search(r"with (\w+)\s+kinds:(.*?)\.\s", readme, re.S).groups()
+    return COUNTS[count], re.findall(r"`(\w+)`", re.sub(r"\([^()]*\)", "", listing))
+
+
+def test_readme_recipe_kinds_match_the_reader():
+    count, kinds = _readme_kinds()
+    assert count == len(kinds) == len(set(kinds))
+    assert sorted(kinds) == sorted(MINIMAL_RECIPES)
+    for kind in kinds:
+        table = sheafspectra.recipe_table(MINIMAL_RECIPES[kind], (-2, 0))
+        assert (table.lo, table.hi) == (-2, 0), kind
+
+
+@pytest.mark.parametrize("kind", ["point", "rational-curve", "Line", "kernel"])
+def test_a_kind_the_readme_does_not_list_is_refused(kind):
+    assert kind not in _readme_kinds()[1]
+    with pytest.raises(sheafspectra.CatalogError, match="unknown symbol kind"):
+        sheafspectra.symbol_from_json({"kind": kind})

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sheafspectra.cohomology import CohomologyTable, table_from_spectrum
+from sheafspectra.cohomology import CohomologyTable, p1_cohomology, table_from_spectrum
 from sheafspectra.errors import (
     AmbiguousCurveModuleError,
     CatalogError,
@@ -26,11 +26,9 @@ from sheafspectra.invariants import (
 from sheafspectra.sheafcalc import (
     CurveModule,
     DirectSum,
-    IdealOfCurve,
     LineBundle,
     MonadShape,
     PointSheaf,
-    RationalCurveModule,
     ShortExactSequenceSpec,
     Twist,
     construction_spectrum,
@@ -96,6 +94,15 @@ INSTANTON_NODE = symbol_from_json(INSTANTON_MONAD)
 EIN_NODE = symbol_from_json(EIN_MONAD)
 CUBIC_NODE = symbol_from_json(PLANE_CUBIC_SECTIONS)
 
+
+def rational_curve(d, b):
+    """The node a `rational_curve` recipe reads into: O(d t + b) on a degree-d P^1."""
+    return symbol_from_json({"kind": "rational_curve", "d": d, "b": b})
+
+
+def ideal(curve):
+    return symbol_from_json({"kind": "ideal", "curve": curve})
+
 # total cohomology of the rank-2 sheaf behind the point-quotient pipeline
 # with one point removed, copied row by row from an independent source
 EXTENSION_OVER_ONE_CONIC_ROWS = {
@@ -118,7 +125,7 @@ def symbols():
         st.lists(lines, min_size=1, max_size=4).map(DirectSum),
         st.integers(0, 5).map(PointSheaf),
         st.tuples(st.integers(1, 3), st.integers(-3, 3)).map(
-            lambda p: RationalCurveModule(*p)
+            lambda p: rational_curve(*p)
         ),
     )
 
@@ -127,7 +134,7 @@ def symbols():
 
 
 def test_line_on_a_line_has_one_section_at_minus_one():
-    table = splice_ses(RationalCurveModule(1, 1), (-1, -1))
+    table = splice_ses(rational_curve(1, 1), (-1, -1))
     assert table.row(-1) == (1, 0, 0, 0)
 
 
@@ -162,15 +169,31 @@ def test_special_strip_requires_generic_flag():
 
 
 def test_twist_shifts_rows():
-    plain = splice_ses(RationalCurveModule(2, 1), (-4, 4))
-    shifted = splice_ses(Twist(RationalCurveModule(2, 1), 3), (-4, 1))
+    plain = splice_ses(rational_curve(2, 1), (-4, 4))
+    shifted = splice_ses(Twist(rational_curve(2, 1), 3), (-4, 1))
     assert all(shifted.row(t) == plain.row(t + 3) for t in range(-4, 2))
 
 
 def test_ideal_of_conic_sections():
-    table = splice_ses(IdealOfCurve(RationalCurveModule(2, 0)), (0, 2))
+    table = splice_ses(ideal({"kind": "rational_curve", "d": 2, "b": 0}), (0, 2))
     assert table.entry(0, 0) == 0
     assert table.entry(2, 0) == 5  # quadrics through a conic
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_rational_curve_rows_are_line_bundle_rows_on_p1(d):
+    # O(d t + b) on P^1, for the genus-0 curve module the recipe reads into
+    for b in range(-4, 4):
+        assert rational_curve(d, b) == CurveModule(0, d, b + 1)
+        table = splice_ses(rational_curve(d, b), (-8, 4))
+        assert all(table.row(t) == p1_cohomology(d * t + b) + (0, 0)
+                   for t in range(-8, 5))
+
+
+def test_ideal_reads_as_the_kernel_of_o_onto_the_curve():
+    conic = {"kind": "rational_curve", "d": 2, "b": 0}
+    assert ideal(conic) == ShortExactSequenceSpec(middle=LineBundle(0),
+                                                  right=CurveModule(0, 2, 1))
 
 
 # ------------------------------------------------------------- splicing
@@ -414,8 +437,8 @@ def test_construction_pipeline_takes_nodes_not_json():
 
 @pytest.mark.parametrize(
     "node",
-    [INSTANTON_NODE, IdealOfCurve(RationalCurveModule(2, 0)), LineBundle(0)],
-    ids=["monad", "ideal", "line"],
+    [INSTANTON_NODE, LineBundle(0)],
+    ids=["monad", "line"],
 )
 def test_splice_bounds_takes_only_a_sequence(node):
     with pytest.raises(TypeError, match="needs a ShortExactSequenceSpec"):
@@ -501,7 +524,7 @@ def test_fitted_class_matches_the_series_oracle(shape):
 
 def test_symbol_round_trip():
     sym = symbol_from_json(TWO_CONICS)
-    assert sym == DirectSum([RationalCurveModule(2, 0)] * 2)
+    assert sym == DirectSum([CurveModule(0, 2, 1)] * 2)
 
 
 ELLIPTIC = {"kind": "curve", "genus": 1, "slope": 3, "offset": 0}
@@ -518,6 +541,10 @@ ELLIPTIC = {"kind": "curve", "genus": 1, "slope": 3, "offset": 0}
         {"kind": "line", "a": "1"},
         {"kind": "points", "n": 2.0},
         {"kind": "rational_curve", "d": 2, "b": False},
+        {"kind": "rational_curve", "d": 2, "b": True},
+        {"kind": "rational_curve", "d": 2, "b": 0.5},
+        {"kind": "rational_curve", "d": 2, "b": "0"},
+        {"kind": "rational_curve", "d": 2.0, "b": 0},
         {"kind": "twist", "n": "2", "of": {"kind": "line", "a": 0}},
     ],
 )
@@ -569,12 +596,17 @@ def test_malformed_recipes_raise_catalog_error(node):
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: RationalCurveModule(0, 0), lambda: RationalCurveModule(-3, 0),
-     lambda: CurveModule(1, 0, 0), lambda: CurveModule(0, -2, 1)],
+    [lambda: CurveModule(1, 0, 0), lambda: CurveModule(0, -2, 1)],
 )
 def test_curve_degree_must_be_positive(make):
     with pytest.raises(ValueError, match="curve degree must be positive"):
         make()
+
+
+@pytest.mark.parametrize("d", [0, -3])
+def test_rational_curve_degree_must_be_positive(d):
+    with pytest.raises(CatalogError, match="curve degree must be positive"):
+        rational_curve(d, 0)
 
 
 @pytest.mark.parametrize("degree", [True, 1.5])
@@ -607,7 +639,8 @@ def test_malformed_slots_raise_catalog_error(node):
         (EIN_MONAD, MonadShape),
         ({"kind": "table", "table": CohomologyTable(-1, 0, {}).to_json_dict()},
          CohomologyTable),
-        ({"kind": "ideal", "curve": EIN_MONAD}, IdealOfCurve),
+        ({"kind": "ideal", "curve": EIN_MONAD}, ShortExactSequenceSpec),
+        ({"kind": "rational_curve", "d": 1, "b": 0}, CurveModule),
     ],
 )
 def test_symbol_from_json_reads_every_kind(node, kind):
@@ -616,8 +649,15 @@ def test_symbol_from_json_reads_every_kind(node, kind):
 
 def test_quotient_is_a_sequence_onto_the_quotient():
     sym = symbol_from_json(LINE_QUOTIENT_OF_COKERNEL)
-    assert sym.unknown == "left" and sym.right == RationalCurveModule(1, 1)
+    assert sym.unknown == "left" and sym.right == CurveModule(0, 1, 2)
     assert sym.middle == symbol_from_json(LINE_QUOTIENT_OF_COKERNEL["ambient"])
+
+
+def test_genus_0_curve_is_a_quotient_support():
+    # the same sheaf as the line module O(t + 1), written as a `curve`
+    as_curve = dict(LINE_QUOTIENT_OF_COKERNEL,
+                    quotient={"kind": "curve", "genus": 0, "slope": 1, "offset": 2})
+    assert symbol_from_json(as_curve) == LINE_QUOTIENT_NODE
 
 
 def _outcome(node, rng):

@@ -181,6 +181,12 @@ def test_enumerate_c2_1():
     assert out == [SpectrumWithS((-1,), 1), SpectrumWithS((0,), 0)]
 
 
+def test_enumerate_skips_to_the_sum_window_at_once():
+    # sum(k_i) = 10^12 - s: entries below the window are never visited one by one
+    out = enumerate_spectra(ChernClasses(0, 1, -2 * 10**12))
+    assert out == [SpectrumWithS((10**12 - 1,), 1), SpectrumWithS((10**12,), 0)]
+
+
 def test_enumerate_chain_up_thresholds():
     cc = ChernClasses(0, 3, 0)
     assert len(enumerate_spectra(cc, ChainUpParam(0))) == 11

@@ -129,6 +129,20 @@ def test_record_fields_are_not_coerced(index, mutation):
     assert record["name"] in str(err.value)
 
 
+def family_record(family):
+    return next(r for r in bundled_records() if r["family"] == family)
+
+
+@pytest.mark.parametrize("family", ["reflexive-extension", "monad", "quotient-sequence"])
+def test_params_are_refused_where_no_closed_form_reads_them(family):
+    record = dict(family_record(family), params={"junk": "x"})
+    with pytest.raises(CatalogError, match="takes no params") as err:
+        catalog_load([record])
+    assert record["name"] in str(err.value)
+    record.pop("params")
+    assert catalog_load([record]).components[0].params is None
+
+
 def records_with_recipe(name, construction):
     records = bundled_records()
     for record in records:
