@@ -1,16 +1,16 @@
 """One construction grammar and one evaluator: blocks, sequences, monads.
 
 Leaves (line bundles, point sheaves, modules pushed forward from
-curves, stored tables) have closed-form or recorded cohomology rows;
-sums add rows and twists shift them.  Every other node is a short exact
-sequence with one unknown slot, or two of them nested: a monad
+curves) have closed-form cohomology rows; sums add rows and twists
+shift them.  Every other node is a short exact sequence with one
+unknown slot, or two of them nested: a monad
 0 -> sum O(a) -> sum O(b) -> sum O(c) -> 0 is the cokernel of
 sum O(a) -> K, K the kernel of sum O(b) ->> sum O(c).
 A recipe is a construction node; symbol_from_json is the one reader of
-its JSON form, and reads the kinds without a node class of their own
-into the nodes they denote: a rational curve as a genus-0 curve module,
-an ideal of a curve as the kernel of O ->> O_C and a quotient as the
-kernel of ambient ->> quotient.
+its JSON form, refuses a field its kind does not have, and reads the
+kinds without a node class of their own into the nodes they denote: a
+rational curve as a genus-0 curve module, an ideal of a curve as the
+kernel of O ->> O_C and a quotient as the kernel of ambient ->> quotient.
 splice_ses evaluates any node over a twist range, one _row per twist:
 a sequence is solved from its twelve-term cohomology sequence under the
 generic maximal-rank policy (every free connecting or interior map
@@ -44,7 +44,6 @@ from .errors import (
     AmbiguousCurveModuleError,
     CatalogError,
     InadmissibleSpectrumError,
-    RangeInsufficientError,
     RankMismatchError,
     SequenceInfeasibleError,
 )
@@ -119,7 +118,7 @@ class CurveModule(_Checked, NamedTuple("CurveModule", [
         if genus < 0:
             raise ValueError(f"curve genus must be nonnegative, got {genus}")
         if slope < 1:  # the degree of the curve
-            raise ValueError(f"curve degree must be positive, got slope {slope}")
+            raise ValueError(f"curve degree must be positive, got {slope}")
         return self
 
 
@@ -137,13 +136,10 @@ def _row(node, t: int) -> tuple:
         d = node.a + t
         return (chi if d >= 0 else 0, 0, 0, -chi if d <= -4 else 0)
     if isinstance(node, DirectSum):
-        # the zero row keeps an empty sum at zero; an unknown entry stays unknown
-        cols = zip((0, 0, 0, 0), *[_row(term, t) for term in node.terms])
-        return tuple([None if None in col else sum(col) for col in cols])
+        rows = [_row(term, t) for term in node.terms]
+        return tuple(map(sum, zip((0, 0, 0, 0), *rows)))  # an empty sum is zero
     if isinstance(node, ShortExactSequenceSpec):
         return _solve(*_blocks(node, t))
-    if isinstance(node, CohomologyTable):
-        return node.row(t)
     if isinstance(node, PointSheaf):
         return (node.n, 0, 0, 0)
     if isinstance(node, CurveModule):
@@ -168,15 +164,12 @@ def splice_ses(node, rng: tuple[int, int]) -> CohomologyTable:
     """Total cohomology table of any construction node over rng.
 
     Twists are solved from the lowest up, so of several failing twists
-    the lowest raises.  A stored table must cover rng and is cut down to
-    it; a monad or a stored table keeps its Chern classes.
+    the lowest raises.  A monad keeps its Chern classes.
     """
     lo, hi = rng
     rows = {t: _row(node, t) for t in range(lo, hi + 1)}
-    cc = node.cc if isinstance(node, CohomologyTable) else None
-    if isinstance(node, MonadShape):
-        # _row has chi-checked every row already; the table checks them again
-        cc = node.chern()
+    # _row has chi-checked a monad's rows already; the table checks them again
+    cc = node.chern() if isinstance(node, MonadShape) else None
     return CohomologyTable(lo, hi, rows, cc)
 
 
@@ -198,7 +191,7 @@ def splice_ses(node, rng: tuple[int, int]) -> CohomologyTable:
 # With x_k the rank of p_k -> q_k, exactness gives
 # U_k = (q_k - x_k) + (p_{k+1} - x_{k+1}).  The end ranks are forced
 # (x_0 = p_0 injects, x_4 = q_4 is hit); the inner three are free in
-# [0, min(p_k, q_k)].  Entries are ints or None; None propagates.
+# [0, min(p_k, q_k)].
 
 
 # the known rows (a, b), in slot order, as the block entries (p, q)
@@ -211,20 +204,18 @@ _BLOCKS = {
 
 def _solve(p: tuple, q: tuple, ranks=None) -> tuple:
     """Unknown column between the blocks p_k -> q_k; free ranks default maximal."""
-    if p[0] is not None and q[0] is not None and p[0] > q[0]:
+    if p[0] > q[0]:
         raise SequenceInfeasibleError(
             f"h0 of the left column ({p[0]}) exceeds h0 of the middle ({q[0]})"
         )
-    if p[4] is not None and q[4] is not None and q[4] > p[4]:
+    if q[4] > p[4]:
         raise SequenceInfeasibleError(
             f"h3 of the right column ({q[4]}) exceeds h3 of the middle ({p[4]})"
         )
     if ranks is None:
-        ranks = [None if a is None or b is None else (a if a < b else b)
-                 for a, b in zip(p[1:4], q[1:4])]
+        ranks = [a if a < b else b for a, b in zip(p[1:4], q[1:4])]
     x = (p[0], *ranks, q[4])
-    return tuple([None if None in (a, b, c, d) else a - b + c - d
-                  for a, b, c, d in zip(q, x, p[1:], x[1:])])
+    return tuple([a - b + c - d for a, b, c, d in zip(q, x, p[1:], x[1:])])
 
 
 _SLOTS = ("left", "middle", "right")
@@ -235,8 +226,8 @@ class ShortExactSequenceSpec(_Checked, NamedTuple("ShortExactSequenceSpec", [
 ])):
     """0 -> left -> middle -> right -> 0 with exactly one unknown slot.
 
-    Known slots are construction nodes of any kind (symbols, stored
-    tables, sequences, monads); the unknown slot is None.
+    Known slots are construction nodes of any kind (symbols, sequences,
+    monads); the unknown slot is None.
     """
 
     __slots__ = ()
@@ -264,9 +255,8 @@ def _blocks(spec: ShortExactSequenceSpec, t: int) -> tuple:
 def splice_bounds(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> dict:
     """Attainable [lo, hi] per entry over all admissible rank choices.
 
-    Twists where any input entry is unknown get None bounds.  Each
-    unknown entry falls as any free rank grows and the free ranks vary
-    independently, so the low end is the maximal-rank value of
+    Each unknown entry falls as any free rank grows and the free ranks
+    vary independently, so the low end is the maximal-rank value of
     splice_ses and the high end is the value at zero free ranks; an
     entry is genuinely forced when its interval has length zero.
     """
@@ -275,10 +265,7 @@ def splice_bounds(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> dict:
     out = {}
     for t in range(rng[0], rng[1] + 1):
         p, q = _blocks(spec, t)
-        if None in p or None in q:
-            out[t] = (None, None, None, None)
-        else:
-            out[t] = tuple(zip(_solve(p, q), _solve(p, q, (0, 0, 0))))
+        out[t] = tuple(zip(_solve(p, q), _solve(p, q, (0, 0, 0))))
     return out
 
 
@@ -337,17 +324,30 @@ def _quotient(ambient, quotient) -> ShortExactSequenceSpec:
 
 # ------------------------------------------------------------- recipes
 
+# the fields of each JSON kind besides "kind"
+_FIELDS = dict(line={"a"}, sum={"terms"}, points={"n"}, rational_curve={"d", "b"},
+               curve={"genus", "slope", "offset", "generic"}, ideal={"curve"},
+               twist={"of", "n"}, ses={"unknown", *_SLOTS}, monad={"a", "b", "c"},
+               quotient={"ambient", "quotient"})
+
+
 def symbol_from_json(node: Mapping):
     """Build a construction node from its catalog JSON form.
 
     A node of any kind may fill the terms of a sum, the curve of an
     ideal, the of of a twist, the slots of an ses and the ambient of a
     quotient.  Integer fields and monad degrees must be JSON integers
-    and generic a JSON boolean; anything else raises CatalogError
-    instead of being coerced.
+    and generic a JSON boolean; anything else, and a field the kind
+    does not have, raises CatalogError instead of being coerced or
+    ignored.
     """
     try:
         kind = node["kind"]
+        if kind not in _FIELDS:
+            raise CatalogError(f"unknown symbol kind {kind!r}")
+        stray = sorted(set(node) - _FIELDS[kind] - {"kind"})
+        if stray:
+            raise CatalogError(f"unknown field {stray[0]!r} in a {kind!r} node")
         if kind == "line":
             return LineBundle(node["a"])
         if kind == "sum":
@@ -357,25 +357,20 @@ def symbol_from_json(node: Mapping):
         if kind == "rational_curve":  # O(d t + b) on a degree-d rational curve
             return CurveModule(0, node["d"], _exact(node["b"]) + 1)
         if kind == "curve":
-            return CurveModule(
-                node["genus"], node["slope"], node["offset"], node.get("generic", True)
-            )
+            return CurveModule(node["genus"], node["slope"], node["offset"],
+                               node.get("generic", True))
         if kind == "ideal":  # 0 -> I_C -> O -> O_C -> 0
             return ShortExactSequenceSpec(
                 middle=LineBundle(0), right=symbol_from_json(node["curve"])
             )
         if kind == "twist":
             return Twist(symbol_from_json(node["of"]), node["n"])
-        if kind == "table":
-            return CohomologyTable.from_json_dict(node["table"])
         if kind == "ses":
             names = [name for name in _SLOTS if node.get(name) is not None]
             slots = {name: symbol_from_json(node[name]) for name in names}
             unknown = node.get("unknown")
             if unknown not in _SLOTS or unknown in slots:
-                raise CatalogError(
-                    f"recipe must leave exactly the slot {unknown!r} empty"
-                )
+                raise CatalogError(f"recipe must leave exactly the slot {unknown!r} empty")
             return ShortExactSequenceSpec(**slots)
         if kind == "monad":
             return MonadShape(node["a"], node["b"], node["c"])
@@ -385,7 +380,6 @@ def symbol_from_json(node: Mapping):
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise CatalogError(f"malformed symbol node {node!r}: {exc}") from exc
-    raise CatalogError(f"unknown symbol kind {kind!r}")
 
 
 def recipe_table(node: Mapping, rng: tuple[int, int]) -> CohomologyTable:
@@ -396,10 +390,8 @@ def recipe_table(node: Mapping, rng: tuple[int, int]) -> CohomologyTable:
 # ------------------------------------------------------------- pipeline
 
 def _class_from_rows(rows: Mapping) -> ChernClasses:
-    # chi is exact on a known row whatever ranks the policy chose; for rank 2,
+    # chi of a row is exact whatever ranks the policy chose; for rank 2,
     # e = its second difference, c2 = chi(-2) - chi(-1), c3 = 2 chi(-2) + e c2
-    if any(None in rows[t] for t in (-3, -2, -1)):
-        raise RangeInsufficientError("rows t=-3..-1 must be known to read the class")
     x, y, z = [h0 - h1 + h2 - h3 for h0, h1, h2, h3 in (rows[-3], rows[-2], rows[-1])]
     e, c2 = z - 2 * y + x, y - z
     return ChernClasses(e, c2, 2 * y + e * c2)

@@ -201,21 +201,6 @@ def test_splice_malformed_recipe_is_an_error_line(capsys, tmp_path, node):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_splice_stored_table_honours_range(capsys, tmp_path):
-    # T(-1,2,2,1) is a quotient of an ambient table stored over [-8, 0]
-    catalog = resources.files("sheafspectra").joinpath("data/catalog.json")
-    records = json.loads(catalog.read_text())["components"]
-    node = next(r["construction"] for r in records if r["name"] == "T(-1,2,2,1)")
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(node["ambient"]))
-    code, out, _ = run(capsys, "splice", "--spec", str(path), "--range=-2:-1",
-                       "--format", "json")
-    assert code == 0 and json.loads(out)["range"] == [-2, -1]
-    path.write_text(json.dumps(node))
-    code, _, err = run(capsys, "splice", "--spec", str(path), "--range=-8:1")
-    assert code == 2 and "covers [-8, 0]" in err
-
-
 def test_splice_unknown_kind(capsys, tmp_path):
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({"kind": "mystery"}))
@@ -433,29 +418,10 @@ def test_invert_table_refuses_a_contradicting_e(capsys, tmp_path, values, table_
     assert code == 0 and out == f"spectrum ({values}) with s=0\n"
 
 
-@pytest.mark.parametrize("wrap", [False, True])
-def test_table_rows_must_be_an_object(capsys, tmp_path, wrap):
-    doc = {"range": [0, 1], "rows": []}
+def test_table_rows_must_be_an_object(capsys, tmp_path):
     path = tmp_path / "t.json"
-    if wrap:
-        path.write_text(json.dumps({"kind": "table", "table": doc}))
-        code, out, err = run(capsys, "splice", "--spec", str(path), "--range=0:1")
-    else:
-        path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, "invert-table", str(path), "--e", "-1")
+    path.write_text(json.dumps({"range": [0, 1], "rows": []}))
+    code, out, err = run(capsys, "invert-table", str(path), "--e", "-1")
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
 
-
-def test_splice_sum_keeps_stored_nulls(capsys, tmp_path):
-    table = {"range": [-2, 0], "rows": {"-2": [0, None, 3, 0], "-1": [0, 1, None, 0],
-                                        "0": [1, 0, 0, None]}}
-    node = {"kind": "sum", "terms": [{"kind": "table", "table": table},
-                                     {"kind": "line", "a": 0}]}
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(node))
-    code, out, _ = run(capsys, "splice", "--spec", str(path), "--range=-2:0",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["rows"] == {"-2": [0, None, 3, 0], "-1": [0, 1, None, 0],
-                                       "0": [2, 0, 0, None]}

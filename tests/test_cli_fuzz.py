@@ -58,9 +58,9 @@ ROW = st.integers(0, 19).flatmap(
 
 
 @st.composite
-def table_docs(draw, covering=False):
-    lo = -9 if covering else draw(st.integers(-9, 1))
-    hi = 2 if covering else lo + draw(st.integers(0, 9))
+def table_docs(draw):
+    lo = draw(st.integers(-9, 1))
+    hi = lo + draw(st.integers(0, 9))
     if draw(st.booleans()):
         # a formula table, so that some documents invert
         e = draw(st.sampled_from([-1, 0]))
@@ -85,7 +85,6 @@ VALID_LEAVES = st.one_of(
     node("rational_curve", d=st.integers(0, 3), b=SMALL),
     node("curve", genus=st.integers(0, 2), slope=st.integers(0, 4), offset=SMALL,
          generic=st.booleans()),
-    node("table", table=st.one_of(table_docs(covering=True), table_docs())),
     st.tuples(st.integers(0, 2), st.integers(0, 2)).flatmap(
         lambda ranks: node("monad", a=st.lists(SMALL, min_size=ranks[0], max_size=ranks[0]),
                            b=st.lists(SMALL, min_size=sum(ranks) + 2, max_size=sum(ranks) + 3),

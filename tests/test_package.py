@@ -164,7 +164,6 @@ MINIMAL_RECIPES = {
             "middle": LINE},
     "monad": {"kind": "monad", "a": [-1], "b": [0, 0, 0, 0], "c": [1]},
     "quotient": {"kind": "quotient", "ambient": LINE, "quotient": {"kind": "points", "n": 1}},
-    "table": {"kind": "table", "table": {"range": [-2, 0], "rows": {}}},
 }
 COUNTS = {"nine": 9, "ten": 10, "eleven": 11, "twelve": 12, "thirteen": 13}
 
@@ -185,8 +184,17 @@ def test_readme_recipe_kinds_match_the_reader():
         assert (table.lo, table.hi) == (-2, 0), kind
 
 
-@pytest.mark.parametrize("kind", ["point", "rational-curve", "Line", "kernel"])
+@pytest.mark.parametrize("kind", ["point", "rational-curve", "Line", "kernel", "table"])
 def test_a_kind_the_readme_does_not_list_is_refused(kind):
     assert kind not in _readme_kinds()[1]
     with pytest.raises(sheafspectra.CatalogError, match="unknown symbol kind"):
         sheafspectra.symbol_from_json({"kind": kind})
+
+
+@pytest.mark.parametrize("kind", MINIMAL_RECIPES)
+def test_a_field_the_kind_does_not_have_is_refused(kind):
+    # a misspelt "generic" must not leave a curve module generic by default
+    node = dict(MINIMAL_RECIPES[kind], generik=False)
+    with pytest.raises(sheafspectra.CatalogError,
+                       match=f"unknown field 'generik' in a '{kind}' node"):
+        sheafspectra.recipe_table(node, (-2, 0))
