@@ -33,7 +33,6 @@ from .spectrum import SpectrumWithS, c3_from_spectrum
 __all__ = [
     "CohomologyTable",
     "ValidityWindows",
-    "p1_cohomology",
     "table_from_spectrum",
     "spectrum_from_table",
     "chi_consistency",
@@ -41,11 +40,6 @@ __all__ = [
 ]
 
 Row = tuple  # (h0, h1, h2, h3), each int or None
-
-
-def p1_cohomology(d: int) -> tuple[int, int]:
-    """(h0, h1) of O(d) on the projective line; h0 - h1 = d + 1."""
-    return (max(0, d + 1), max(0, -d - 1))
 
 
 class ValidityWindows(NamedTuple):

@@ -25,13 +25,14 @@ policy output from forced output.
 construction_spectrum and construction_table run the full pipeline from
 a node to a spectrum and back to a printed-window table: the rows and
 the spectrum must fit the class read from the rows' chi and be
-admissible, and the raw policy h2 is withheld below the twist -3-e,
-since the generic-rank assumption is known to misread deep syzygies there.
+admissible, and the raw policy h2, which can misread deep syzygies, is
+withheld below the twist -3-e.  Each node object is derived once, in a
+bounded memo keyed by identity, not value; an error is not kept.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple
 
 from .cohomology import (
@@ -389,6 +390,9 @@ def recipe_table(node: Mapping, rng: tuple[int, int]) -> CohomologyTable:
 
 # ------------------------------------------------------------- pipeline
 
+_MEMO_SIZE = 64  # node derivations kept by _derivation, least recent dropped first
+
+
 def _class_from_rows(rows: Mapping) -> ChernClasses:
     # chi of a row is exact whatever ranks the policy chose; for rank 2,
     # e = its second difference, c2 = chi(-2) - chi(-1), c3 = 2 chi(-2) + e c2
@@ -397,8 +401,25 @@ def _class_from_rows(rows: Mapping) -> ChernClasses:
     return ChernClasses(e, c2, 2 * y + e * c2)
 
 
+class _Same(NamedTuple):
+    """A node as a memo key by identity: by value, LineBundle(1) == PointSheaf(1)."""
+
+    node: object  # held, so its id is not reused while the key is kept
+
+    def __hash__(self):
+        return id(self.node)
+
+    def __eq__(self, other):
+        return self.node is other.node
+
+
 def _class_and_spectrum(node) -> tuple[ChernClasses, SpectrumWithS]:
-    rows = {t: _row(node, t) for t in range(-8, 1)}
+    return _derivation(_Same(node))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)  # an error is raised, not kept
+def _derivation(key: _Same) -> tuple[ChernClasses, SpectrumWithS]:
+    rows = {t: _row(key.node, t) for t in range(-8, 1)}
     cc = _class_from_rows(rows)  # from the raw rows, before h2 is withheld
     for t in range(-8, -3 - cc.e):  # h2 withheld below -3-e
         rows[t] = rows[t][:2] + (None, rows[t][3])
@@ -415,13 +436,13 @@ def construction_spectrum(node) -> SpectrumWithS:
     """Spectrum of a construction node: splice over twists -8..0, invert.
 
     The answer must be admissible and, with every known row, fit the
-    class read from the rows' chi.  h2 is withheld below the twist -3-e,
-    where the maximal-rank policy can misjudge deep syzygies.
+    class read from the rows' chi; h2 is withheld below the twist -3-e.
+    Derived once per node object, in a bounded memo; errors are not kept.
     """
     return _class_and_spectrum(node)[1]
 
 
 def construction_table(node) -> CohomologyTable:
-    """Printed-window table of a construction node (twists -4..-1)."""
+    """Printed-window table (twists -4..-1), from construction_spectrum's memo."""
     cc, sw = _class_and_spectrum(node)
     return table_from_spectrum(sw, splitting_type_from_e(cc.e), (-4, -1))

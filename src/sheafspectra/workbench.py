@@ -213,11 +213,11 @@ def catalog_load(source=None) -> Catalog:
 
 
 def component_report(catalog: Catalog, moduli: ChernClasses) -> dict:
-    """Rows (name, dimension, spectrum, s, level) for one moduli class.
+    """Rows (name, dimension, spectrum, s, level, verified) for one moduli class.
 
     Components carrying a construction recipe are re-derived through the
-    splice pipeline; any failure names the component, and a class or
-    spectrum mismatch is a hard verification failure.
+    splice pipeline, once per node object; any failure names the
+    component, and a class or spectrum mismatch is a VerificationError.
     """
     rows = []
     for desc in sorted(

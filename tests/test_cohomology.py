@@ -13,7 +13,6 @@ from sheafspectra.cohomology import (
     CohomologyTable,
     ValidityWindows,
     chi_consistency,
-    p1_cohomology,
     spectrum_from_table,
     table_from_spectrum,
 )
@@ -35,6 +34,11 @@ def printed_table(key) -> CohomologyTable:
     rows = {t: (None, h1, None if h2 is None else h2, None)
             for t, (h1, h2) in PRINTED[key].items()}
     return CohomologyTable(-4, -1, rows)
+
+
+def p1_cohomology(d: int) -> tuple[int, int]:
+    """(h0, h1) of O(d) on the projective line; the windows' oracle."""
+    return (max(0, d + 1), max(0, -d - 1))
 
 
 def test_p1_cohomology():

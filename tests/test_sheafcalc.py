@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sheafspectra.cohomology import CohomologyTable, p1_cohomology, table_from_spectrum
+from sheafspectra.cohomology import CohomologyTable, table_from_spectrum
 from sheafspectra.errors import (
     AmbiguousCurveModuleError,
     CatalogError,
     InadmissibleSpectrumError,
     InconsistentTableError,
+    NotNormalizedError,
     RankMismatchError,
     SequenceInfeasibleError,
 )
@@ -38,7 +39,7 @@ from sheafspectra.sheafcalc import (
     splice_ses,
     symbol_from_json,
 )
-from sheafspectra.sheafcalc import _class_and_spectrum, _class_from_rows
+from sheafspectra.sheafcalc import _class_and_spectrum, _class_from_rows, _derivation
 from sheafspectra.spectrum import SpectrumWithS
 
 # construction recipes for the derived components, shared across tests
@@ -187,6 +188,11 @@ def test_ideal_of_conic_sections():
     table = splice_ses(ideal({"kind": "rational_curve", "d": 2, "b": 0}), (0, 2))
     assert table.entry(0, 0) == 0
     assert table.entry(2, 0) == 5  # quadrics through a conic
+
+
+def p1_cohomology(d: int) -> tuple[int, int]:
+    """(h0, h1) of O(d) on the projective line."""
+    return (max(0, d + 1), max(0, -d - 1))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -428,6 +434,67 @@ def test_construction_pipeline_takes_nodes_not_json():
         construction_spectrum(EXTENSION_OVER_TWO_CONICS)
     with pytest.raises(TypeError, match="not a sheaf symbol"):
         construction_table(EXTENSION_OVER_TWO_CONICS)
+
+
+def _derived(node):
+    try:
+        return _class_and_spectrum(node)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+def test_each_node_object_is_derived_once(monkeypatch):
+    import sheafspectra.sheafcalc as sheafcalc
+
+    node = symbol_from_json(EXTENSION_OVER_TWO_CONICS)
+    spectrum, table = construction_spectrum(node), construction_table(node)
+    row, calls = sheafcalc._row, []
+    monkeypatch.setattr(sheafcalc, "_row", lambda n, t: calls.append(t) or row(n, t))
+    assert construction_spectrum(node) == spectrum
+    assert construction_table(node) == table
+    assert calls == []
+    assert construction_spectrum(symbol_from_json(EXTENSION_OVER_TWO_CONICS)) == spectrum
+    assert calls  # an equal but fresh node is derived again
+
+
+def test_the_memo_keys_on_the_node_object_not_its_value():
+    # LineBundle(1) == PointSheaf(1) as tuples, so these two compare equal
+    onto_line = ShortExactSequenceSpec(middle=EXTENSION_NODE, right=LineBundle(1))
+    onto_point = ShortExactSequenceSpec(middle=EXTENSION_NODE, right=PointSheaf(1))
+    assert onto_line == onto_point
+    want = {
+        id(onto_line): (NotNormalizedError,
+                        "first Chern class must be -1 or 0 after normalization, got -2"),
+        id(onto_point): (ChernClasses(-1, 2, -2), SpectrumWithS((-1, 0), 1)),
+    }
+    for order in ((onto_line, onto_point), (onto_point, onto_line)):
+        _derivation.cache_clear()
+        assert [_derived(node) for node in order * 2] == [want[id(n)] for n in order * 2]
+
+
+def test_errors_are_not_kept(monkeypatch):
+    import sheafspectra.sheafcalc as sheafcalc
+
+    node = symbol_from_json(KERNEL_ONTO_NEGATIVE_CUBIC)
+    first = _derived(node)
+    row, calls = sheafcalc._row, []
+    monkeypatch.setattr(sheafcalc, "_row", lambda n, t: calls.append(t) or row(n, t))
+    assert _derived(node) == first and first[0] is InadmissibleSpectrumError
+    assert calls  # derived again
+
+
+def test_a_deep_twist_chain_raises_recursion_error():
+    # the memo key hashes by id, so it never walks the node
+    node = LineBundle(0)
+    for _ in range(200_000):
+        node = Twist(node, 0)
+    with pytest.raises(RecursionError):
+        construction_spectrum(node)
+
+
+def test_the_memo_is_bounded():
+    maxsize = _derivation.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0
 
 
 @pytest.mark.parametrize(

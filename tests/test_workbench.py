@@ -291,11 +291,31 @@ INFEASIBLE_RECIPE = {"kind": "ses", "unknown": "left", "middle": {"kind": "line"
 
 def test_recipe_failure_names_the_component():
     catalog = catalog_load(records_with_recipe("C(2)", INFEASIBLE_RECIPE))
-    with pytest.raises(SequenceInfeasibleError) as err:  # class kept for the exit code
-        component_report(catalog, M2)
-    assert str(err.value) == (
-        "component 'C(2)': h3 of the right column (220) exceeds h3 of the middle (35)"
-    )
+    for _ in range(2):  # an error is not memoised, so the second call fails alike
+        with pytest.raises(SequenceInfeasibleError) as err:  # class kept for the exit code
+            component_report(catalog, M2)
+        assert str(err.value) == (
+            "component 'C(2)': h3 of the right column (220) exceeds h3 of the middle (35)"
+        )
+
+
+def count_rows(monkeypatch) -> list:
+    import sheafspectra.sheafcalc as sheafcalc
+
+    row, calls = sheafcalc._row, []
+    monkeypatch.setattr(sheafcalc, "_row", lambda node, t: calls.append(t) or row(node, t))
+    return calls
+
+
+def test_a_second_report_evaluates_nothing(monkeypatch):
+    catalog = catalog_load()
+    first = [component_report(catalog, cc) for cc in (M2, M3)]
+    calls = count_rows(monkeypatch)
+    assert [component_report(catalog, cc) for cc in (M2, M3)] == first
+    assert calls == []
+    # a reloaded catalog holds fresh nodes, which are derived again
+    assert [component_report(catalog_load(), cc) for cc in (M2, M3)] == first
+    assert calls
 
 
 # ------------------------------------------------------------- rao pairs
