@@ -4,7 +4,7 @@ Everything runs over the integers.  The package splits into five layers
 over a shared exception module:
 
 * :mod:`sheafspectra.invariants` -- Chern classes, Euler characteristics,
-  and total Chern series arithmetic.
+  and the Chern classes of a line-bundle resolution.
 * :mod:`sheafspectra.spectrum` -- admissibility rules for spectra and the
   exhaustive enumerator.
 * :mod:`sheafspectra.cohomology` -- twist-indexed cohomology tables, the

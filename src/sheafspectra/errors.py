@@ -55,7 +55,8 @@ class RankMismatchError(SheafSpectraError):
 
 
 class IntegralityError(SheafSpectraError):
-    """A total Chern class computation produced a non-integer."""
+    """An Euler characteristic came out as a non-integer (raised only by
+    euler_characteristic, and unreachable once the parity law holds)."""
 
 
 class AmbiguousCurveModuleError(SheafSpectraError):

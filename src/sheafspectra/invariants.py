@@ -3,8 +3,9 @@
 Everything in this module is closed-form integer arithmetic: Euler
 characteristics of twists, generic splitting types, and a
 total-Chern-class oracle that recovers (e, c2, c3) from a
-resolution by sums of line bundles.  All arithmetic is on int, with
-divisions done by divmod and an explicit check of the remainder.
+resolution by sums of line bundles as one truncated product.  All
+arithmetic is on int; the one division, chi's by 6, is done by divmod
+with an explicit check of the remainder (IntegralityError).
 
 The Euler characteristic of a normalized class (e, c2, c3) at twist t is
 
@@ -30,7 +31,6 @@ from .errors import (
 __all__ = [
     "ChernClasses",
     "SplittingType",
-    "ChernSeries",
     "euler_characteristic",
     "line_bundle_chi",
     "splitting_type_from_e",
@@ -130,57 +130,6 @@ def splitting_type_from_e(e: int) -> SplittingType:
     return SplittingType(e, 0)
 
 
-class ChernSeries(NamedTuple):
-    """Total Chern polynomial truncated at degree 3, with int coefficients.
-
-    Only series with constant term 1 are inverted, and those invert over
-    the integers, so products and quotients of admissible series stay
-    exact without leaving int.
-    """
-
-    c0: int
-    c1: int
-    c2: int
-    c3: int
-
-    @staticmethod
-    def one() -> "ChernSeries":
-        return ChernSeries(1, 0, 0, 0)
-
-    @staticmethod
-    def line_bundle(a: int) -> "ChernSeries":
-        return ChernSeries(1, a, 0, 0)
-
-    @staticmethod
-    def points(n: int) -> "ChernSeries":
-        # a length-n zero-dimensional sheaf has total class 1 + 2n t^3
-        return ChernSeries(1, 0, 0, 2 * n)
-
-    def integer_coefficients(self) -> tuple[int, int, int, int]:
-        return (self.c0, self.c1, self.c2, self.c3)
-
-    def __mul__(self, other: "ChernSeries") -> "ChernSeries":
-        a = self.integer_coefficients()
-        b = other.integer_coefficients()
-        prod = [0] * 4
-        for i in range(4):
-            for j in range(4 - i):
-                prod[i + j] += a[i] * b[j]
-        return ChernSeries(*prod)
-
-    def inverse(self) -> "ChernSeries":
-        a = self.integer_coefficients()
-        if a[0] != 1:
-            raise IntegralityError("only series with constant term 1 are invertible")
-        b = [1, 0, 0, 0]
-        for k in range(1, 4):
-            b[k] = -sum(a[j] * b[k - j] for j in range(1, k + 1))
-        return ChernSeries(*b)
-
-    def __truediv__(self, other: "ChernSeries") -> "ChernSeries":
-        return self * other.inverse()
-
-
 def chern_from_resolution(
     positive_terms: Iterable[int],
     negative_terms: Iterable[int],
@@ -193,20 +142,14 @@ def chern_from_resolution(
     used to pin sign conventions: it needs nothing but multiplicativity
     of total Chern classes on exact sequences.
     """
-    pos = list(positive_terms)
-    neg = list(negative_terms)
+    pos, neg = list(positive_terms), list(negative_terms)
     if len(pos) - len(neg) != 2:
-        raise RankMismatchError(
-            f"resolution has rank {len(pos) - len(neg)}, expected 2"
-        )
-    series = ChernSeries.one()
-    for a in pos:
-        series = series * ChernSeries.line_bundle(a)
-    for b in neg:
-        series = series / ChernSeries.line_bundle(b)
-    c0, c1, c2, c3 = series.integer_coefficients()
-    if c0 != 1:
-        raise IntegralityError(f"resolution series has constant term {c0}, expected 1")
+        raise RankMismatchError(f"resolution has rank {len(pos) - len(neg)}, expected 2")
+    c1 = c2 = c3 = 0
+    # (1, c1, c2, c3) times 1 + a t, or times 1/(1 + b t) = 1 - b t + b^2 t^2 - b^3 t^3,
+    # truncated after t^3: the constant term stays 1 and every coefficient an int
+    for f1, f2, f3 in [(a, 0, 0) for a in pos] + [(-b, b * b, -b * b * b) for b in neg]:
+        c1, c2, c3 = c1 + f1, c2 + c1 * f1 + f2, c3 + c2 * f1 + c1 * f2 + f3
     return ChernClasses(c1, c2, c3)
 
 

@@ -45,6 +45,7 @@ from .errors import (
     AmbiguousCurveModuleError,
     CatalogError,
     InadmissibleSpectrumError,
+    NotNormalizedError,
     RankMismatchError,
     SequenceInfeasibleError,
 )
@@ -398,6 +399,10 @@ def _class_from_rows(rows: Mapping) -> ChernClasses:
     # e = its second difference, c2 = chi(-2) - chi(-1), c3 = 2 chi(-2) + e c2
     x, y, z = [h0 - h1 + h2 - h3 for h0, h1, h2, h3 in (rows[-3], rows[-2], rows[-1])]
     e, c2 = z - 2 * y + x, y - z
+    if e not in (-1, 0):  # twisting by k moves c1 by 2k
+        raise NotNormalizedError(
+            f"recipe has first Chern class {e}; twist it by {-((e + 1) // 2)} to normalize it"
+        )
     return ChernClasses(e, c2, 2 * y + e * c2)
 
 

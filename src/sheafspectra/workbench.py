@@ -116,7 +116,6 @@ class ComponentDescriptor(NamedTuple):
     spectrum: SpectrumWithS
     params: Mapping | None = None
     construction: object = None  # a construction node, as symbol_from_json reads it
-    level: str = "derived"
 
 
 class Catalog(_Checked, NamedTuple("Catalog", [("components", tuple)])):
@@ -151,13 +150,11 @@ def _descriptor_from_json(record: Mapping) -> ComponentDescriptor:
         raise CatalogError(f"component without a usable name: {record!r}")
     try:
         family, dimension = record["family"], record["dimension"]
-        level, params = record.get("level", "derived"), record.get("params")
+        params = record.get("params")
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
         if type(dimension) is not int or dimension < 0:
             raise ValueError(f"bad dimension {dimension!r}")
-        if level not in ("derived", "data"):
-            raise ValueError(f"unknown verification level {level!r}")
         moduli = ChernClasses(*record["moduli"])
         spectrum = SpectrumWithS(tuple(record["spectrum"]), record["s"])
         c3 = c3_from_spectrum(moduli.e, moduli.c2, spectrum)  # validates both
@@ -176,13 +173,16 @@ def _descriptor_from_json(record: Mapping) -> ComponentDescriptor:
         elif params is not None:
             raise ValueError(f"family {family} takes no params, got {params!r}")
         construction = record.get("construction")
+        level = "data" if construction is None else "derived"
+        if record.get("level", level) != level:  # the level follows the recipe
+            raise ValueError(f"level {record['level']!r}, but a record with"
+                             f"{'out' if construction is None else ''} a construction"
+                             f" is {level!r}")
         if construction is not None:
             construction = symbol_from_json(construction)
     except Exception as exc:
         raise CatalogError(f"component {name!r}: {exc}") from exc
-    return ComponentDescriptor(
-        moduli, name, family, dimension, spectrum, params, construction, level
-    )
+    return ComponentDescriptor(moduli, name, family, dimension, spectrum, params, construction)
 
 
 def catalog_load(source=None) -> Catalog:
@@ -218,12 +218,12 @@ def component_report(catalog: Catalog, moduli: ChernClasses) -> dict:
     Components carrying a construction recipe are re-derived through the
     splice pipeline, once per node object; any failure names the
     component, and a class or spectrum mismatch is a VerificationError.
+    Such a row is "derived" and verified; a row without a recipe is "data".
     """
     rows = []
     for desc in sorted(
         catalog.for_moduli(moduli), key=lambda d: (d.dimension, d.name)
     ):
-        verified = False
         if desc.construction is not None:
             try:
                 cc, recomputed = _class_and_spectrum(desc.construction)
@@ -234,15 +234,14 @@ def component_report(catalog: Catalog, moduli: ChernClasses) -> dict:
                     f"component {desc.name!r}: construction gives {cc.as_tuple()}, "
                     f"{recomputed}; catalog stores {desc.moduli.as_tuple()}, {desc.spectrum}"
                 )
-            verified = True
         rows.append(
             {
                 "name": desc.name,
                 "dimension": desc.dimension,
                 "spectrum": list(desc.spectrum.values),
                 "s": desc.spectrum.s,
-                "level": desc.level,
-                "verified": verified,
+                "level": "data" if desc.construction is None else "derived",
+                "verified": desc.construction is not None,
             }
         )
     return {"moduli": list(moduli.as_tuple()), "components": rows}

@@ -6,20 +6,16 @@ with the binomial cubic.  Chern class extraction is checked against the
 same resolutions.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
 from sheafspectra.errors import (
-    IntegralityError,
     NotNormalizedError,
     ParityError,
     RankMismatchError,
 )
 from sheafspectra.invariants import (
     ChernClasses,
-    ChernSeries,
     chern_from_resolution,
     euler_characteristic,
     kernel_invariants,
@@ -35,6 +31,7 @@ RESOLUTION_ORACLES = [
     ([0, 0], [], (0, 0, 0)),
     ([-1, 0], [], (-1, 0, 0)),
     ([-2, 0, 1], [-1], (0, -2, -2)),
+    ([0] * 8, [-1] * 3 + [1] * 3, (0, 3, 0)),  # the Instanton monad's degrees
 ]
 
 
@@ -76,6 +73,8 @@ def test_chi_frozen_values():
     assert euler_characteristic(ChernClasses(-1, 2, 0), -1) == -1
     assert euler_characteristic(ChernClasses(0, 3, 0), 0) == -4
     assert euler_characteristic(ChernClasses(0, 3, 0), -1) == -3
+    assert type(euler_characteristic(ChernClasses(-1, 2, 0), -3)) is int
+    assert type(euler_characteristic(ChernClasses(0, 3, 2), 4)) is int
 
 
 def test_parity_rejected():
@@ -124,21 +123,6 @@ def test_rank_mismatch():
         chern_from_resolution([0], [-1, -1])
 
 
-def test_series_inverse_roundtrip():
-    s = ChernSeries.line_bundle(3) * ChernSeries.line_bundle(-2)
-    assert (s * s.inverse()).integer_coefficients() == (1, 0, 0, 0)
-    with pytest.raises(IntegralityError):
-        ChernSeries(2, 0, 0, 0).inverse()
-
-
-def test_series_and_chi_stay_int():
-    s = ChernSeries.line_bundle(3) * ChernSeries.points(2) / ChernSeries.line_bundle(-2)
-    for series in (s, s.inverse(), ChernSeries.line_bundle(1).inverse()):
-        assert all(type(c) is int for c in (series.c0, series.c1, series.c2, series.c3))
-    assert type(euler_characteristic(ChernClasses(-1, 2, 0), -3)) is int
-    assert type(euler_characteristic(ChernClasses(0, 3, 2), 4)) is int
-
-
 def test_kernel_invariants():
     f = ChernClasses(0, 3, 12)
     cc, s = kernel_invariants(f, 6)
@@ -151,39 +135,22 @@ def test_kernel_invariants():
         kernel_invariants(f, -1)
 
 
-@given(
-    degrees=st.lists(st.integers(-4, 4), min_size=2, max_size=6),
-    sub=st.lists(st.integers(-4, 4), max_size=4),
-)
-def test_chern_extraction_always_integral(degrees, sub):
-    # any genuine line-bundle difference of rank 2 has integer classes
-    pos = degrees + sub
-    rank = len(pos) - len(sub)
-    series = ChernSeries.one()
-    for a in pos:
-        series = series * ChernSeries.line_bundle(a)
-    for b in sub:
-        series = series / ChernSeries.line_bundle(b)
-    c0, c1, c2, c3 = series.integer_coefficients()
-    assert c0 == 1
-    assert c1 == sum(pos) - sum(sub)
+@st.composite
+def rank_two_resolutions(draw):
+    neg = draw(st.lists(st.integers(-4, 4), max_size=4))
+    pos = draw(st.lists(st.integers(-4, 4), min_size=len(neg) + 1, max_size=len(neg) + 1))
+    e = draw(st.sampled_from([-1, 0]))
+    # the last positive degree fixes c1 = e
+    return pos + [e - sum(pos) + sum(neg)], neg, e
+
+
+@given(rank_two_resolutions())
+def test_chern_classes_give_the_resolution_chi(resolution):
+    pos, neg, e = resolution
+    cc = chern_from_resolution(pos, neg)
+    assert cc.e == e
     for t in range(-6, 7):
-        lhs = chi_from_resolution(pos, sub, t)
-        # twist, re-extract classes, apply rank-r Riemann-Roch on P^3:
-        # chi = r + 11 c1 / 6 + (c1^2 - 2 c2) + (c1^3 - 3 c1 c2 + 3 c3) / 6
-        tw = ChernSeries.one()
-        for a in pos:
-            tw = tw * ChernSeries.line_bundle(a + t)
-        for b in sub:
-            tw = tw / ChernSeries.line_bundle(b + t)
-        _, d1, d2, d3 = tw.integer_coefficients()
-        rr = (
-            rank
-            + Fraction(11 * d1, 6)
-            + (d1 * d1 - 2 * d2)
-            + Fraction(d1**3 - 3 * d1 * d2 + 3 * d3, 6)
-        )
-        assert rr == lhs
+        assert euler_characteristic(cc, t) == chi_from_resolution(pos, neg, t)
 
 
 @given(

@@ -14,7 +14,6 @@ from sheafspectra import (
     CatalogError,
     ChainUpParam,
     ChernClasses,
-    ChernSeries,
     CohomologyTable,
     ComponentDescriptor,
     CurveModule,
@@ -36,14 +35,11 @@ CONIC = CurveModule(0, 2, 1)
 DESCRIPTOR = dict(
     moduli=ChernClasses(-1, 2, 0), name="N", family="monad", dimension=11,
     spectrum=SpectrumWithS((-1, 0), 0), params={"n": 1}, construction=None,
-    level="data",
 )
 
 # (class, keyword arguments in field order, repr), one row per record class
 RECORDS = [
     (ChernClasses, dict(e=-1, c2=2, c3=0), "ChernClasses(e=-1, c2=2, c3=0)"),
-    (ChernSeries, dict(c0=1, c1=-1, c2=1, c3=-1),
-     "ChernSeries(c0=1, c1=-1, c2=1, c3=-1)"),
     (ChainUpParam, dict(s_eh=2), "ChainUpParam(s_eh=2)"),
     (ValidityWindows, dict(h1_max=-1, h2_min=-4),
      "ValidityWindows(h1_max=-1, h2_min=-4)"),
@@ -65,12 +61,11 @@ RECORDS = [
     (ComponentDescriptor, DESCRIPTOR,
      "ComponentDescriptor(moduli=ChernClasses(e=-1, c2=2, c3=0), name='N', "
      "family='monad', dimension=11, spectrum=SpectrumWithS(values=(-1, 0), s=0), "
-     "params={'n': 1}, construction=None, level='data')"),
+     "params={'n': 1}, construction=None)"),
     (Catalog, dict(components=[ComponentDescriptor(**DESCRIPTOR)]),
      "Catalog(components=(ComponentDescriptor(moduli=ChernClasses(e=-1, c2=2, "
      "c3=0), name='N', family='monad', dimension=11, spectrum=SpectrumWithS("
-     "values=(-1, 0), s=0), params={'n': 1}, construction=None, "
-     "level='data'),))"),
+     "values=(-1, 0), s=0), params={'n': 1}, construction=None),))"),
 ]
 IDS = [row[0].__name__ for row in RECORDS]
 
@@ -79,7 +74,7 @@ UNHASHABLE = {CohomologyTable, ComponentDescriptor, Catalog}
 
 
 def test_every_record_class_has_a_row():
-    assert len(set(IDS)) == len(IDS) == 14
+    assert len(set(IDS)) == len(IDS) == 13
 
 
 @pytest.mark.parametrize("cls,kwargs,text", RECORDS, ids=IDS)
@@ -120,7 +115,7 @@ def test_keyword_construction_and_defaults():
     table = CohomologyTable(0, 0)
     assert table.rows == {0: (None, None, None, None)} and table.cc is None
     desc = ComponentDescriptor(**{k: DESCRIPTOR[k] for k in list(DESCRIPTOR)[:5]})
-    assert (desc.params, desc.construction, desc.level) == (None, None, "derived")
+    assert (desc.params, desc.construction) == (None, None)
 
 
 INVALID = [

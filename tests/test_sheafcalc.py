@@ -464,7 +464,7 @@ def test_the_memo_keys_on_the_node_object_not_its_value():
     assert onto_line == onto_point
     want = {
         id(onto_line): (NotNormalizedError,
-                        "first Chern class must be -1 or 0 after normalization, got -2"),
+                        "recipe has first Chern class -2; twist it by 1 to normalize it"),
         id(onto_point): (ChernClasses(-1, 2, -2), SpectrumWithS((-1, 0), 1)),
     }
     for order in ((onto_line, onto_point), (onto_point, onto_line)):
@@ -537,6 +537,18 @@ def test_pipeline_refuses_what_no_rank_2_class_explains(node, error, text):
         construction_spectrum(node)
     with pytest.raises(error, match=text):
         construction_table(node)
+
+
+@pytest.mark.parametrize("k,twist", [(1, -1), (-1, 1), (2, -2)])
+def test_an_unnormalized_recipe_is_told_its_normalizing_twist(k, twist):
+    # Ein has c1 = 0, so Twist(ein, k) has c1 = 2k
+    with pytest.raises(NotNormalizedError) as err:
+        construction_spectrum(Twist(EIN_NODE, k))
+    assert str(err.value) == (
+        f"recipe has first Chern class {2 * k}; twist it by {twist} to normalize it"
+    )
+    normalized = Twist(Twist(EIN_NODE, k), twist)
+    assert construction_spectrum(normalized) == SpectrumWithS((-1, 0, 1), 0)
 
 
 def bundled_records():

@@ -74,16 +74,19 @@ def test_catalog_string_is_always_a_path(tmp_path, monkeypatch):
         catalog_load("[]")  # JSON text is read as a file name
 
 
-def test_level_defaults_to_derived():
-    record = bundled_records()[0]
+@pytest.mark.parametrize("index,level", [(0, "derived"), (7, "data")])
+def test_level_follows_the_construction(index, level):
+    # C(2) has a recipe and X(0,2,2,2,0) none; the row's level needs no JSON key
+    record = bundled_records()[index]
     record.pop("level")
     catalog = catalog_load([record])
-    assert catalog.components[0].level == "derived"
+    (row,) = component_report(catalog, catalog.components[0].moduli)["components"]
+    assert (row["level"], row["verified"]) == (level, level == "derived")
 
 
 @pytest.mark.parametrize(
-    "mutation",
-    [
+    "index,mutation",
+    [(1, m) for m in (  # the X component, fully closed-form
         {"dimension": 12},
         {"s": 1},
         {"spectrum": [-1, -1]},
@@ -95,10 +98,13 @@ def test_level_defaults_to_derived():
         {"s": -1},
         {"spectrum": []},
         {"moduli": [-1, 0, 0]},
+    )] + [
+        (0, {"level": "data"}),  # C(2) has a recipe
+        (7, {"level": "derived"}),  # X(0,2,2,2,0) has none
     ],
 )
-def test_tampered_records_fail_named(mutation):
-    record = dict(bundled_records()[1])  # the X component, fully closed-form
+def test_tampered_records_fail_named(index, mutation):
+    record = dict(bundled_records()[index])
     record.update(mutation)
     with pytest.raises(CatalogError) as err:
         catalog_load([record])
