@@ -188,19 +188,27 @@ def build_parser() -> _Parser:
     def fmt(p):
         p.add_argument("--format", choices=("md", "json"), default="md")
 
+    def chern(p):
+        for flag in ("--e", "--c2", "--c3"):
+            p.add_argument(flag, type=_int, required=True)
+
+    def moduli(p):
+        p.add_argument("--moduli", type=_moduli, required=True,
+                       help="E,C2,C3, e.g. --moduli=-1,2,0")
+        p.add_argument("--catalog", default=None, help="catalog JSON file")
+
+    def seh(p):
+        p.add_argument("--seh", type=_seh, default="unbounded",
+                       help="chain-up threshold, an integer or 'unbounded'")
+
     p = sub.add_parser("chi", help="Euler characteristic of a twist")
-    p.add_argument("--e", type=_int, required=True)
-    p.add_argument("--c2", type=_int, required=True)
-    p.add_argument("--c3", type=_int, required=True)
+    chern(p)
     p.add_argument("--twist", type=_int, default=0)
     p.set_defaults(func=_cmd_chi)
 
     p = sub.add_parser("enumerate", help="all admissible spectra for a class")
-    p.add_argument("--e", type=_int, required=True)
-    p.add_argument("--c2", type=_int, required=True)
-    p.add_argument("--c3", type=_int, required=True)
-    p.add_argument("--seh", type=_seh, default="unbounded",
-                   help="chain-up threshold, an integer or 'unbounded'")
+    chern(p)
+    seh(p)
     fmt(p)
     p.set_defaults(func=_cmd_enumerate)
 
@@ -228,22 +236,18 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_splice)
 
     p = sub.add_parser("report", help="component report for a moduli class")
-    p.add_argument("--moduli", type=_moduli, required=True,
-                   help="E,C2,C3, e.g. --moduli=-1,2,0")
-    p.add_argument("--catalog", default=None, help="catalog JSON file")
+    moduli(p)
     fmt(p)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("rao-pairs", help="components sharing spectrum values")
-    p.add_argument("--moduli", type=_moduli, required=True)
-    p.add_argument("--catalog", default=None)
+    moduli(p)
     fmt(p)
     p.set_defaults(func=_cmd_rao_pairs)
 
     p = sub.add_parser("gap", help="enumerated spectra with no known component")
-    p.add_argument("--moduli", type=_moduli, required=True)
-    p.add_argument("--catalog", default=None)
-    p.add_argument("--seh", type=_seh, default="unbounded")
+    moduli(p)
+    seh(p)
     fmt(p)
     p.set_defaults(func=_cmd_gap)
 

@@ -217,14 +217,18 @@ def enumerate_spectra(
                 results.append(SpectrumWithS(values, sum_max - total))
             return
         remaining = m - depth
-        # below low even hi in every later slot leaves the sum under sum_min;
-        # a conditional, not max(), since this runs at every inner node
+        # below low even hi in every later slot misses sum_min, below -remaining
+        # too few slots are left to climb to -1, above top even v in every slot
+        # left passes sum_max (conditionals, not max(): this runs per inner node)
         low = sum_min - total - (remaining - 1) * hi
-        for v in range(low if low > start else start, stop + 1):
-            if total + v * remaining > sum_max:
-                break  # larger v only increases the minimum achievable sum
-            if v < -1 and remaining - 1 < -1 - v:
-                continue  # too few entries left to climb to -1
+        low = low if low > start else start
+        low = low if low > -remaining else -remaining
+        top = (sum_max - total) // remaining
+        for v in range(low, (top if top < stop else stop) + 1):
+            # v < -1 must climb to -1, which adds v (v + 1) / 2 to the least sum;
+            # that sum still grows with v, so the first v past sum_max ends the loop
+            if v < -1 and total + v * remaining + v * (v + 1) // 2 > sum_max:
+                break
             prefix.append(v)
             walk(total + v, v, v + 1 if v < -1 else hi)
             prefix.pop()

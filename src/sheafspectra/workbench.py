@@ -18,7 +18,8 @@ s-invariant breaks the zero-dimensional bound.
 
 _descriptor_from_json alone reads and checks a record, and turns its
 recipe into the construction node that reports evaluate; any failure
-there is a CatalogError naming the component.  Reports print through
+there is a CatalogError naming the component, and a catalog remembers
+each recipe component_report has matched.  Reports print through
 the cohomology layer's writer (report_json and its markdown builder).
 """
 
@@ -33,7 +34,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .cohomology import _markdown, _spectrum_str
 from .errors import CatalogError, SheafSpectraError, VerificationError
 from .invariants import ChernClasses, _Checked, _exact, kernel_invariants
-from .sheafcalc import _class_and_spectrum, symbol_from_json
+from .sheafcalc import _derivation, symbol_from_json
 from .spectrum import (
     UNBOUNDED,
     ChainUpParam,
@@ -119,10 +120,11 @@ class ComponentDescriptor(NamedTuple):
 
 
 class Catalog(_Checked, NamedTuple("Catalog", [("components", tuple)])):
-    __slots__ = ()
+    # no __slots__: the instance dict holds the keys of the verified records
 
     def __new__(cls, components=()):
         self = tuple.__new__(cls, (tuple(components),))
+        self._verified = set()  # (moduli, name) of each record whose recipe matched
         seen = set()
         for desc in self.components:
             key = (desc.moduli.as_tuple(), desc.name)
@@ -216,17 +218,18 @@ def component_report(catalog: Catalog, moduli: ChernClasses) -> dict:
     """Rows (name, dimension, spectrum, s, level, verified) for one moduli class.
 
     Components carrying a construction recipe are re-derived through the
-    splice pipeline, once per node object; any failure names the
-    component, and a class or spectrum mismatch is a VerificationError.
+    splice pipeline once per catalog, a failure on every report; it names
+    the component, and a class or spectrum mismatch is a VerificationError.
     Such a row is "derived" and verified; a row without a recipe is "data".
     """
     rows = []
     for desc in sorted(
         catalog.for_moduli(moduli), key=lambda d: (d.dimension, d.name)
     ):
-        if desc.construction is not None:
+        key = (desc.moduli, desc.name)
+        if desc.construction is not None and key not in catalog._verified:
             try:
-                cc, recomputed = _class_and_spectrum(desc.construction)
+                cc, recomputed = _derivation(desc.construction)
             except SheafSpectraError as exc:  # same class, so the exit code holds
                 raise type(exc)(f"component {desc.name!r}: {exc}") from exc
             if (cc, recomputed) != (desc.moduli, desc.spectrum):
@@ -234,6 +237,7 @@ def component_report(catalog: Catalog, moduli: ChernClasses) -> dict:
                     f"component {desc.name!r}: construction gives {cc.as_tuple()}, "
                     f"{recomputed}; catalog stores {desc.moduli.as_tuple()}, {desc.spectrum}"
                 )
+            catalog._verified.add(key)
         rows.append(
             {
                 "name": desc.name,

@@ -327,6 +327,23 @@ def test_gap_json(capsys):
     assert json.loads(out)["missing"] == []
 
 
+CATALOG_HELP = ("E,C2,C3, e.g. --moduli=-1,2,0", "catalog JSON file")
+SEH_HELP = ("chain-up threshold, an integer or 'unbounded'",)
+
+
+@pytest.mark.parametrize("command,texts", [
+    ("report", CATALOG_HELP),
+    ("rao-pairs", CATALOG_HELP),
+    ("gap", CATALOG_HELP + SEH_HELP),
+    ("enumerate", SEH_HELP),
+])
+def test_shared_options_have_one_help_text(capsys, monkeypatch, command, texts):
+    monkeypatch.setenv("COLUMNS", "200")  # no wrapping inside a help text
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert all(text in out for text in texts), out
+
+
 def test_check_examples(capsys):
     code, out, _ = run(capsys, "check-examples", "--format", "json")
     assert code == 0

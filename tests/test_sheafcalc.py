@@ -39,7 +39,7 @@ from sheafspectra.sheafcalc import (
     splice_ses,
     symbol_from_json,
 )
-from sheafspectra.sheafcalc import _class_and_spectrum, _class_from_rows, _derivation
+from sheafspectra.sheafcalc import _class_from_rows, _derivation
 from sheafspectra.spectrum import SpectrumWithS
 
 # construction recipes for the derived components, shared across tests
@@ -438,63 +438,29 @@ def test_construction_pipeline_takes_nodes_not_json():
 
 def _derived(node):
     try:
-        return _class_and_spectrum(node)
+        return _derivation(node)
     except Exception as exc:  # the class and message are what is compared
         return type(exc), str(exc)
 
 
-def test_each_node_object_is_derived_once(monkeypatch):
-    import sheafspectra.sheafcalc as sheafcalc
-
-    node = symbol_from_json(EXTENSION_OVER_TWO_CONICS)
-    spectrum, table = construction_spectrum(node), construction_table(node)
-    row, calls = sheafcalc._row, []
-    monkeypatch.setattr(sheafcalc, "_row", lambda n, t: calls.append(t) or row(n, t))
-    assert construction_spectrum(node) == spectrum
-    assert construction_table(node) == table
-    assert calls == []
-    assert construction_spectrum(symbol_from_json(EXTENSION_OVER_TWO_CONICS)) == spectrum
-    assert calls  # an equal but fresh node is derived again
-
-
-def test_the_memo_keys_on_the_node_object_not_its_value():
+def test_value_equal_nodes_of_different_kinds_derive_apart():
     # LineBundle(1) == PointSheaf(1) as tuples, so these two compare equal
     onto_line = ShortExactSequenceSpec(middle=EXTENSION_NODE, right=LineBundle(1))
     onto_point = ShortExactSequenceSpec(middle=EXTENSION_NODE, right=PointSheaf(1))
     assert onto_line == onto_point
-    want = {
-        id(onto_line): (NotNormalizedError,
-                        "recipe has first Chern class -2; twist it by 1 to normalize it"),
-        id(onto_point): (ChernClasses(-1, 2, -2), SpectrumWithS((-1, 0), 1)),
-    }
-    for order in ((onto_line, onto_point), (onto_point, onto_line)):
-        _derivation.cache_clear()
-        assert [_derived(node) for node in order * 2] == [want[id(n)] for n in order * 2]
-
-
-def test_errors_are_not_kept(monkeypatch):
-    import sheafspectra.sheafcalc as sheafcalc
-
-    node = symbol_from_json(KERNEL_ONTO_NEGATIVE_CUBIC)
-    first = _derived(node)
-    row, calls = sheafcalc._row, []
-    monkeypatch.setattr(sheafcalc, "_row", lambda n, t: calls.append(t) or row(n, t))
-    assert _derived(node) == first and first[0] is InadmissibleSpectrumError
-    assert calls  # derived again
+    assert _derived(onto_line) == (
+        NotNormalizedError, "recipe has first Chern class -2; twist it by 1 to normalize it"
+    )
+    assert _derived(onto_point) == (ChernClasses(-1, 2, -2), SpectrumWithS((-1, 0), 1))
 
 
 def test_a_deep_twist_chain_raises_recursion_error():
-    # the memo key hashes by id, so it never walks the node
+    # _row recurses once per twist
     node = LineBundle(0)
     for _ in range(200_000):
         node = Twist(node, 0)
     with pytest.raises(RecursionError):
         construction_spectrum(node)
-
-
-def test_the_memo_is_bounded():
-    maxsize = _derivation.cache_info().maxsize
-    assert isinstance(maxsize, int) and maxsize > 0
 
 
 @pytest.mark.parametrize(
@@ -564,7 +530,7 @@ def bundled_recipes():
 
 @pytest.mark.parametrize("node,moduli", bundled_recipes())
 def test_recipe_class_is_the_records_moduli(node, moduli):
-    assert _class_and_spectrum(node)[0] == ChernClasses(*moduli)
+    assert _derivation(node)[0] == ChernClasses(*moduli)
 
 
 @pytest.mark.parametrize("record", bundled_records(), ids=lambda r: r["name"])
@@ -585,7 +551,7 @@ def test_bundled_recipe_rows_have_the_records_chi_up_to_twist_two(record):
 @pytest.mark.parametrize("node", [INSTANTON_NODE, EIN_NODE], ids=["Instanton", "Ein"])
 def test_fitted_class_of_a_monad_is_its_series_class(node):
     shape = MonadShape(*node)
-    assert _class_and_spectrum(node)[0] == shape.chern() == ChernClasses(0, 3, 0)
+    assert _derivation(node)[0] == shape.chern() == ChernClasses(0, 3, 0)
 
 
 @st.composite
@@ -807,10 +773,13 @@ def test_nested_monad_rows_are_chi_checked(monkeypatch):
 
 
 def test_sequences_are_built_once_per_node(monkeypatch):
-    built = []
-    check = ShortExactSequenceSpec.__post_init__
-    monkeypatch.setattr(ShortExactSequenceSpec, "__post_init__",
-                        lambda self: built.append(check(self)))
+    built, new = [], ShortExactSequenceSpec.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ShortExactSequenceSpec, "__new__", staticmethod(counting_new))
     splice_ses(MonadShape(*(INSTANTON_MONAD[k] for k in "abc")), (-8, 0))
     assert len(built) == 2  # the kernel and the cokernel, not one per twist
     built.clear()

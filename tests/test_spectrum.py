@@ -1,6 +1,7 @@
 """Tests for spectrum identities, chain rules, bounds, and enumeration."""
 
 import functools
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -185,6 +186,25 @@ def test_enumerate_skips_to_the_sum_window_at_once():
     # sum(k_i) = 10^12 - s: entries below the window are never visited one by one
     out = enumerate_spectra(ChernClasses(0, 1, -2 * 10**12))
     assert out == [SpectrumWithS((10**12 - 1,), 1), SpectrumWithS((10**12,), 0)]
+
+
+@pytest.mark.parametrize("e,c3", [(0, 420), (-1, 400)])
+def test_enumerate_walks_no_prefix_that_cannot_climb(e, c3):
+    # the one spectrum is (-20, ..., -1) at s = 0; a prefix whose forced climb
+    # to -1 overshoots the sum is cut at once (7,341 walk calls without that)
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "walk":
+            calls.append(None)
+
+    sys.setprofile(count)
+    try:
+        out = enumerate_spectra(ChernClasses(e, 20, c3))
+    finally:
+        sys.setprofile(None)
+    assert out == [SpectrumWithS(tuple(range(-20, 0)), 0)]
+    assert len(calls) <= 21
 
 
 def test_enumerate_chain_up_thresholds():

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sheafspectra import report_json
-from sheafspectra.errors import CatalogError, SequenceInfeasibleError, VerificationError
+from sheafspectra.errors import (
+    CatalogError,
+    InadmissibleSpectrumError,
+    SequenceInfeasibleError,
+    VerificationError,
+)
 from sheafspectra.invariants import ChernClasses
 from sheafspectra.sheafcalc import symbol_from_json
 from sheafspectra.spectrum import enumerate_spectra
@@ -303,6 +308,49 @@ def test_recipe_failure_names_the_component():
         assert str(err.value) == (
             "component 'C(2)': h3 of the right column (220) exceeds h3 of the middle (35)"
         )
+
+
+# O + O has no surjection onto a curve module of negative degree; the rows
+# still invert, to (-2,-2,-2) with s = 0, which misses -1 under chain-down
+KERNEL_ONTO_NEGATIVE_CUBIC = {
+    "kind": "ses",
+    "unknown": "left",
+    "middle": {"kind": "sum", "terms": [{"kind": "line", "a": 0}] * 2},
+    "right": {"kind": "rational_curve", "d": 3, "b": -1},
+}
+
+
+def count_derivations(monkeypatch) -> list:
+    import sheafspectra.workbench as workbench
+
+    derive, calls = workbench._derivation, []
+    monkeypatch.setattr(workbench, "_derivation", lambda node: calls.append(node) or derive(node))
+    return calls
+
+
+def test_a_failing_recipe_is_derived_again_on_every_report(monkeypatch):
+    catalog = catalog_load(records_with_recipe("C(2)", KERNEL_ONTO_NEGATIVE_CUBIC))
+    calls = count_derivations(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(InadmissibleSpectrumError) as err:
+            component_report(catalog, M2)
+        assert str(err.value) == (
+            "component 'C(2)': spectrum (-2, -2, -2), s=0 "
+            "breaks the chain-down rule or the bound on s"
+        )
+    assert len(calls) == 2  # a failure is not remembered
+
+
+def test_each_catalog_derives_its_recipes_once(monkeypatch):
+    first, second = catalog_load(), catalog_load()
+    calls = count_derivations(monkeypatch)
+    for catalog in (first, second, first, second):
+        for cc in (M2, M3):
+            component_report(catalog, cc)
+    nodes = [d.construction for catalog in (first, second) for d in catalog.components
+             if d.construction is not None]
+    assert len(nodes) == 14
+    assert sorted(map(id, calls)) == sorted(map(id, nodes))
 
 
 def count_rows(monkeypatch) -> list:
