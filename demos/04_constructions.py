@@ -52,4 +52,4 @@ print(splice_ses(shape, (-3, 0)).to_markdown())
 # The full pipeline on the extension above: spectrum out.  Rows below
 # the sound window are discarded before inversion, so the policy's
 # deep-twist guesses never contaminate the answer.
-print("pipeline result:", construction_spectrum(spec))
+print("pipeline result:", construction_spectrum(spec)[1])

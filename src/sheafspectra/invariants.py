@@ -90,11 +90,19 @@ class ChernClasses(_Checked, NamedTuple("ChernClasses", [
         return (self.e, self.c2, self.c3)
 
 
-class SplittingType(NamedTuple):
-    """Degrees (a1, a2) of the restriction to a generic line, a1 <= a2."""
+class SplittingType(_Checked, NamedTuple("SplittingType", [("a1", int), ("a2", int)])):
+    """Degrees (a1, a2) of the restriction to a generic line.
 
-    a1: int
-    a2: int
+    Only the generic type (e, 0) of a normalized semistable sheaf, e in
+    {-1, 0}, is accepted: the spectrum formulas are stated for it alone.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a1: int, a2: int):
+        if (_exact(a1), _exact(a2)) not in ((-1, 0), (0, 0)):
+            raise ValueError(f"splitting type must be (-1, 0) or (0, 0), got ({a1}, {a2})")
+        return tuple.__new__(cls, (a1, a2))
 
 
 def euler_characteristic(cc: ChernClasses, t: int) -> int:
@@ -123,11 +131,14 @@ def line_bundle_chi(a: int, t: int) -> int:
     return (d + 1) * (d + 2) * (d + 3) // 6
 
 
+_GENERIC = {e: SplittingType(e, 0) for e in (-1, 0)}
+
+
 def splitting_type_from_e(e: int) -> SplittingType:
     """Generic splitting type of a normalized semistable sheaf with c1 = e."""
-    if _exact(e) not in (-1, 0):
+    if _exact(e) not in _GENERIC:
         raise NotNormalizedError(f"no semistable splitting type for e = {e}")
-    return SplittingType(e, 0)
+    return _GENERIC[e]
 
 
 def chern_from_resolution(

@@ -22,12 +22,12 @@ splice_bounds reads, for each entry, the interval attainable over all
 rank choices off the two corners of the rank box, so callers can tell
 policy output from forced output.
 
-construction_spectrum and construction_table run the full pipeline from
-a node to a spectrum and back to a printed-window table: the rows and
-the spectrum must fit the class read from the rows' chi and be
-admissible, and the raw policy h2, which can misread deep syzygies, is
-withheld below the twist -3-e.  Both derive on every call; a catalog
-remembers which of its recipes have checked out (workbench).
+construction_spectrum runs the full pipeline from a node to its class
+and spectrum: the rows and the spectrum must fit the class read from
+the rows' chi and be admissible, and the raw policy h2, which can
+misread deep syzygies, is withheld below the twist -3-e.  It derives on
+every call; a catalog remembers which of its recipes have checked out
+(workbench).
 """
 
 from __future__ import annotations
@@ -39,12 +39,10 @@ from .cohomology import (
     CohomologyTable,
     _check_chi,
     spectrum_from_table,
-    table_from_spectrum,
 )
 from .errors import (
     AmbiguousCurveModuleError,
     CatalogError,
-    InadmissibleSpectrumError,
     NotNormalizedError,
     RankMismatchError,
     SequenceInfeasibleError,
@@ -57,7 +55,7 @@ from .invariants import (
     line_bundle_chi,
     splitting_type_from_e,
 )
-from .spectrum import SpectrumWithS, s_upper_bound, validate_chain_down
+from .spectrum import SpectrumWithS, _check_admissible
 
 __all__ = [
     "LineBundle",
@@ -72,7 +70,6 @@ __all__ = [
     "symbol_from_json",
     "recipe_table",
     "construction_spectrum",
-    "construction_table",
 ]
 
 
@@ -399,30 +396,16 @@ def _class_from_rows(rows: Mapping) -> ChernClasses:
     return ChernClasses(e, c2, 2 * y + e * c2)
 
 
-def _derivation(node) -> tuple[ChernClasses, SpectrumWithS]:
-    rows = {t: _row(node, t) for t in range(-8, 1)}
-    cc = _class_from_rows(rows)  # from the raw rows, before h2 is withheld
-    for t in range(-8, -3 - cc.e):  # h2 withheld below -3-e
-        rows[t] = rows[t][:2] + (None, rows[t][3])
-    st = splitting_type_from_e(cc.e)
-    sw = spectrum_from_table(CohomologyTable(-8, 0, rows, cc), st)
-    if validate_chain_down(sw.values, st) or sw.s > s_upper_bound(cc.e, cc.c2):
-        raise InadmissibleSpectrumError(
-            f"spectrum {sw.values}, s={sw.s} breaks the chain-down rule or the bound on s"
-        )
-    return cc, sw
-
-
-def construction_spectrum(node) -> SpectrumWithS:
-    """Spectrum of a construction node: splice over twists -8..0, invert.
+def construction_spectrum(node) -> tuple[ChernClasses, SpectrumWithS]:
+    """Class and spectrum of a construction node: splice over twists -8..0, invert.
 
     The answer must be admissible and, with every known row, fit the
     class read from the rows' chi; h2 is withheld below the twist -3-e.
     """
-    return _derivation(node)[1]
-
-
-def construction_table(node) -> CohomologyTable:
-    """Printed-window table (twists -4..-1) of construction_spectrum's answer."""
-    cc, sw = _derivation(node)
-    return table_from_spectrum(sw, splitting_type_from_e(cc.e), (-4, -1))
+    rows = {t: _row(node, t) for t in range(-8, 1)}
+    cc = _class_from_rows(rows)  # from the raw rows, before h2 is withheld
+    for t in range(-8, -3 - cc.e):  # h2 withheld below -3-e
+        rows[t] = rows[t][:2] + (None, rows[t][3])
+    sw = spectrum_from_table(CohomologyTable(-8, 0, rows, cc), splitting_type_from_e(cc.e))
+    _check_admissible(cc.e, sw)
+    return cc, sw

@@ -34,7 +34,6 @@ __all__ = [
     "UNBOUNDED",
     "validate_spectrum",
     "c3_from_spectrum",
-    "s_from_spectrum",
     "sum_via_chi",
     "validate_chain_down",
     "validate_chain_up",
@@ -92,26 +91,6 @@ def c3_from_spectrum(e: int, c2: int, sw: SpectrumWithS) -> int:
         raise InadmissibleSpectrumError(f"s must be a nonnegative int, got {sw.s!r}")
     splitting_type_from_e(e)  # NotNormalizedError unless e is -1 or 0
     return -2 * sum(spec) + e * c2 - 2 * sw.s
-
-
-def _sum_max(cc: ChernClasses) -> int:
-    # sum(k_i) at s = 0, from the c3 identities
-    return (cc.e * cc.c2 - cc.c3) // 2
-
-
-def s_from_spectrum(cc: ChernClasses, values: Iterable[int]) -> int:
-    """The unique s making the c3 identity hold; rejects s < 0."""
-    spec = validate_spectrum(values)
-    if len(spec) != cc.c2:
-        raise InadmissibleSpectrumError(
-            f"spectrum has {len(spec)} entries, expected m = c2 = {cc.c2}"
-        )
-    s = _sum_max(cc) - sum(spec)
-    if s < 0:
-        raise InadmissibleSpectrumError(
-            f"spectrum {spec} inadmissible for {cc.as_tuple()}: s = {s} < 0"
-        )
-    return s
 
 
 def sum_via_chi(cc: ChernClasses, s: int) -> int:
@@ -182,6 +161,15 @@ def s_upper_bound(e: int, c2: int, regime: str = "general") -> int:
     raise ValueError(f"unknown regime {regime!r}")
 
 
+def _check_admissible(e: int, sw: SpectrumWithS) -> None:
+    # the rules a recipe's answer and a catalog record's spectrum must meet
+    if (validate_chain_down(sw.values, splitting_type_from_e(e))
+            or sw.s > s_upper_bound(e, len(sw.values))):
+        raise InadmissibleSpectrumError(
+            f"spectrum {sw.values}, s={sw.s} breaks the chain-down rule or the bound on s"
+        )
+
+
 def enumerate_spectra(
     cc: ChernClasses, p: ChainUpParam = UNBOUNDED
 ) -> list[SpectrumWithS]:
@@ -201,7 +189,7 @@ def enumerate_spectra(
     if m < 1:
         raise DegenerateClassError(f"enumeration needs c2 >= 1, got {cc.c2}")
     st = splitting_type_from_e(cc.e)
-    sum_max = _sum_max(cc)
+    sum_max = (cc.e * m - cc.c3) // 2  # sum(k_i) at s = 0, from the c3 identities
     sum_min = sum_max - s_upper_bound(cc.e, m, "general")
     hi = sum_max + m * (m - 1)
 
@@ -233,5 +221,10 @@ def enumerate_spectra(
             walk(total + v, v, v + 1 if v < -1 else hi)
             prefix.pop()
 
-    walk(0, -m, hi)
+    try:
+        walk(0, -m, hi)
+    except RecursionError:  # one frame per entry: the input is flat, just long
+        raise ValueError(
+            f"enumerating c2 = {m} needs a walk {m} entries deep, past Python's recursion limit"
+        ) from None
     return results

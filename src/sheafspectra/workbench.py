@@ -6,8 +6,10 @@ family parameters, dimension, generic spectrum, and, where the
 construction is expressible with the recipe grammar, a recipe that
 component_report re-executes to confirm the stored spectrum.  Closed
 dimension and Chern-class formulas for the X and T families are
-enforced at load time, as is the c3 identity between spectrum and s;
-the other families have no closed forms and take no params.
+enforced at load time, as are the c3 identity between spectrum and s,
+the chain-down rule and the general bound on s; the other families
+have no closed forms and take no params, and a field outside the
+record schema is refused.
 
 realizability_gap diffs the exhaustive spectrum enumeration against the
 catalog (which candidates have no known component) and against the
@@ -34,11 +36,12 @@ from typing import Mapping, NamedTuple, Sequence
 from .cohomology import _markdown, _spectrum_str
 from .errors import CatalogError, SheafSpectraError, VerificationError
 from .invariants import ChernClasses, _Checked, _exact, kernel_invariants
-from .sheafcalc import _derivation, symbol_from_json
+from .sheafcalc import construction_spectrum, symbol_from_json
 from .spectrum import (
     UNBOUNDED,
     ChainUpParam,
     SpectrumWithS,
+    _check_admissible,
     c3_from_spectrum,
     enumerate_spectra,
     s_upper_bound,
@@ -50,7 +53,6 @@ __all__ = [
     "ComponentDescriptor",
     "Catalog",
     "catalog_load",
-    "component_dimension",
     "component_report",
     "report_markdown",
     "rao_pairs",
@@ -92,19 +94,10 @@ def _family_invariants(family: str, params: Mapping, e: int) -> tuple:
                 f"X-family parameters out of range: n={n} m={m} r={r} s={s} e={e}"
             )
         return 8 * n + 4 * s + 2 * r + 2 + e, (e, n + 1, m + 2 + e - 2 * r - 2 * s)
-    if family == "T":
-        n, m, s = (_exact(params[k]) for k in ("n", "m", "s"))
-        if n < 1 or s < 0 or m - 2 * s < 0:
-            raise ValueError(
-                f"T-family parameters out of range: n={n} m={m} s={s}"
-            )
-        return 8 * n - 3 + 2 * e + 4 * s, (e, n, m - 2 * s)
-    raise ValueError(f"no closed-form dimension for family {family!r}")
-
-
-def component_dimension(family: str, params: Mapping, e: int) -> int:
-    """Closed-form dimension of an X- or T-family component."""
-    return _family_invariants(family, params, e)[0]
+    n, m, s = (_exact(params[k]) for k in ("n", "m", "s"))  # the T family
+    if n < 1 or s < 0 or m - 2 * s < 0:
+        raise ValueError(f"T-family parameters out of range: n={n} m={m} s={s}")
+    return 8 * n - 3 + 2 * e + 4 * s, (e, n, m - 2 * s)
 
 
 class ComponentDescriptor(NamedTuple):
@@ -143,6 +136,10 @@ class Catalog(_Checked, NamedTuple("Catalog", [("components", tuple)])):
         return tuple(d for d in self.components if d.moduli == cc)
 
 
+_RECORD_FIELDS = {"moduli", "name", "family", "params", "dimension", "spectrum", "s",
+                  "level", "construction"}
+
+
 def _descriptor_from_json(record: Mapping) -> ComponentDescriptor:
     # the one reader of a catalog record: any failure names the component
     if not isinstance(record, Mapping):
@@ -151,6 +148,9 @@ def _descriptor_from_json(record: Mapping) -> ComponentDescriptor:
     if not isinstance(name, str) or not name:
         raise CatalogError(f"component without a usable name: {record!r}")
     try:
+        stray = sorted(set(record) - _RECORD_FIELDS)
+        if stray:  # a misspelt field must not drop what it holds
+            raise ValueError(f"unknown field {stray[0]!r}")
         family, dimension = record["family"], record["dimension"]
         params = record.get("params")
         if family not in FAMILIES:
@@ -162,6 +162,7 @@ def _descriptor_from_json(record: Mapping) -> ComponentDescriptor:
         c3 = c3_from_spectrum(moduli.e, moduli.c2, spectrum)  # validates both
         if c3 != moduli.c3:
             raise ValueError(f"spectrum and s give c3 = {c3}, moduli say {moduli.c3}")
+        _check_admissible(moduli.e, spectrum)
         if family in ("X", "T"):
             if params is None:
                 raise ValueError(f"family {family} requires params")
@@ -229,7 +230,7 @@ def component_report(catalog: Catalog, moduli: ChernClasses) -> dict:
         key = (desc.moduli, desc.name)
         if desc.construction is not None and key not in catalog._verified:
             try:
-                cc, recomputed = _derivation(desc.construction)
+                cc, recomputed = construction_spectrum(desc.construction)
             except SheafSpectraError as exc:  # same class, so the exit code holds
                 raise type(exc)(f"component {desc.name!r}: {exc}") from exc
             if (cc, recomputed) != (desc.moduli, desc.spectrum):
@@ -283,8 +284,10 @@ def realizability_gap(
 
     Returns (missing, extra_candidates): enumerated spectrum values with
     no catalog component, and enumerated values absent from the
-    documented candidate list.  A catalog spectrum missing from the
-    enumeration means the enumerator or the catalog is wrong.
+    documented candidate list.  A loaded catalog's spectra passed the
+    chain-down rule and the bound on s, so one missing from the
+    enumeration means the chain-up threshold p excludes a recorded
+    component (VerificationError).
     """
     # enumerate_spectra emits each nondecreasing tuple once
     enumerated = [sw.values for sw in enumerate_spectra(cc, p)]

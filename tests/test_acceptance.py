@@ -15,15 +15,14 @@ from sheafspectra import (
     ChernClasses,
     MonadShape,
     SpectrumWithS,
+    c3_from_spectrum,
     catalog_load,
     check_slope_examples,
     construction_spectrum,
-    construction_table,
     enumerate_spectra,
     euler_characteristic,
     rao_pairs,
     realizability_gap,
-    s_from_spectrum,
     s_upper_bound,
     spectrum_from_table,
     splitting_type_from_e,
@@ -92,7 +91,9 @@ def test_acceptance_2_table_reproduction():
         ("X(-1,1,1,1,0)", COKERNEL_QUOTIENT_TABLE),
     ]:
         recipe = _by_name(catalog, cc, name).construction
-        table = construction_table(recipe)
+        recipe_cc, sw = construction_spectrum(recipe)
+        assert recipe_cc == cc
+        table = table_from_spectrum(sw, st, (-4, -1))
         for t, (h1, h2) in published.items():
             assert (table.entry(t, 1), table.entry(t, 2)) == (h1, h2)
     _ok(2, "closed form and construction pipelines reproduce all four tables")
@@ -120,7 +121,7 @@ def test_acceptance_4_monad_spectra_and_chern():
         recipe = _by_name(catalog, cc, name).construction
         shape = MonadShape(recipe.a, recipe.b, recipe.c)
         assert shape.chern() == cc
-        assert construction_spectrum(recipe) == SpectrumWithS(values, 0)
+        assert construction_spectrum(recipe) == (cc, SpectrumWithS(values, 0))
     _ok(4, "instanton and Ein monads give (0,0,0) and (-1,0,1) on class (0,3,0)")
 
 
@@ -180,7 +181,7 @@ def test_acceptance_8_identity_web():
         # c3 identity against the independent Euler-characteristic route
         c3 = (-2 * sum(values) - m - 2 * s) if e == -1 else (-2 * sum(values) - 2 * s)
         cc = ChernClasses(e, m, c3)
-        assert s_from_spectrum(cc, values) == s
+        assert c3_from_spectrum(e, m, sw) == c3
         assert sum_via_chi(cc, s) == sum(values)
 
         # chi integrality and the parity law

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, run in process."""
 
 import json
+import sys
 from importlib import resources
 
 import pytest
@@ -216,6 +217,13 @@ def test_splice_deeply_nested_recipe_is_an_error_line(capsys, tmp_path):
     path.write_text(text)
     code, out, err = run(capsys, "splice", "--spec", str(path))
     assert (code, out, err) == (1, "", "error: input is nested too deeply\n")
+
+
+def test_a_long_flat_class_is_not_told_it_is_nested(capsys):
+    m = sys.getrecursionlimit()
+    code, out, err = run(capsys, "enumerate", "--e", "0", "--c2", str(m), "--c3", str(m * (m + 1)))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: enumerating c2 = {m} needs a walk {m} entries deep, ")
 
 
 # ------------------------------------------------------------- reports

@@ -2,9 +2,11 @@
 first access, each public object under one name; the names the benchmark
 calls and the names in the README's Library table exist; importing the
 root loads no layer; and each subcommand loads only the layers it uses,
-with neither `dataclasses` nor `inspect`; and the recipe kinds the README
-lists are exactly the kinds symbol_from_json reads."""
+with neither `dataclasses` nor `inspect`; the recipe kinds the README
+lists are exactly the kinds symbol_from_json reads; and every public name
+has a caller in code."""
 
+import ast
 import importlib
 import os
 import re
@@ -44,6 +46,31 @@ def test_no_public_object_has_two_names():
         for name in module.__all__:
             names.setdefault(id(getattr(module, name)), []).append(name)
         assert [group for group in names.values() if len(group) > 1] == [], layer
+
+
+def test_every_exported_name_is_used_in_code():
+    # a reference is a loaded Name or Attribute (not a docstring or a comment) in
+    # src outside the name's own definition, in demos/ or in bench/; sum_via_chi
+    # is exempt, as the independent chi route the tests compare against
+    package = Path(sheafspectra.__file__).parent
+    statements = []  # (file, name the statement defines, names it loads)
+    for path in [*package.glob("*.py"), *(BENCH.parent / "demos").glob("*.py"),
+                 *BENCH.glob("*.py")]:
+        for stmt in ast.parse(path.read_text()).body:
+            loads = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                     if isinstance(n, (ast.Name, ast.Attribute))
+                     and isinstance(n.ctx, ast.Load)}
+            statements.append((path, getattr(stmt, "name", None), loads))
+    unused = []
+    for layer in LAYERS:
+        home = package / f"{layer}.py"
+        for name in importlib.import_module(f"sheafspectra.{layer}").__all__:
+            if name != "sum_via_chi" and not any(
+                name in loads for path, defined, loads in statements
+                if (path, defined) != (home, name)
+            ):
+                unused.append(f"{layer}.{name}")
+    assert unused == []
 
 
 def test_names_the_benchmark_calls_exist():

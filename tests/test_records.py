@@ -27,6 +27,7 @@ from sheafspectra import (
     RankMismatchError,
     ShortExactSequenceSpec,
     SpectrumWithS,
+    SplittingType,
     Twist,
     ValidityWindows,
 )
@@ -41,6 +42,7 @@ DESCRIPTOR = dict(
 RECORDS = [
     (ChernClasses, dict(e=-1, c2=2, c3=0), "ChernClasses(e=-1, c2=2, c3=0)"),
     (ChainUpParam, dict(s_eh=2), "ChainUpParam(s_eh=2)"),
+    (SplittingType, dict(a1=-1, a2=0), "SplittingType(a1=-1, a2=0)"),
     (ValidityWindows, dict(h1_max=-1, h2_min=-4),
      "ValidityWindows(h1_max=-1, h2_min=-4)"),
     (CohomologyTable, dict(lo=-1, hi=0, rows={-1: [0, 1, 0, 0]}, cc=None),
@@ -74,7 +76,7 @@ UNHASHABLE = {CohomologyTable, ComponentDescriptor, Catalog}
 
 
 def test_every_record_class_has_a_row():
-    assert len(set(IDS)) == len(IDS) == 13
+    assert len(set(IDS)) == len(IDS) == 14
 
 
 @pytest.mark.parametrize("cls,kwargs,text", RECORDS, ids=IDS)
@@ -124,6 +126,10 @@ INVALID = [
     (ChernClasses, (-1, 1, 0), ParityError, "c2 \\+ c3 must be even"),
     (ChernClasses, (0, 1.0, 0), TypeError, "c2 must be an int"),
     (ChainUpParam, (-1,), ValueError, "s_eh must be nonnegative or None"),
+    # only the generic types (e, 0) are read by the spectrum formulas
+    (SplittingType, (-1, 1), ValueError, r"must be \(-1, 0\) or \(0, 0\), got \(-1, 1\)"),
+    (SplittingType, (-5, 4), ValueError, r"got \(-5, 4\)"),
+    (SplittingType, (1, 0), ValueError, r"got \(1, 0\)"),
     (CohomologyTable, (1, 0), ValueError, "empty twist range"),
     (CohomologyTable, (0, 0, {0: (0, 0, 0)}), ValueError, "4 entries"),
     (CohomologyTable, (0, 0, {1: (0, 0, 0, 0)}), ValueError, "outside"),
@@ -158,6 +164,9 @@ NOT_INT = [
     (CurveModule, (1, 3, 0, 1), "expected bool, got 1"),
     (Twist, (LineBundle(0), 1.0), "expected int, got 1.0"),
     (ChainUpParam, (True,), "expected int, got True"),
+    (SplittingType, (True, 0), "expected int, got True"),
+    (SplittingType, (-1, False), "expected int, got False"),
+    (SplittingType, (0.0, 0), "expected int, got 0.0"),
     (ChainUpParam, (1.5,), "expected int, got 1.5"),
     (MonadShape, ((-1.0,), (0, 0, 0, 0), (1,)), "expected int, got -1.0"),
     (MonadShape, (("a",), (0, 0, 0, 0), (1,)), "expected int, got 'a'"),
@@ -179,6 +188,7 @@ def test_integer_fields_are_strict(cls, args, text):
 REPLACED = [
     (ChernClasses(-1, 2, 0), dict(e=5), NotNormalizedError, "must be -1 or 0"),
     (ChainUpParam(2), dict(s_eh=-1), ValueError, "s_eh must be nonnegative"),
+    (SplittingType(0, 0), dict(a2=1), ValueError, "splitting type must be"),
     (CohomologyTable(-1, 0), dict(lo=1), ValueError, "empty twist range"),
     (Catalog([ComponentDescriptor(**DESCRIPTOR)]),
      dict(components=[ComponentDescriptor(**DESCRIPTOR)] * 2), CatalogError, "duplicate"),

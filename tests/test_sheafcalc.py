@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sheafspectra.cohomology import CohomologyTable, table_from_spectrum
+from sheafspectra.cohomology import CohomologyTable
 from sheafspectra.errors import (
     AmbiguousCurveModuleError,
     CatalogError,
@@ -22,7 +22,6 @@ from sheafspectra.invariants import (
     ChernClasses,
     euler_characteristic,
     line_bundle_chi,
-    splitting_type_from_e,
 )
 from sheafspectra.sheafcalc import (
     CurveModule,
@@ -33,14 +32,13 @@ from sheafspectra.sheafcalc import (
     ShortExactSequenceSpec,
     Twist,
     construction_spectrum,
-    construction_table,
     recipe_table,
     splice_bounds,
     splice_ses,
     symbol_from_json,
 )
-from sheafspectra.sheafcalc import _class_from_rows, _derivation
-from sheafspectra.spectrum import SpectrumWithS
+from sheafspectra.sheafcalc import _class_from_rows
+from sheafspectra.spectrum import SpectrumWithS, c3_from_spectrum
 
 # construction recipes for the derived components, shared across tests
 TWO_CONICS = {
@@ -395,22 +393,18 @@ PIPELINES = [
 
 @pytest.mark.parametrize("node,e,values,s", PIPELINES)
 def test_construction_spectra(node, e, values, s):
-    assert construction_spectrum(node) == SpectrumWithS(values, s)
-
-
-@pytest.mark.parametrize("node,e,values,s", PIPELINES)
-def test_construction_tables_match_formula_tables(node, e, values, s):
-    want = table_from_spectrum(
-        SpectrumWithS(values, s), splitting_type_from_e(e), (-4, -1)
-    )
-    got = construction_table(node)
-    assert got.rows == want.rows and got.cc == want.cc
+    # the class and the spectrum are all a printed-window table is made from
+    sw = SpectrumWithS(values, s)
+    cc = ChernClasses(e, len(values), c3_from_spectrum(e, len(values), sw))
+    assert construction_spectrum(node) == (cc, sw)
 
 
 def test_one_conic_kernel_pipeline_recovers_double_point_spectrum():
     node = {"kind": "quotient", "ambient": EXTENSION_OVER_ONE_CONIC,
             "quotient": {"kind": "points", "n": 1}}
-    assert construction_spectrum(symbol_from_json(node)) == SpectrumWithS((-1, -1), 1)
+    assert construction_spectrum(symbol_from_json(node)) == (
+        ChernClasses(-1, 2, 0), SpectrumWithS((-1, -1), 1)
+    )
 
 
 def test_plane_cubic_sequence_rows():
@@ -432,13 +426,11 @@ def test_construction_pipeline_takes_nodes_not_json():
     # a recipe's JSON form is read by symbol_from_json and recipe_table only
     with pytest.raises(TypeError, match="not a sheaf symbol"):
         construction_spectrum(EXTENSION_OVER_TWO_CONICS)
-    with pytest.raises(TypeError, match="not a sheaf symbol"):
-        construction_table(EXTENSION_OVER_TWO_CONICS)
 
 
 def _derived(node):
     try:
-        return _derivation(node)
+        return construction_spectrum(node)
     except Exception as exc:  # the class and message are what is compared
         return type(exc), str(exc)
 
@@ -501,8 +493,6 @@ KERNEL_ONTO_NEGATIVE_CUBIC = {
 def test_pipeline_refuses_what_no_rank_2_class_explains(node, error, text):
     with pytest.raises(error, match=text):
         construction_spectrum(node)
-    with pytest.raises(error, match=text):
-        construction_table(node)
 
 
 @pytest.mark.parametrize("k,twist", [(1, -1), (-1, 1), (2, -2)])
@@ -514,7 +504,9 @@ def test_an_unnormalized_recipe_is_told_its_normalizing_twist(k, twist):
         f"recipe has first Chern class {2 * k}; twist it by {twist} to normalize it"
     )
     normalized = Twist(Twist(EIN_NODE, k), twist)
-    assert construction_spectrum(normalized) == SpectrumWithS((-1, 0, 1), 0)
+    assert construction_spectrum(normalized) == (
+        ChernClasses(0, 3, 0), SpectrumWithS((-1, 0, 1), 0)
+    )
 
 
 def bundled_records():
@@ -530,7 +522,7 @@ def bundled_recipes():
 
 @pytest.mark.parametrize("node,moduli", bundled_recipes())
 def test_recipe_class_is_the_records_moduli(node, moduli):
-    assert _derivation(node)[0] == ChernClasses(*moduli)
+    assert construction_spectrum(node)[0] == ChernClasses(*moduli)
 
 
 @pytest.mark.parametrize("record", bundled_records(), ids=lambda r: r["name"])
@@ -551,7 +543,7 @@ def test_bundled_recipe_rows_have_the_records_chi_up_to_twist_two(record):
 @pytest.mark.parametrize("node", [INSTANTON_NODE, EIN_NODE], ids=["Instanton", "Ein"])
 def test_fitted_class_of_a_monad_is_its_series_class(node):
     shape = MonadShape(*node)
-    assert _derivation(node)[0] == shape.chern() == ChernClasses(0, 3, 0)
+    assert construction_spectrum(node)[0] == shape.chern() == ChernClasses(0, 3, 0)
 
 
 @st.composite

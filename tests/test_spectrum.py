@@ -24,7 +24,6 @@ from sheafspectra.spectrum import (
     SpectrumWithS,
     c3_from_spectrum,
     enumerate_spectra,
-    s_from_spectrum,
     s_upper_bound,
     sum_via_chi,
     validate_chain_down,
@@ -59,11 +58,13 @@ def test_c3_from_spectrum_frozen():
         c3_from_spectrum(-1, 3, SpectrumWithS((-1, -1), 1))
 
 
-def test_s_from_spectrum_frozen():
-    assert s_from_spectrum(ChernClasses(-1, 2, 0), (-2, -1)) == 2
-    assert s_from_spectrum(ChernClasses(0, 3, 0), (-1, 0, 1)) == 0
-    with pytest.raises(InadmissibleSpectrumError):
-        s_from_spectrum(ChernClasses(0, 3, 0), (1, 1, 1))  # s would be -3
+def test_s_is_determined_by_class_and_spectrum():
+    # the enumerator reads s off the c3 identity and drops a tuple that needs s < 0
+    s_of = lambda cc: {sw.values: sw.s for sw in enumerate_spectra(cc)}
+    assert s_of(ChernClasses(-1, 2, 0))[(-2, -1)] == 2
+    assert s_of(ChernClasses(0, 3, 0))[(-1, 0, 1)] == 0
+    assert (1, 1, 1) not in s_of(ChernClasses(0, 3, 0))  # s would be -3
+    assert c3_from_spectrum(0, 3, SpectrumWithS((1, 1, 1), 0)) == -6
 
 
 def test_sum_via_chi_frozen():
@@ -207,6 +208,13 @@ def test_enumerate_walks_no_prefix_that_cannot_climb(e, c3):
     assert len(calls) <= 21
 
 
+def test_a_walk_past_the_recursion_limit_names_c2_and_its_depth():
+    # (-m, ..., -1) at s = 0 is the one spectrum: flat input, one walk frame per entry
+    m = sys.getrecursionlimit()
+    with pytest.raises(ValueError, match=f"enumerating c2 = {m} needs a walk {m} entries deep"):
+        enumerate_spectra(ChernClasses(0, m, m * (m + 1)))
+
+
 def test_enumerate_chain_up_thresholds():
     cc = ChernClasses(0, 3, 0)
     assert len(enumerate_spectra(cc, ChainUpParam(0))) == 11
@@ -242,7 +250,7 @@ def test_identity_web(data):
     e, m, values, s = data
     c3 = c3_from_spectrum(e, m, SpectrumWithS(values, s))
     cc = ChernClasses(e, m, c3)  # parity holds automatically
-    assert s_from_spectrum(cc, values) == s
+    assert c3 == (-2 * sum(values) - m - 2 * s if e == -1 else -2 * sum(values) - 2 * s)
     assert sum_via_chi(cc, s) == sum(values)
 
 

@@ -15,13 +15,12 @@ from sheafspectra.errors import (
 )
 from sheafspectra.invariants import ChernClasses
 from sheafspectra.sheafcalc import symbol_from_json
-from sheafspectra.spectrum import enumerate_spectra
+from sheafspectra.spectrum import ChainUpParam, enumerate_spectra
 from sheafspectra.workbench import (
     DOCUMENTED_CANDIDATES,
     Catalog,
     catalog_load,
     check_slope_examples,
-    component_dimension,
     component_report,
     rao_pairs,
     realizability_gap,
@@ -116,6 +115,35 @@ def test_tampered_records_fail_named(index, mutation):
     assert record["name"] in str(err.value)
 
 
+def test_a_misspelt_field_is_refused_named():
+    # read as a record without a recipe, C(2) would be reported unverified
+    record = bundled_records()[0]
+    record["constructon"] = record.pop("construction")
+    del record["level"]
+    with pytest.raises(CatalogError) as err:
+        catalog_load([record])
+    assert str(err.value) == "component 'C(2)': unknown field 'constructon'"
+
+
+@pytest.mark.parametrize(
+    "moduli,spectrum,s",
+    [
+        ([-1, 2, 0], [-2, 0], 1),  # -2 without -1 breaks the chain-down rule
+        ([0, 1, -4], [0], 2),  # s above the general bound 1 for c2 = 1
+        ([0, 1, 2], [-3], 2),  # both
+    ],
+)
+def test_an_inadmissible_spectrum_is_refused_at_load(moduli, spectrum, s):
+    record = dict(moduli=moduli, name="N", family="monad", dimension=1,
+                  spectrum=spectrum, s=s)
+    with pytest.raises(CatalogError) as err:
+        catalog_load([record])
+    assert str(err.value) == (
+        f"component 'N': spectrum {tuple(spectrum)}, s={s} "
+        "breaks the chain-down rule or the bound on s"
+    )
+
+
 def test_duplicate_names_rejected():
     record = bundled_records()[0]
     with pytest.raises(CatalogError):
@@ -173,31 +201,34 @@ def test_broken_recipe_fails_at_load_named(construction):
 # ----------------------------------------------------- closed dimensions
 
 
-@pytest.mark.parametrize(
-    "family,params,e,want",
-    [
-        ("X", {"n": 1, "m": 1, "r": 1, "s": 0}, -1, 11),
-        ("X", {"n": 2, "m": 4, "r": 2, "s": 1}, 0, 26),
-        ("T", {"n": 2, "m": 4, "s": 2}, -1, 19),
-        ("T", {"n": 3, "m": 8, "s": 4}, 0, 37),
-    ],
-)
-def test_component_dimension(family, params, e, want):
-    assert component_dimension(family, params, e) == want
+def bundled_record(name):
+    return next(r for r in bundled_records() if r["name"] == name)
 
 
 @pytest.mark.parametrize(
-    "family,params,e",
+    "name,want",
+    [("X(-1,1,1,1,0)", 11), ("X(0,2,4,2,1)", 26), ("T(-1,2,4,2)", 19), ("T(0,3,8,4)", 37)],
+)
+def test_closed_form_dimension(name, want):
+    record = bundled_record(name)
+    assert catalog_load([record]).components[0].dimension == want
+    record["dimension"] = want + 1
+    with pytest.raises(CatalogError, match=f"closed-form dimension {want} != stored {want + 1}"):
+        catalog_load([record])
+
+
+@pytest.mark.parametrize(
+    "name,params",
     [
-        ("X", {"n": 2, "m": 2, "r": 1, "s": 0}, 0),  # r=1 needs n=m=1
-        ("X", {"n": 2, "m": 2, "r": 2, "s": 5}, 0),  # s above 2r+2+e-m
-        ("T", {"n": 3, "m": 2, "s": 2}, 0),  # c3 would go negative
-        ("monad", None, 0),
+        ("X(0,2,2,2,0)", {"n": 2, "m": 2, "r": 1, "s": 0}),  # r=1 needs n=m=1
+        ("X(0,2,2,2,0)", {"n": 2, "m": 2, "r": 2, "s": 5}),  # s above 2r+2+e-m
+        ("T(0,3,2,1)", {"n": 3, "m": 2, "s": 2}),  # c3 would go negative
     ],
 )
-def test_component_dimension_range_errors(family, params, e):
-    with pytest.raises(ValueError):
-        component_dimension(family, params, e)
+def test_closed_form_parameter_range_errors(name, params):
+    with pytest.raises(CatalogError, match="parameters out of range") as err:
+        catalog_load([dict(bundled_record(name), params=params)])
+    assert name in str(err.value)
 
 
 # ------------------------------------------------------------- reports
@@ -323,8 +354,9 @@ KERNEL_ONTO_NEGATIVE_CUBIC = {
 def count_derivations(monkeypatch) -> list:
     import sheafspectra.workbench as workbench
 
-    derive, calls = workbench._derivation, []
-    monkeypatch.setattr(workbench, "_derivation", lambda node: calls.append(node) or derive(node))
+    derive, calls = workbench.construction_spectrum, []
+    monkeypatch.setattr(workbench, "construction_spectrum",
+                        lambda node: calls.append(node) or derive(node))
     return calls
 
 
@@ -437,7 +469,7 @@ def test_gap_soundness():
 
 def test_gap_hard_failure_on_alien_spectrum():
     # (-3,-2) satisfies the c3 identity with s=4 but breaks the chain
-    # rule, so it cannot appear in the enumeration
+    # rule, so it cannot appear in the enumeration: the loader refuses it
     alien = {
         "moduli": [-1, 2, 0],
         "name": "ghost",
@@ -448,9 +480,14 @@ def test_gap_hard_failure_on_alien_spectrum():
         "s": 4,
         "construction": None,
     }
-    catalog = catalog_load([alien])
-    with pytest.raises(VerificationError):
-        realizability_gap(catalog, M2)
+    with pytest.raises(CatalogError, match=r"component 'ghost': spectrum \(-3, -2\), s=4"):
+        catalog_load([alien])
+
+
+def test_gap_fails_when_the_threshold_excludes_a_recorded_spectrum():
+    # s_eh = 0 drops X(0,2,4,3,0)'s (-1,-1,2): its entry 2 needs a 1 beside it
+    with pytest.raises(VerificationError, match=r"\[\(-1, -1, 2\)\] missing"):
+        realizability_gap(catalog_load(), M3, ChainUpParam(0))
 
 
 # ------------------------------------------------------------- examples
