@@ -11,13 +11,13 @@ its JSON form, refuses a field its kind does not have, and reads the
 kinds without a node class of their own into the nodes they denote: a
 rational curve as a genus-0 curve module, an ideal of a curve as the
 kernel of O ->> O_C and a quotient as the kernel of ambient ->> quotient.
-splice_ses evaluates any node over a twist range, one _row per twist:
-a sequence is solved from its twelve-term cohomology sequence under the
-generic maximal-rank policy (every free connecting or interior map
-takes the largest rank its source and target allow; forced maps,
-injective at the left end and surjective at the right, are checked for
-feasibility), and a monad row is checked against the Chern classes of
-the power-series oracle.
+splice_ses evaluates any node over a twist range, each node once for
+the whole range: a sequence is solved at each twist from its twelve-term
+cohomology sequence under the generic maximal-rank policy (every free
+connecting or interior map takes the largest rank its source and target
+allow; forced maps, injective at the left end and surjective at the
+right, are checked for feasibility), and a monad row is checked against
+the Chern classes of the power-series oracle.
 splice_bounds reads, for each entry, the interval attainable over all
 rank choices off the two corners of the rank box, so callers can tell
 policy output from forced output.
@@ -33,7 +33,8 @@ every call; a catalog remembers which of its recipes have checked out
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from itertools import starmap
+from typing import Iterator, Mapping, NamedTuple
 
 from .cohomology import (
     CohomologyTable,
@@ -46,6 +47,7 @@ from .errors import (
     NotNormalizedError,
     RankMismatchError,
     SequenceInfeasibleError,
+    SheafSpectraError,
 )
 from .invariants import (
     ChernClasses,
@@ -128,48 +130,79 @@ class Twist(_Checked, NamedTuple("Twist", [("of", object), ("n", int)])):
         return tuple.__new__(cls, (of, _exact(n)))
 
 
-def _row(node, t: int) -> tuple:
-    """Row (h0, h1, h2, h3) of any construction node at twist t."""
-    if isinstance(node, LineBundle):
-        chi = line_bundle_chi(node.a, t)
-        d = node.a + t
-        return (chi if d >= 0 else 0, 0, 0, -chi if d <= -4 else 0)
+def _rows(node, twists: range) -> tuple[list, Exception | None]:
+    """Rows of a node up to the lowest failing twist, with the error that twist raises first."""
+    if isinstance(node, LineBundle):  # chi(O(d)) > 0 for d >= 0, < 0 for d <= -4, else 0
+        chis = [line_bundle_chi(node.a, t) for t in twists]
+        return [(c, 0, 0, 0) if c >= 0 else (0, 0, 0, -c) for c in chis], None
     if isinstance(node, DirectSum):
-        rows = [_row(term, t) for term in node.terms]
-        return tuple(map(sum, zip((0, 0, 0, 0), *rows)))  # an empty sum is zero
+        columns = [_rows(term, twists) for term in node.terms]
+        out = columns[0][0] if columns else [(0, 0, 0, 0)] * len(twists)
+        for rows, _ in columns[1:]:
+            out = [(a + e, b + f, c + g, d + h) for (a, b, c, d), (e, f, g, h) in zip(out, rows)]
+        return out, next((err for rows, err in columns if len(rows) == len(out)), None)
     if isinstance(node, ShortExactSequenceSpec):
-        return _solve(*_blocks(node, t))
+        return _each(_solve, *_known(node, twists))
     if isinstance(node, PointSheaf):
-        return (node.n, 0, 0, 0)
+        return [(node.n, 0, 0, 0)] * len(twists), None
     if isinstance(node, CurveModule):
-        chi = node.slope * t + node.offset
-        deg = chi + node.genus - 1
-        if 0 <= deg <= 2 * node.genus - 2 and not node.generic:
-            raise AmbiguousCurveModuleError(
-                f"degree {deg} lies in the special strip of a genus-{node.genus} "
-                "curve and the module is not declared generic"
-            )
-        return (max(chi, 0), max(-chi, 0), 0, 0)
-    if isinstance(node, MonadShape):
-        row = _row(node.sequence, t)
-        _check_chi(node.chern(), t, row)  # also where the monad fills a slot
-        return row
+        g, chis = node.genus, [node.slope * t + node.offset for t in twists]
+        strip = [i for i, chi in enumerate(chis) if 0 <= chi + g - 1 <= 2 * g - 2]
+        rows = [(c, 0, 0, 0) if c >= 0 else (0, -c, 0, 0) for c in chis]
+        if node.generic or not strip:
+            return rows, None
+        return rows[:strip[0]], AmbiguousCurveModuleError(
+            f"degree {chis[strip[0]] + g - 1} lies in the special strip of a genus-{g} "
+            "curve and the module is not declared generic"
+        )
+    if isinstance(node, MonadShape):  # its class is read at the first row and may fail there
+        rows, err = _rows(node.sequence, twists)
+        ok, err = _each(lambda t, r: _check_chi(node.chern(), t, r), zip(twists, rows), err)
+        return rows[:len(ok)], err
     if isinstance(node, Twist):
-        return _row(node.of, t + node.n)
-    raise TypeError(f"not a sheaf symbol: {node!r}")
+        return _rows(node.of, range(twists.start + node.n, twists.stop + node.n))
+    return [], TypeError(f"not a sheaf symbol: {node!r}")
+
+
+def _known(spec, twists: range) -> tuple[Iterator, Exception | None]:
+    # the blocks around the unknown at each twist where both known slots evaluate
+    (a, a_err), (b, b_err) = [_rows(slot, twists) for slot in spec if slot is not None]
+    return map(_BLOCKS[spec.unknown], a, b), a_err if len(a) <= len(b) else b_err
+
+
+def _each(step, items, err) -> tuple[list, Exception | None]:
+    # step(*item) per item up to the first step that fails, else err, which ended the items
+    out = []
+    try:
+        out.extend(starmap(step, items))  # keeps the results before a failure
+    except SheafSpectraError as exc:
+        return out, exc
+    return out, err
+
+
+def _evaluate(column, rng: tuple[int, int]) -> dict:
+    # rows by twist of column over rng, or its error; the range checks of
+    # CohomologyTable come first, before anything is evaluated
+    lo, hi = rng
+    if type(lo) is not int or type(hi) is not int:
+        raise ValueError(f"bad twist range [{lo!r}, {hi!r}]")
+    if lo > hi:
+        raise ValueError(f"empty twist range [{lo}, {hi}]")
+    rows, err = column(range(lo, hi + 1))
+    if err:
+        raise err
+    return dict(zip(range(lo, hi + 1), rows))
 
 
 def splice_ses(node, rng: tuple[int, int]) -> CohomologyTable:
     """Total cohomology table of any construction node over rng.
 
-    Twists are solved from the lowest up, so of several failing twists
-    the lowest raises.  A monad keeps its Chern classes.
+    Of several failing twists the lowest raises.  A monad keeps its class.
     """
-    lo, hi = rng
-    rows = {t: _row(node, t) for t in range(lo, hi + 1)}
-    # _row has chi-checked a monad's rows already; the table checks them again
+    rows = _evaluate(lambda twists: _rows(node, twists), rng)
+    # the column has chi-checked a monad's rows already; the table checks them again
     cc = node.chern() if isinstance(node, MonadShape) else None
-    return CohomologyTable(lo, hi, rows, cc)
+    return CohomologyTable(*rng, rows, cc)
 
 
 # ------------------------------------------------------- sequence solving
@@ -241,12 +274,6 @@ class ShortExactSequenceSpec(_Checked, NamedTuple("ShortExactSequenceSpec", [
         return _SLOTS[self.index(None)]
 
 
-def _blocks(spec: ShortExactSequenceSpec, t: int) -> tuple:
-    # the two known rows at twist t, as the blocks around the unknown
-    a, b = [_row(slot, t) for slot in spec if slot is not None]
-    return _BLOCKS[spec.unknown](a, b)
-
-
 def splice_bounds(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> dict:
     """Attainable [lo, hi] per entry over all admissible rank choices.
 
@@ -257,11 +284,8 @@ def splice_bounds(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> dict:
     """
     if not isinstance(spec, ShortExactSequenceSpec):
         raise TypeError(f"splice_bounds needs a ShortExactSequenceSpec, got {spec!r}")
-    out = {}
-    for t in range(rng[0], rng[1] + 1):
-        p, q = _blocks(spec, t)
-        out[t] = tuple(zip(_solve(p, q), _solve(p, q, (0, 0, 0))))
-    return out
+    step = lambda p, q: tuple(zip(_solve(p, q), _solve(p, q, (0, 0, 0))))
+    return _evaluate(lambda twists: _each(step, *_known(spec, twists)), rng)
 
 
 class MonadShape(_Checked, NamedTuple("MonadShape", [
@@ -294,7 +318,7 @@ class MonadShape(_Checked, NamedTuple("MonadShape", [
         return self._chern
 
     @cached_property
-    def _chern(self) -> ChernClasses:  # read by _row at every twist
+    def _chern(self) -> ChernClasses:  # read at every row of every column
         return chern_from_resolution(self.b, self.a + self.c)
 
 
@@ -402,7 +426,7 @@ def construction_spectrum(node) -> tuple[ChernClasses, SpectrumWithS]:
     The answer must be admissible and, with every known row, fit the
     class read from the rows' chi; h2 is withheld below the twist -3-e.
     """
-    rows = {t: _row(node, t) for t in range(-8, 1)}
+    rows = dict(splice_ses(node, (-8, 0)).rows)
     cc = _class_from_rows(rows)  # from the raw rows, before h2 is withheld
     for t in range(-8, -3 - cc.e):  # h2 withheld below -3-e
         rows[t] = rows[t][:2] + (None, rows[t][3])

@@ -3,12 +3,13 @@
 import json
 from importlib import resources
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sheafspectra.cohomology import CohomologyTable
+from sheafspectra.cohomology import CohomologyTable, _check_chi
 from sheafspectra.errors import (
     AmbiguousCurveModuleError,
     CatalogError,
@@ -37,7 +38,7 @@ from sheafspectra.sheafcalc import (
     splice_ses,
     symbol_from_json,
 )
-from sheafspectra.sheafcalc import _class_from_rows
+from sheafspectra.sheafcalc import _BLOCKS, _class_from_rows, _solve
 from sheafspectra.spectrum import SpectrumWithS, c3_from_spectrum
 
 # construction recipes for the derived components, shared across tests
@@ -428,9 +429,9 @@ def test_construction_pipeline_takes_nodes_not_json():
         construction_spectrum(EXTENSION_OVER_TWO_CONICS)
 
 
-def _derived(node):
+def outcome(call, *args):
     try:
-        return construction_spectrum(node)
+        return call(*args)
     except Exception as exc:  # the class and message are what is compared
         return type(exc), str(exc)
 
@@ -440,14 +441,16 @@ def test_value_equal_nodes_of_different_kinds_derive_apart():
     onto_line = ShortExactSequenceSpec(middle=EXTENSION_NODE, right=LineBundle(1))
     onto_point = ShortExactSequenceSpec(middle=EXTENSION_NODE, right=PointSheaf(1))
     assert onto_line == onto_point
-    assert _derived(onto_line) == (
+    assert outcome(construction_spectrum, onto_line) == (
         NotNormalizedError, "recipe has first Chern class -2; twist it by 1 to normalize it"
     )
-    assert _derived(onto_point) == (ChernClasses(-1, 2, -2), SpectrumWithS((-1, 0), 1))
+    assert outcome(construction_spectrum, onto_point) == (
+        ChernClasses(-1, 2, -2), SpectrumWithS((-1, 0), 1)
+    )
 
 
 def test_a_deep_twist_chain_raises_recursion_error():
-    # _row recurses once per twist
+    # the evaluator recurses once per nesting level
     node = LineBundle(0)
     for _ in range(200_000):
         node = Twist(node, 0)
@@ -707,14 +710,6 @@ def test_genus_0_curve_is_a_quotient_support():
     assert symbol_from_json(as_curve) == LINE_QUOTIENT_NODE
 
 
-def _outcome(node, rng):
-    try:
-        table = splice_ses(node, rng)
-    except Exception as exc:  # the class is what is compared
-        return type(exc)
-    return (table.lo, table.hi, table.rows, table.cc)
-
-
 class Frozen(NamedTuple):
     """Test-only leaf whose rows are those of a table computed beforehand."""
 
@@ -741,14 +736,15 @@ def test_any_kind_nests_anywhere(monkeypatch, position, inner):
     # a nested node reads exactly like a leaf holding its own rows
     import sheafspectra.sheafcalc as sheafcalc
 
-    row = sheafcalc._row
-    monkeypatch.setattr(sheafcalc, "_row", lambda node, t: (
-        node.table.row(t) if isinstance(node, Frozen) else row(node, t)))
+    rows = sheafcalc._rows
+    monkeypatch.setattr(sheafcalc, "_rows", lambda node, twists: (
+        ([node.table.row(t) for t in twists], None) if isinstance(node, Frozen)
+        else rows(node, twists)))
     template, shift = TEMPLATES[position]
     inner = INNER[inner]
     rng = (-6, 0)
     frozen = Frozen(splice_ses(inner, (rng[0] + shift, rng[1] + shift)))
-    assert _outcome(template(inner), rng) == _outcome(template(frozen), rng)
+    assert outcome(splice_ses, template(inner), rng) == outcome(splice_ses, template(frozen), rng)
 
 
 def test_nested_monad_rows_are_chi_checked(monkeypatch):
@@ -791,3 +787,139 @@ def test_lowest_failing_twist_raises():
         recipe_table(node, (-3, 1))
     with pytest.raises(SequenceInfeasibleError, match=r"h0 of the left column \(3\)"):
         recipe_table(node, (-1, 1))
+
+
+# ------------------------------------------------------------- column evaluation
+
+
+def test_each_node_is_evaluated_once_per_range(monkeypatch):
+    import sheafspectra.sheafcalc as sheafcalc
+
+    rows, calls = sheafcalc._rows, []
+    monkeypatch.setattr(sheafcalc, "_rows",
+                        lambda node, twists: calls.append(node) or rows(node, twists))
+    record, = [r for r in bundled_records() if r["name"] == "T(-1,2,4,2)"]
+    node = symbol_from_json(record["construction"])
+    visits = []
+    for rng in [(-8, 0), (-8, 2)]:
+        calls.clear()
+        splice_ses(node, rng)
+        visits.append(len(calls))
+    # the quotient, its ambient, O(-1), the ideal, O, the conic and the points
+    assert visits == [7, 7]
+
+
+INFEASIBLE = ShortExactSequenceSpec(left=LineBundle(0), middle=LineBundle(-1))
+
+
+@pytest.mark.parametrize("splice", [splice_ses, splice_bounds])
+@pytest.mark.parametrize(
+    "rng,text",
+    [((0, -1), "empty twist range [0, -1]"), ((True, 2), "bad twist range [True, 2]"),
+     ((0.0, 1), "bad twist range [0.0, 1]"), ((0, 1.0), "bad twist range [0, 1.0]")],
+)
+def test_a_bad_range_is_refused_before_anything_is_evaluated(splice, rng, text):
+    # INFEASIBLE fails at every twist >= 0, so an evaluated node would raise first
+    with pytest.raises(ValueError) as err:
+        splice(INFEASIBLE, rng)
+    assert str(err.value) == text
+
+
+# The per-twist evaluator that columns replaced, kept as the reference: it
+# walks the whole node once per twist, lowest twist first, so the error
+# raised is the one a depth-first walk of the lowest failing twist meets first.
+
+def _row(node, t: int) -> tuple:
+    """Row (h0, h1, h2, h3) of any construction node at twist t."""
+    if isinstance(node, LineBundle):
+        chi = line_bundle_chi(node.a, t)
+        d = node.a + t
+        return (chi if d >= 0 else 0, 0, 0, -chi if d <= -4 else 0)
+    if isinstance(node, DirectSum):
+        rows = [_row(term, t) for term in node.terms]
+        return tuple(map(sum, zip((0, 0, 0, 0), *rows)))  # an empty sum is zero
+    if isinstance(node, ShortExactSequenceSpec):
+        return _solve(*_blocks(node, t))
+    if isinstance(node, PointSheaf):
+        return (node.n, 0, 0, 0)
+    if isinstance(node, CurveModule):
+        chi = node.slope * t + node.offset
+        deg = chi + node.genus - 1
+        if 0 <= deg <= 2 * node.genus - 2 and not node.generic:
+            raise AmbiguousCurveModuleError(
+                f"degree {deg} lies in the special strip of a genus-{node.genus} "
+                "curve and the module is not declared generic"
+            )
+        return (max(chi, 0), max(-chi, 0), 0, 0)
+    if isinstance(node, MonadShape):
+        row = _row(node.sequence, t)
+        _check_chi(node.chern(), t, row)
+        return row
+    if isinstance(node, Twist):
+        return _row(node.of, t + node.n)
+    raise TypeError(f"not a sheaf symbol: {node!r}")
+
+
+def _blocks(spec, t: int) -> tuple:
+    a, b = [_row(slot, t) for slot in spec if slot is not None]
+    return _BLOCKS[spec.unknown](a, b)
+
+
+def reference_bounds(spec, rng):
+    out = {}
+    for t in range(rng[0], rng[1] + 1):
+        p, q = _blocks(spec, t)
+        out[t] = tuple(zip(_solve(p, q), _solve(p, q, (0, 0, 0))))
+    return out
+
+
+def per_twist_rows(node, twists):
+    # the whole node walked once per twist; splice_ses and construction_spectrum
+    # call the evaluator on their node only, so patched in they read as before
+    return [_row(node, t) for t in twists], None
+
+
+@st.composite
+def monads(draw):
+    a = draw(st.lists(st.integers(-3, 0), max_size=2))
+    c = draw(st.lists(st.integers(0, 3), max_size=2))
+    n = len(a) + len(c) + 2
+    return MonadShape(a, draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), c)
+
+
+def sequence(slots):
+    first, second, unknown = slots
+    known = [name for name in ("left", "middle", "right") if name != unknown]
+    return ShortExactSequenceSpec(**dict(zip(known, (first, second))))
+
+
+# every kind of node, nested; curves of genus 1 and 2 that are not generic
+# fail inside their special strip, and many sequences and monads are infeasible
+NODES = st.recursive(
+    st.one_of(
+        st.integers(-4, 3).map(LineBundle),
+        st.integers(0, 3).map(PointSheaf),
+        st.builds(CurveModule, st.integers(0, 2), st.integers(1, 3),
+                  st.integers(-4, 4), st.booleans()),
+        monads(),
+    ),
+    lambda nodes: st.one_of(
+        st.lists(nodes, max_size=3).map(DirectSum),
+        st.builds(Twist, nodes, st.integers(-3, 3)),
+        st.tuples(nodes, nodes, st.sampled_from(["left", "middle", "right"])).map(sequence),
+    ),
+    max_leaves=6,
+)
+
+
+@given(NODES, st.integers(-9, 3), st.integers(0, 6))
+@settings(deadline=None, max_examples=300)
+def test_columns_match_the_per_twist_reference(node, lo, length):
+    import sheafspectra.sheafcalc as sheafcalc
+
+    rng = (lo, lo + length)
+    columns = [outcome(splice_ses, node, rng), outcome(construction_spectrum, node)]
+    with mock.patch.object(sheafcalc, "_rows", per_twist_rows):
+        assert columns == [outcome(splice_ses, node, rng), outcome(construction_spectrum, node)]
+    if isinstance(node, ShortExactSequenceSpec):
+        assert outcome(splice_bounds, node, rng) == outcome(reference_bounds, node, rng)

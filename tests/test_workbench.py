@@ -388,8 +388,9 @@ def test_each_catalog_derives_its_recipes_once(monkeypatch):
 def count_rows(monkeypatch) -> list:
     import sheafspectra.sheafcalc as sheafcalc
 
-    row, calls = sheafcalc._row, []
-    monkeypatch.setattr(sheafcalc, "_row", lambda node, t: calls.append(t) or row(node, t))
+    rows, calls = sheafcalc._rows, []
+    monkeypatch.setattr(sheafcalc, "_rows",
+                        lambda node, twists: calls.append(twists) or rows(node, twists))
     return calls
 
 
