@@ -32,7 +32,6 @@ __all__ = [
     "ChernClasses",
     "SplittingType",
     "euler_characteristic",
-    "line_bundle_chi",
     "splitting_type_from_e",
     "chern_from_resolution",
     "kernel_invariants",
@@ -118,17 +117,6 @@ def euler_characteristic(cc: ChernClasses, t: int) -> int:
         # unreachable once the parity law holds; kept as a hard check
         raise IntegralityError(f"chi({cc}, {t}) = {sixfold}/6 is not an integer")
     return value
-
-
-def line_bundle_chi(a: int, t: int) -> int:
-    """chi(O(a+t)) on P^3.
-
-    Equals the binomial coefficient C(a+t+3, 3) read as a cubic
-    polynomial, so it vanishes for a+t in {-1, -2, -3}, is positive for
-    a+t >= 0 and negative for a+t <= -4.
-    """
-    d = a + t
-    return (d + 1) * (d + 2) * (d + 3) // 6
 
 
 _GENERIC = {e: SplittingType(e, 0) for e in (-1, 0)}

@@ -12,15 +12,20 @@ kinds without a node class of their own into the nodes they denote: a
 rational curve as a genus-0 curve module, an ideal of a curve as the
 kernel of O ->> O_C and a quotient as the kernel of ambient ->> quotient.
 splice_ses evaluates any node over a twist range, each node once for
-the whole range: a sequence is solved at each twist from its twelve-term
-cohomology sequence under the generic maximal-rank policy (every free
-connecting or interior map takes the largest rank its source and target
-allow; forced maps, injective at the left end and surjective at the
-right, are checked for feasibility), and a monad row is checked against
-the Chern classes of the power-series oracle.
-splice_bounds reads, for each entry, the interval attainable over all
-rank choices off the two corners of the rank box, so callers can tell
-policy output from forced output.
+the whole range; a line bundle's column is its cubic chi computed in
+place.  A sequence's unknown column is solved in one pass, by a closed
+form per unknown slot (see "sequence solving" below) read off its
+twelve-term cohomology sequence under the generic maximal-rank policy:
+every free connecting or interior map takes the largest rank its source
+and target allow.  The forced maps, injective at the left end and
+surjective at the right, make an unknown left slot infeasible where h3
+of the right exceeds h3 of the middle and an unknown right slot where
+h0 of the left exceeds h0 of the middle; a middle slot is always
+feasible.  A monad row is checked against the Chern classes of the
+power-series oracle.
+splice_bounds evaluates the known slots once and reads, for each entry,
+the interval attainable over all rank choices off the two corners of the
+rank box, so callers can tell policy output from forced output.
 
 construction_spectrum runs the full pipeline from a node to its class
 and spectrum: the rows and the spectrum must fit the class read from
@@ -33,8 +38,7 @@ every call; a catalog remembers which of its recipes have checked out
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import starmap
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from .cohomology import (
     CohomologyTable,
@@ -54,7 +58,6 @@ from .invariants import (
     _Checked,
     _exact,
     chern_from_resolution,
-    line_bundle_chi,
     splitting_type_from_e,
 )
 from .spectrum import SpectrumWithS, _check_admissible
@@ -132,9 +135,10 @@ class Twist(_Checked, NamedTuple("Twist", [("of", object), ("n", int)])):
 
 def _rows(node, twists: range) -> tuple[list, Exception | None]:
     """Rows of a node up to the lowest failing twist, with the error that twist raises first."""
-    if isinstance(node, LineBundle):  # chi(O(d)) > 0 for d >= 0, < 0 for d <= -4, else 0
-        chis = [line_bundle_chi(node.a, t) for t in twists]
-        return [(c, 0, 0, 0) if c >= 0 else (0, 0, 0, -c) for c in chis], None
+    if isinstance(node, LineBundle):  # chi(O(d)) = C(d + 3, 3): > 0 for d >= 0, < 0 for d <= -4
+        return [(c, 0, 0, 0) if c >= 0 else (0, 0, 0, -c)
+                for d in range(node.a + twists.start, node.a + twists.stop)
+                for c in [(d + 1) * (d + 2) * (d + 3) // 6]], None
     if isinstance(node, DirectSum):
         columns = [_rows(term, twists) for term in node.terms]
         out = columns[0][0] if columns else [(0, 0, 0, 0)] * len(twists)
@@ -142,7 +146,7 @@ def _rows(node, twists: range) -> tuple[list, Exception | None]:
             out = [(a + e, b + f, c + g, d + h) for (a, b, c, d), (e, f, g, h) in zip(out, rows)]
         return out, next((err for rows, err in columns if len(rows) == len(out)), None)
     if isinstance(node, ShortExactSequenceSpec):
-        return _each(_solve, *_known(node, twists))
+        return _solve(node.unknown, [_rows(slot, twists) for slot in node if slot is not None])
     if isinstance(node, PointSheaf):
         return [(node.n, 0, 0, 0)] * len(twists), None
     if isinstance(node, CurveModule):
@@ -155,29 +159,17 @@ def _rows(node, twists: range) -> tuple[list, Exception | None]:
             f"degree {chis[strip[0]] + g - 1} lies in the special strip of a genus-{g} "
             "curve and the module is not declared generic"
         )
-    if isinstance(node, MonadShape):  # its class is read at the first row and may fail there
+    if isinstance(node, MonadShape):
         rows, err = _rows(node.sequence, twists)
-        ok, err = _each(lambda t, r: _check_chi(node.chern(), t, r), zip(twists, rows), err)
-        return rows[:len(ok)], err
+        try:  # its class is read at the first row and may fail there
+            for i, row in enumerate(rows):
+                _check_chi(node.chern(), twists[i], row)
+        except SheafSpectraError as exc:
+            return rows[:i], exc
+        return rows, err
     if isinstance(node, Twist):
         return _rows(node.of, range(twists.start + node.n, twists.stop + node.n))
     return [], TypeError(f"not a sheaf symbol: {node!r}")
-
-
-def _known(spec, twists: range) -> tuple[Iterator, Exception | None]:
-    # the blocks around the unknown at each twist where both known slots evaluate
-    (a, a_err), (b, b_err) = [_rows(slot, twists) for slot in spec if slot is not None]
-    return map(_BLOCKS[spec.unknown], a, b), a_err if len(a) <= len(b) else b_err
-
-
-def _each(step, items, err) -> tuple[list, Exception | None]:
-    # step(*item) per item up to the first step that fails, else err, which ended the items
-    out = []
-    try:
-        out.extend(starmap(step, items))  # keeps the results before a failure
-    except SheafSpectraError as exc:
-        return out, exc
-    return out, err
 
 
 def _evaluate(column, rng: tuple[int, int]) -> dict:
@@ -212,42 +204,55 @@ def splice_ses(node, rng: tuple[int, int]) -> CohomologyTable:
 #   0 -> L0 -> M0 -> R0 -> L1 -> M1 -> R1 -> L2 -> M2 -> R2 -> L3 -> M3 -> R3 -> 0,
 #
 # is solved for one unknown column U0..U3.  Between consecutive unknowns
-# sit two known entries, so the known part is five blocks p_k -> q_k
-# (k = 0..4) around U_{k-1} -> p_k -> q_k -> U_k, with a zero block at
-# an end where the sequence starts or stops:
+# sit two known entries p_k -> q_k (k = 0..4), with a zero at an end
+# where the sequence starts or stops.  With x_k the rank of p_k -> q_k,
+# exactness gives U_k = (q_k - x_k) + (p_{k+1} - x_{k+1}).  The end
+# ranks are forced: x_0 = p_0 injects and x_4 = q_4 is hit, which is
+# feasible unless p_0 > q_0 or q_4 > p_4.  The inner three (k = 1..3)
+# are free in [0, min(p_k, q_k)]: min under the maximal-rank policy, 0
+# at the upper end of splice_bounds.  Per unknown slot:
 #
-#   unknown left:   (0, 0), (M_i, R_i)
-#   unknown middle: (0, L0), (R_i, L_{i+1}), (R3, 0)
-#   unknown right:  (L_i, M_i), (0, 0)
-#
-# With x_k the rank of p_k -> q_k, exactness gives
-# U_k = (q_k - x_k) + (p_{k+1} - x_{k+1}).  The end ranks are forced
-# (x_0 = p_0 injects, x_4 = q_4 is hit); the inner three are free in
-# [0, min(p_k, q_k)].
+#   left:   x_k = rank(M_{k-1} -> R_{k-1}); infeasible where R3 > M3;
+#           U = (M0 - x1, R0 - x1 + M1 - x2, R1 - x2 + M2 - x3, R2 - x3 + M3 - R3)
+#   middle: x_k = rank(R_{k-1} -> L_k); always feasible;
+#           U = (L0 + R0 - x1, L1 - x1 + R1 - x2, L2 - x2 + R2 - x3, L3 - x3 + R3)
+#   right:  x_k = rank(L_k -> M_k); infeasible where L0 > M0;
+#           U = (M0 - L0 + L1 - x1, M1 - x1 + L2 - x2, M2 - x2 + L3 - x3, M3 - x3)
 
 
-# the known rows (a, b), in slot order, as the block entries (p, q)
-_BLOCKS = {
-    "left": lambda m, r: ((0,) + m, (0,) + r),
-    "middle": lambda l, r: ((0,) + r, l + (0,)),
-    "right": lambda l, m: (l + (0,), m + (0,)),
-}
+def _solve(unknown: str, known: list, maximal: bool = True) -> tuple[list, Exception | None]:
+    """Unknown slot's rows from its known slots' (rows, error), in slot order.
 
-
-def _solve(p: tuple, q: tuple, ranks=None) -> tuple:
-    """Unknown column between the blocks p_k -> q_k; free ranks default maximal."""
-    if p[0] > q[0]:
-        raise SequenceInfeasibleError(
-            f"h0 of the left column ({p[0]}) exceeds h0 of the middle ({q[0]})"
-        )
-    if q[4] > p[4]:
-        raise SequenceInfeasibleError(
-            f"h3 of the right column ({q[4]}) exceeds h3 of the middle ({p[4]})"
-        )
-    if ranks is None:
-        ranks = [a if a < b else b for a, b in zip(p[1:4], q[1:4])]
-    x = (p[0], *ranks, q[4])
-    return tuple([a - b + c - d for a, b, c, d in zip(q, x, p[1:], x[1:])])
+    The rows stop at the lowest twist where a known slot or a forced end
+    rank fails: the slot's own error there, else the error of the known
+    slot that stopped first (the left one on a tie).
+    """
+    (a, a_err), (b, b_err) = known
+    rows = []
+    if unknown == "left":  # a = M, b = R
+        for (m0, m1, m2, m3), (r0, r1, r2, r3) in zip(a, b):
+            if r3 > m3:
+                return rows, SequenceInfeasibleError(
+                    f"h3 of the right column ({r3}) exceeds h3 of the middle ({m3})"
+                )
+            x1, x2, x3 = (m0 if m0 < r0 else r0, m1 if m1 < r1 else r1,
+                          m2 if m2 < r2 else r2) if maximal else (0, 0, 0)
+            rows.append((m0 - x1, r0 - x1 + m1 - x2, r1 - x2 + m2 - x3, r2 - x3 + m3 - r3))
+    elif unknown == "middle":  # a = L, b = R
+        for (l0, l1, l2, l3), (r0, r1, r2, r3) in zip(a, b):
+            x1, x2, x3 = (r0 if r0 < l1 else l1, r1 if r1 < l2 else l2,
+                          r2 if r2 < l3 else l3) if maximal else (0, 0, 0)
+            rows.append((l0 + r0 - x1, l1 - x1 + r1 - x2, l2 - x2 + r2 - x3, l3 - x3 + r3))
+    else:  # a = L, b = M
+        for (l0, l1, l2, l3), (m0, m1, m2, m3) in zip(a, b):
+            if l0 > m0:
+                return rows, SequenceInfeasibleError(
+                    f"h0 of the left column ({l0}) exceeds h0 of the middle ({m0})"
+                )
+            x1, x2, x3 = (l1 if l1 < m1 else m1, l2 if l2 < m2 else m2,
+                          l3 if l3 < m3 else m3) if maximal else (0, 0, 0)
+            rows.append((m0 - l0 + l1 - x1, m1 - x1 + l2 - x2, m2 - x2 + l3 - x3, m3 - x3))
+    return rows, a_err if len(a) <= len(b) else b_err
 
 
 _SLOTS = ("left", "middle", "right")
@@ -284,8 +289,13 @@ def splice_bounds(spec: ShortExactSequenceSpec, rng: tuple[int, int]) -> dict:
     """
     if not isinstance(spec, ShortExactSequenceSpec):
         raise TypeError(f"splice_bounds needs a ShortExactSequenceSpec, got {spec!r}")
-    step = lambda p, q: tuple(zip(_solve(p, q), _solve(p, q, (0, 0, 0))))
-    return _evaluate(lambda twists: _each(step, *_known(spec, twists)), rng)
+
+    def column(twists):  # the known slots are evaluated once, for both ends
+        known = [_rows(slot, twists) for slot in spec if slot is not None]
+        (low, err), (high, _) = [_solve(spec.unknown, known, m) for m in (True, False)]
+        return [tuple(zip(*pair)) for pair in zip(low, high)], err
+
+    return _evaluate(column, rng)
 
 
 class MonadShape(_Checked, NamedTuple("MonadShape", [
@@ -343,11 +353,12 @@ def _quotient(ambient, quotient) -> ShortExactSequenceSpec:
 
 # ------------------------------------------------------------- recipes
 
-# the fields of each JSON kind besides "kind"
-_FIELDS = dict(line={"a"}, sum={"terms"}, points={"n"}, rational_curve={"d", "b"},
-               curve={"genus", "slope", "offset", "generic"}, ideal={"curve"},
-               twist={"of", "n"}, ses={"unknown", *_SLOTS}, monad={"a", "b", "c"},
-               quotient={"ambient", "quotient"})
+# the fields of each JSON kind, "kind" included
+_FIELDS = {kind: {"kind", *fields} for kind, fields in dict(
+    line={"a"}, sum={"terms"}, points={"n"}, rational_curve={"d", "b"},
+    curve={"genus", "slope", "offset", "generic"}, ideal={"curve"}, twist={"of", "n"},
+    ses={"unknown", *_SLOTS}, monad={"a", "b", "c"}, quotient={"ambient", "quotient"},
+).items()}
 
 
 def symbol_from_json(node: Mapping):
@@ -364,9 +375,9 @@ def symbol_from_json(node: Mapping):
         kind = node["kind"]
         if kind not in _FIELDS:
             raise CatalogError(f"unknown symbol kind {kind!r}")
-        stray = sorted(set(node) - _FIELDS[kind] - {"kind"})
-        if stray:
-            raise CatalogError(f"unknown field {stray[0]!r} in a {kind!r} node")
+        if not node.keys() <= _FIELDS[kind]:
+            stray = min(node.keys() - _FIELDS[kind])
+            raise CatalogError(f"unknown field {stray!r} in a {kind!r} node")
         if kind == "line":
             return LineBundle(node["a"])
         if kind == "sum":

@@ -19,7 +19,6 @@ from sheafspectra.invariants import (
     chern_from_resolution,
     euler_characteristic,
     kernel_invariants,
-    line_bundle_chi,
     splitting_type_from_e,
 )
 
@@ -33,6 +32,12 @@ RESOLUTION_ORACLES = [
     ([-2, 0, 1], [-1], (0, -2, -2)),
     ([0] * 8, [-1] * 3 + [1] * 3, (0, 3, 0)),  # the Instanton monad's degrees
 ]
+
+
+def line_bundle_chi(a: int, t: int) -> int:
+    """chi(O(a+t)) on P^3: the binomial coefficient C(a+t+3, 3) read as a cubic."""
+    d = a + t
+    return (d + 1) * (d + 2) * (d + 3) // 6
 
 
 def chi_from_resolution(pos, neg, t):

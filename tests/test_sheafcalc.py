@@ -22,7 +22,6 @@ from sheafspectra.errors import (
 from sheafspectra.invariants import (
     ChernClasses,
     euler_characteristic,
-    line_bundle_chi,
 )
 from sheafspectra.sheafcalc import (
     CurveModule,
@@ -38,7 +37,7 @@ from sheafspectra.sheafcalc import (
     splice_ses,
     symbol_from_json,
 )
-from sheafspectra.sheafcalc import _BLOCKS, _class_from_rows, _solve
+from sheafspectra.sheafcalc import _class_from_rows
 from sheafspectra.spectrum import SpectrumWithS, c3_from_spectrum
 
 # construction recipes for the derived components, shared across tests
@@ -93,6 +92,12 @@ POINT_QUOTIENT_NODE = symbol_from_json(POINT_QUOTIENT_OF_CONIC_EXTENSION)
 INSTANTON_NODE = symbol_from_json(INSTANTON_MONAD)
 EIN_NODE = symbol_from_json(EIN_MONAD)
 CUBIC_NODE = symbol_from_json(PLANE_CUBIC_SECTIONS)
+
+
+def line_bundle_chi(a: int, t: int) -> int:
+    """chi(O(a+t)) on P^3, the binomial cubic C(a+t+3, 3)."""
+    d = a + t
+    return (d + 1) * (d + 2) * (d + 3) // 6
 
 
 def rational_curve(d, b):
@@ -680,6 +685,18 @@ def test_malformed_slots_raise_catalog_error(node):
         recipe_table(node, (-2, 0))
 
 
+@pytest.mark.parametrize(
+    "node,field",
+    [({"kind": "line", "a": 0, "zeta": 1, "alpha": 2, "kind_": 3}, "alpha"),
+     ({"kind": "points", "n": 1, "n ": 1}, "n "),
+     ({"kind": "twist", "n": 1, "of": {"kind": "line", "a": 0}, "on": 0, "Of": 0}, "Of")],
+)
+def test_the_first_stray_field_in_sorted_order_is_named(node, field):
+    with pytest.raises(CatalogError) as err:
+        symbol_from_json(node)
+    assert str(err.value) == f"unknown field {field!r} in a {node['kind']!r} node"
+
+
 # ------------------------------------------------------------- one grammar
 
 
@@ -809,6 +826,45 @@ def test_each_node_is_evaluated_once_per_range(monkeypatch):
     assert visits == [7, 7]
 
 
+def test_splice_bounds_evaluates_each_known_slot_once_per_range(monkeypatch):
+    import sheafspectra.sheafcalc as sheafcalc
+
+    rows, calls = sheafcalc._rows, []
+    monkeypatch.setattr(sheafcalc, "_rows",
+                        lambda node, twists: calls.append(node) or rows(node, twists))
+    visits = []
+    for rng in [(-8, 0), (-8, 2)]:
+        calls.clear()
+        splice_bounds(EXTENSION_NODE, rng)
+        visits.append(len(calls))
+    # O(-2); the twist, the ideal, O, the sum and its two conics: once for both ends
+    assert visits == [7, 7]
+
+
+# each fails first at a twist inside the range, where the lower twists are feasible
+LATE_FAILURES = [
+    # h3 of O(t - 1) exceeds h3 of 3 O(t) from t = -4 up
+    (ShortExactSequenceSpec(middle=DirectSum([LineBundle(0)] * 3), right=LineBundle(-1)),
+     (-8, 0), -4),
+    # h0 of O(t + 1) exceeds h0 of 3 O(t) from t = -1 up
+    (ShortExactSequenceSpec(left=LineBundle(1), middle=DirectSum([LineBundle(0)] * 3)),
+     (-4, 1), -1),
+]
+
+
+@pytest.mark.parametrize("splice", [splice_ses, splice_bounds])
+@pytest.mark.parametrize("spec,rng,first", LATE_FAILURES)
+def test_a_slot_raises_the_per_twist_message_of_its_first_failure(splice, spec, rng, first):
+    for t in range(rng[0], first):
+        _solve(*_blocks(spec, t))
+    with pytest.raises(SequenceInfeasibleError) as want:
+        _solve(*_blocks(spec, first))
+    with pytest.raises(SequenceInfeasibleError) as err:
+        splice(spec, rng)
+    assert str(err.value) == str(want.value)
+    assert splice(spec, (rng[0], first - 1))
+
+
 INFEASIBLE = ShortExactSequenceSpec(left=LineBundle(0), middle=LineBundle(-1))
 
 
@@ -858,6 +914,30 @@ def _row(node, t: int) -> tuple:
     if isinstance(node, Twist):
         return _row(node.of, t + node.n)
     raise TypeError(f"not a sheaf symbol: {node!r}")
+
+
+# the known rows (a, b), in slot order, as the block entries (p, q)
+_BLOCKS = {
+    "left": lambda m, r: ((0,) + m, (0,) + r),
+    "middle": lambda l, r: ((0,) + r, l + (0,)),
+    "right": lambda l, m: (l + (0,), m + (0,)),
+}
+
+
+def _solve(p: tuple, q: tuple, ranks=None) -> tuple:
+    """Unknown column between the blocks p_k -> q_k; free ranks default maximal."""
+    if p[0] > q[0]:
+        raise SequenceInfeasibleError(
+            f"h0 of the left column ({p[0]}) exceeds h0 of the middle ({q[0]})"
+        )
+    if q[4] > p[4]:
+        raise SequenceInfeasibleError(
+            f"h3 of the right column ({q[4]}) exceeds h3 of the middle ({p[4]})"
+        )
+    if ranks is None:
+        ranks = [a if a < b else b for a, b in zip(p[1:4], q[1:4])]
+    x = (p[0], *ranks, q[4])
+    return tuple([a - b + c - d for a, b, c, d in zip(q, x, p[1:], x[1:])])
 
 
 def _blocks(spec, t: int) -> tuple:
