@@ -21,8 +21,8 @@ and target allow.  The forced maps, injective at the left end and
 surjective at the right, make an unknown left slot infeasible where h3
 of the right exceeds h3 of the middle and an unknown right slot where
 h0 of the left exceeds h0 of the middle; a middle slot is always
-feasible.  A monad row is checked against the Chern classes of the
-power-series oracle.
+feasible.  A monad evaluates as its sequence, so a monad of any class
+may nest; only a monad spliced on its own needs a normalized class.
 splice_bounds evaluates the known slots once and reads, for each entry,
 the interval attainable over all rank choices off the two corners of the
 rank box, so callers can tell policy output from forced output.
@@ -40,18 +40,13 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .cohomology import (
-    CohomologyTable,
-    _check_chi,
-    spectrum_from_table,
-)
+from .cohomology import CohomologyTable, spectrum_from_table
 from .errors import (
     AmbiguousCurveModuleError,
     CatalogError,
     NotNormalizedError,
     RankMismatchError,
     SequenceInfeasibleError,
-    SheafSpectraError,
 )
 from .invariants import (
     ChernClasses,
@@ -160,13 +155,7 @@ def _rows(node, twists: range) -> tuple[list, Exception | None]:
             "curve and the module is not declared generic"
         )
     if isinstance(node, MonadShape):
-        rows, err = _rows(node.sequence, twists)
-        try:  # its class is read at the first row and may fail there
-            for i, row in enumerate(rows):
-                _check_chi(node.chern(), twists[i], row)
-        except SheafSpectraError as exc:
-            return rows[:i], exc
-        return rows, err
+        return _rows(node.sequence, twists)
     if isinstance(node, Twist):
         return _rows(node.of, range(twists.start + node.n, twists.stop + node.n))
     return [], TypeError(f"not a sheaf symbol: {node!r}")
@@ -189,10 +178,11 @@ def _evaluate(column, rng: tuple[int, int]) -> dict:
 def splice_ses(node, rng: tuple[int, int]) -> CohomologyTable:
     """Total cohomology table of any construction node over rng.
 
-    Of several failing twists the lowest raises.  A monad keeps its class.
+    Of several failing twists the lowest raises.  A monad spliced on its
+    own keeps its class, which must be normalized.
     """
     rows = _evaluate(lambda twists: _rows(node, twists), rng)
-    # the column has chi-checked a monad's rows already; the table checks them again
+    # the table chi-checks each row of a top-level monad against its class
     cc = node.chern() if isinstance(node, MonadShape) else None
     return CohomologyTable(*rng, rows, cc)
 
@@ -304,10 +294,12 @@ class MonadShape(_Checked, NamedTuple("MonadShape", [
     """Line-bundle degrees (a, b, c) of a three-term monad.
 
     The middle cohomology of 0 -> sum O(a_i) -> sum O(b_j) -> sum O(c_k) -> 0
-    is a rank-2 sheaf; its Chern classes come from the series oracle.
+    is a rank-2 sheaf; its Chern classes come from the series oracle.  It
+    evaluates as its sequence, so where it nests its class may be any;
+    spliced on its own it must be normalized.
     """
 
-    # no __slots__: the instance dict holds the cached sequence and classes
+    # no __slots__: the instance dict holds the cached sequence
 
     def __new__(cls, a, b, c):
         self = tuple.__new__(cls, tuple(tuple([_exact(d) for d in x]) for x in (a, b, c)))
@@ -325,10 +317,6 @@ class MonadShape(_Checked, NamedTuple("MonadShape", [
         return ShortExactSequenceSpec(left=bundle(self.a), middle=kernel)
 
     def chern(self) -> ChernClasses:
-        return self._chern
-
-    @cached_property
-    def _chern(self) -> ChernClasses:  # read at every row of every column
         return chern_from_resolution(self.b, self.a + self.c)
 
 

@@ -7,7 +7,8 @@ construction is expressible with the recipe grammar, a recipe that
 component_report re-executes to confirm the stored spectrum.  Closed
 dimension and Chern-class formulas for the X and T families are
 enforced at load time, as are the c3 identity between spectrum and s,
-the chain-down rule and the general bound on s; the other families
+the chain-down rule, the general bound on s and, for every record, the
+expected dimension 8 c2 - 2 e^2 - 3 as a floor; the other families
 have no closed forms and take no params, and a field outside the
 record schema is refused.
 
@@ -155,7 +156,7 @@ def _descriptor_from_json(record: Mapping) -> ComponentDescriptor:
         params = record.get("params")
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        if type(dimension) is not int or dimension < 0:
+        if type(dimension) is not int:
             raise ValueError(f"bad dimension {dimension!r}")
         moduli = ChernClasses(*record["moduli"])
         spectrum = SpectrumWithS(tuple(record["spectrum"]), record["s"])
@@ -163,6 +164,9 @@ def _descriptor_from_json(record: Mapping) -> ComponentDescriptor:
         if c3 != moduli.c3:
             raise ValueError(f"spectrum and s give c3 = {c3}, moduli say {moduli.c3}")
         _check_admissible(moduli.e, spectrum)
+        expected = max(0, 8 * moduli.c2 - 2 * moduli.e ** 2 - 3)  # ext1 - ext2, by Riemann-Roch
+        if dimension < expected:
+            raise ValueError(f"dimension {dimension} below the expected dimension {expected}")
         if family in ("X", "T"):
             if params is None:
                 raise ValueError(f"family {family} requires params")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sheafspectra.cohomology import CohomologyTable, _check_chi
+from sheafspectra.cohomology import CohomologyTable
 from sheafspectra.errors import (
     AmbiguousCurveModuleError,
     CatalogError,
@@ -565,13 +565,16 @@ def normalised_monads(draw):
     return MonadShape(a, b + [e + sum(a) + sum(c) - sum(b)], c)
 
 
-@given(normalised_monads())
+@given(normalised_monads(), st.integers(-3, 3))
 @settings(max_examples=60, deadline=None)
-def test_fitted_class_matches_the_series_oracle(shape):
+def test_fitted_class_matches_the_series_oracle(shape, k):
+    # every degree raised by k moves c1 by 2k; the twist by -k undoes it
+    shifted = Twist(MonadShape(*([d + k for d in x] for x in shape)), -k)
     try:
         table = splice_ses(shape, (-3, -1))
     except SequenceInfeasibleError:
         assume(False)  # only monads that evaluate
+    assert splice_ses(shifted, (-3, -1)).rows == table.rows
     assert _class_from_rows(table.rows) == shape.chern()
 
 
@@ -764,17 +767,29 @@ def test_any_kind_nests_anywhere(monkeypatch, position, inner):
     assert outcome(splice_ses, template(inner), rng) == outcome(splice_ses, template(frozen), rng)
 
 
-def test_nested_monad_rows_are_chi_checked(monkeypatch):
+def test_a_top_level_monad_table_checks_its_rows_against_its_class(monkeypatch):
     import sheafspectra.sheafcalc as sheafcalc
 
     monkeypatch.setattr(sheafcalc, "chern_from_resolution",
                         lambda pos, neg: ChernClasses(0, 5, 0))
-    node = {"kind": "ses", "unknown": "right", "left": EIN_MONAD,
-            "middle": {"kind": "sum", "terms": [{"kind": "line", "a": 2}] * 4}}
-    with pytest.raises(InconsistentTableError, match="t=-3"):
-        recipe_table(node, (-3, 0))
     with pytest.raises(InconsistentTableError):
         recipe_table(EIN_MONAD, (-3, 0))
+
+
+# Ein's degrees each raised by 1, so c1 = 2, twisted back by -1
+SHIFTED_EIN = {"kind": "twist", "n": -1,
+               "of": {"kind": "monad", "a": [-1], "b": [0, 1, 1, 2], "c": [3]}}
+
+
+def test_a_monad_of_any_class_nests():
+    def ses(left):
+        return {"kind": "ses", "unknown": "right", "left": left,
+                "middle": {"kind": "sum", "terms": [{"kind": "line", "a": 2}] * 4}}
+
+    for shifted, ein in [(SHIFTED_EIN, EIN_MONAD), (ses(SHIFTED_EIN), ses(EIN_MONAD))]:
+        assert recipe_table(shifted, (-8, 0)).rows == recipe_table(ein, (-8, 0)).rows
+    assert construction_spectrum(symbol_from_json(SHIFTED_EIN)) == (
+        ChernClasses(0, 3, 0), SpectrumWithS((-1, 0, 1), 0))
 
 
 def test_sequences_are_built_once_per_node(monkeypatch):
@@ -908,9 +923,7 @@ def _row(node, t: int) -> tuple:
             )
         return (max(chi, 0), max(-chi, 0), 0, 0)
     if isinstance(node, MonadShape):
-        row = _row(node.sequence, t)
-        _check_chi(node.chern(), t, row)
-        return row
+        return _row(node.sequence, t)
     if isinstance(node, Twist):
         return _row(node.of, t + node.n)
     raise TypeError(f"not a sheaf symbol: {node!r}")
@@ -974,7 +987,8 @@ def sequence(slots):
 
 
 # every kind of node, nested; curves of genus 1 and 2 that are not generic
-# fail inside their special strip, and many sequences and monads are infeasible
+# fail inside their special strip, many sequences (monads among them) are
+# infeasible, and a monad of any class evaluates
 NODES = st.recursive(
     st.one_of(
         st.integers(-4, 3).map(LineBundle),

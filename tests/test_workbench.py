@@ -1,5 +1,6 @@
 """Tests for the component catalog, reports, pairs, gaps and examples."""
 
+import itertools
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from sheafspectra import report_json
 from sheafspectra.errors import (
     CatalogError,
     InadmissibleSpectrumError,
+    ParityError,
     SequenceInfeasibleError,
     VerificationError,
 )
@@ -27,6 +29,7 @@ from sheafspectra.workbench import (
     report_markdown,
     slope_examples_markdown,
 )
+from sheafspectra.workbench import _family_invariants
 
 M2 = ChernClasses(-1, 2, 0)
 M3 = ChernClasses(0, 3, 0)
@@ -105,6 +108,7 @@ def test_level_follows_the_construction(index, level):
     )] + [
         (0, {"level": "data"}),  # C(2) has a recipe
         (7, {"level": "derived"}),  # X(0,2,2,2,0) has none
+        (0, {"dimension": 10}),  # below C(2)'s expected dimension 11
     ],
 )
 def test_tampered_records_fail_named(index, mutation):
@@ -215,6 +219,43 @@ def test_closed_form_dimension(name, want):
     record["dimension"] = want + 1
     with pytest.raises(CatalogError, match=f"closed-form dimension {want} != stored {want + 1}"):
         catalog_load([record])
+
+
+def expected_dimension(cc):
+    # 1 - chi(E, E) = ext1 - ext2 for a stable E, by Riemann-Roch
+    return 8 * cc.c2 - 2 * cc.e ** 2 - 3
+
+
+@pytest.mark.parametrize("record", bundled_records(), ids=lambda r: r["name"])
+def test_every_bundled_record_loads_at_or_above_its_expected_dimension(record):
+    want = expected_dimension(ChernClasses(*record["moduli"]))
+    assert catalog_load([record]).components[0].dimension >= want
+    with pytest.raises(CatalogError) as err:
+        catalog_load([dict(record, dimension=want - 1)])
+    assert str(err.value) == (
+        f"component {record['name']!r}: dimension {want - 1} below the expected dimension {want}"
+    )
+
+
+def test_closed_forms_exceed_the_expected_dimension_by_their_excess():
+    # 4s for T and 4s + 2r - 3 + e + 2e^2 for X, never negative where the
+    # class passes ChernClasses; the e = 0 special X tuple (r,s,n,m) = (1,0,1,1)
+    # would be -1, but its class (0,2,1) breaks parity
+    cases = [("X", dict(n=n, m=m, r=r, s=s), e, 4 * s + 2 * r - 3 + e + 2 * e * e)
+             for e, n, m, r, s in itertools.product((-1, 0), range(5), range(9),
+                                                     range(1, 5), range(10))]
+    cases += [("T", dict(n=n, m=m, s=s), e, 4 * s)
+              for e, n, m, s in itertools.product((-1, 0), range(5), range(9), range(5))]
+    checked = {"X": 0, "T": 0}
+    for family, params, e, excess in cases:
+        try:
+            dim, classes = _family_invariants(family, params, e)
+            cc = ChernClasses(*classes)
+        except (ValueError, ParityError):
+            continue
+        assert dim - expected_dimension(cc) == excess >= 0, (family, params, e)
+        checked[family] += 1
+    assert checked == {"X": 660, "T": 110}
 
 
 @pytest.mark.parametrize(
