@@ -62,6 +62,14 @@ def _check_chi(cc: ChernClasses, t: int, row: Row) -> None:
             raise InconsistentTableError(f"row t={t} has chi {chi}, class demands {want}")
 
 
+def _twists(lo: int, hi: int) -> range:
+    if type(lo) is not int or type(hi) is not int:
+        raise ValueError(f"bad twist range [{lo!r}, {hi!r}]")
+    if lo > hi:
+        raise ValueError(f"empty twist range [{lo}, {hi}]")
+    return range(lo, hi + 1)
+
+
 class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
     ("lo", int), ("hi", int), ("rows", dict), ("cc", ChernClasses | None),
 ])):
@@ -78,12 +86,8 @@ class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
 
     def __new__(cls, lo: int, hi: int, rows: Mapping = {}, cc=None):
         # rows is only read (the table keeps a normalized copy), so {} is safe
-        if type(lo) is not int or type(hi) is not int:
-            raise ValueError(f"bad twist range [{lo!r}, {hi!r}]")
-        if lo > hi:
-            raise ValueError(f"empty twist range [{lo}, {hi}]")
         normalized = {}
-        for t in range(lo, hi + 1):
+        for t in _twists(lo, hi):
             row = tuple(rows.get(t, (None, None, None, None)))
             if len(row) != 4:
                 raise ValueError(f"row at t={t} must have 4 entries, got {row}")

@@ -13,8 +13,8 @@ rational curve as a genus-0 curve module, an ideal of a curve as the
 kernel of O ->> O_C and a quotient as the kernel of ambient ->> quotient.
 splice_ses evaluates any node over a twist range, each node once for
 the whole range; a line bundle's column is its cubic chi computed in
-place.  A sequence's unknown column is solved in one pass, by a closed
-form per unknown slot (see "sequence solving" below) read off its
+place.  A sequence's unknown column is solved in one pass, by one closed
+form for every unknown slot (see "sequence solving" below) read off its
 twelve-term cohomology sequence under the generic maximal-rank policy:
 every free connecting or interior map takes the largest rank its source
 and target allow.  The forced maps, injective at the left end and
@@ -37,10 +37,9 @@ every call; a catalog remembers which of its recipes have checked out
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .cohomology import CohomologyTable, spectrum_from_table
+from .cohomology import CohomologyTable, _twists, spectrum_from_table
 from .errors import (
     AmbiguousCurveModuleError,
     CatalogError,
@@ -162,17 +161,13 @@ def _rows(node, twists: range) -> tuple[list, Exception | None]:
 
 
 def _evaluate(column, rng: tuple[int, int]) -> dict:
-    # rows by twist of column over rng, or its error; the range checks of
-    # CohomologyTable come first, before anything is evaluated
+    # rows by twist of column over rng, or its error; the range is checked first
     lo, hi = rng
-    if type(lo) is not int or type(hi) is not int:
-        raise ValueError(f"bad twist range [{lo!r}, {hi!r}]")
-    if lo > hi:
-        raise ValueError(f"empty twist range [{lo}, {hi}]")
-    rows, err = column(range(lo, hi + 1))
+    twists = _twists(lo, hi)
+    rows, err = column(twists)
     if err:
         raise err
-    return dict(zip(range(lo, hi + 1), rows))
+    return dict(zip(twists, rows))
 
 
 def splice_ses(node, rng: tuple[int, int]) -> CohomologyTable:
@@ -195,19 +190,18 @@ def splice_ses(node, rng: tuple[int, int]) -> CohomologyTable:
 #
 # is solved for one unknown column U0..U3.  Between consecutive unknowns
 # sit two known entries p_k -> q_k (k = 0..4), with a zero at an end
-# where the sequence starts or stops.  With x_k the rank of p_k -> q_k,
-# exactness gives U_k = (q_k - x_k) + (p_{k+1} - x_{k+1}).  The end
-# ranks are forced: x_0 = p_0 injects and x_4 = q_4 is hit, which is
-# feasible unless p_0 > q_0 or q_4 > p_4.  The inner three (k = 1..3)
-# are free in [0, min(p_k, q_k)]: min under the maximal-rank policy, 0
-# at the upper end of splice_bounds.  Per unknown slot:
+# where the sequence starts or stops; the unknown slot decides only how
+# the known rows unpack into these blocks:
 #
-#   left:   x_k = rank(M_{k-1} -> R_{k-1}); infeasible where R3 > M3;
-#           U = (M0 - x1, R0 - x1 + M1 - x2, R1 - x2 + M2 - x3, R2 - x3 + M3 - R3)
-#   middle: x_k = rank(R_{k-1} -> L_k); always feasible;
-#           U = (L0 + R0 - x1, L1 - x1 + R1 - x2, L2 - x2 + R2 - x3, L3 - x3 + R3)
-#   right:  x_k = rank(L_k -> M_k); infeasible where L0 > M0;
-#           U = (M0 - L0 + L1 - x1, M1 - x1 + L2 - x2, M2 - x2 + L3 - x3, M3 - x3)
+#   left:   p = (0, M0, M1, M2, M3),  q = (0, R0, R1, R2, R3)
+#   middle: p = (0, R0, R1, R2, R3),  q = (L0, L1, L2, L3, 0)
+#   right:  p = (L0, L1, L2, L3, 0),  q = (M0, M1, M2, M3, 0)
+#
+# With x_k the rank of p_k -> q_k, exactness gives U_k = (q_k - x_k) +
+# (p_{k+1} - x_{k+1}).  The end ranks are forced: x_0 = p_0 injects and
+# x_4 = q_4 is hit, which is feasible unless p_0 > q_0 or q_4 > p_4.  The
+# inner three (k = 1..3) are free in [0, min(p_k, q_k)]: min under the
+# maximal-rank policy, 0 at the upper end of splice_bounds.
 
 
 def _solve(unknown: str, known: list, maximal: bool = True) -> tuple[list, Exception | None]:
@@ -219,29 +213,30 @@ def _solve(unknown: str, known: list, maximal: bool = True) -> tuple[list, Excep
     """
     (a, a_err), (b, b_err) = known
     rows = []
-    if unknown == "left":  # a = M, b = R
-        for (m0, m1, m2, m3), (r0, r1, r2, r3) in zip(a, b):
-            if r3 > m3:
-                return rows, SequenceInfeasibleError(
-                    f"h3 of the right column ({r3}) exceeds h3 of the middle ({m3})"
-                )
-            x1, x2, x3 = (m0 if m0 < r0 else r0, m1 if m1 < r1 else r1,
-                          m2 if m2 < r2 else r2) if maximal else (0, 0, 0)
-            rows.append((m0 - x1, r0 - x1 + m1 - x2, r1 - x2 + m2 - x3, r2 - x3 + m3 - r3))
-    elif unknown == "middle":  # a = L, b = R
-        for (l0, l1, l2, l3), (r0, r1, r2, r3) in zip(a, b):
-            x1, x2, x3 = (r0 if r0 < l1 else l1, r1 if r1 < l2 else l2,
-                          r2 if r2 < l3 else l3) if maximal else (0, 0, 0)
-            rows.append((l0 + r0 - x1, l1 - x1 + r1 - x2, l2 - x2 + r2 - x3, l3 - x3 + r3))
-    else:  # a = L, b = M
-        for (l0, l1, l2, l3), (m0, m1, m2, m3) in zip(a, b):
-            if l0 > m0:
-                return rows, SequenceInfeasibleError(
-                    f"h0 of the left column ({l0}) exceeds h0 of the middle ({m0})"
-                )
-            x1, x2, x3 = (l1 if l1 < m1 else m1, l2 if l2 < m2 else m2,
-                          l3 if l3 < m3 else m3) if maximal else (0, 0, 0)
-            rows.append((m0 - l0 + l1 - x1, m1 - x1 + l2 - x2, m2 - x2 + l3 - x3, m3 - x3))
+    left, middle = unknown == "left", unknown == "middle"
+    for u, v in zip(a, b):
+        if left:
+            p0 = q0 = 0
+            (p1, p2, p3, p4), (q1, q2, q3, q4) = u, v
+        elif middle:
+            p0 = q4 = 0
+            (p1, p2, p3, p4), (q0, q1, q2, q3) = v, u
+        else:
+            p4 = q4 = 0
+            (p0, p1, p2, p3), (q0, q1, q2, q3) = u, v
+        if p0 > q0:
+            return rows, SequenceInfeasibleError(
+                f"h0 of the left column ({p0}) exceeds h0 of the middle ({q0})"
+            )
+        if q4 > p4:
+            return rows, SequenceInfeasibleError(
+                f"h3 of the right column ({q4}) exceeds h3 of the middle ({p4})"
+            )
+        if maximal:
+            x1, x2, x3 = p1 if p1 < q1 else q1, p2 if p2 < q2 else q2, p3 if p3 < q3 else q3
+        else:
+            x1 = x2 = x3 = 0
+        rows.append((q0 - p0 + p1 - x1, q1 - x1 + p2 - x2, q2 - x2 + p3 - x3, q3 - x3 + p4 - q4))
     return rows, a_err if len(a) <= len(b) else b_err
 
 
@@ -299,7 +294,7 @@ class MonadShape(_Checked, NamedTuple("MonadShape", [
     spliced on its own it must be normalized.
     """
 
-    # no __slots__: the instance dict holds the cached sequence
+    __slots__ = ()
 
     def __new__(cls, a, b, c):
         self = tuple.__new__(cls, tuple(tuple([_exact(d) for d in x]) for x in (a, b, c)))
@@ -309,7 +304,7 @@ class MonadShape(_Checked, NamedTuple("MonadShape", [
             )
         return self
 
-    @cached_property
+    @property
     def sequence(self) -> ShortExactSequenceSpec:
         # 0 -> sum O(a) -> K -> E -> 0, with 0 -> K -> sum O(b) -> sum O(c) -> 0
         bundle = lambda degrees: DirectSum(LineBundle(d) for d in degrees)
@@ -425,7 +420,7 @@ def construction_spectrum(node) -> tuple[ChernClasses, SpectrumWithS]:
     The answer must be admissible and, with every known row, fit the
     class read from the rows' chi; h2 is withheld below the twist -3-e.
     """
-    rows = dict(splice_ses(node, (-8, 0)).rows)
+    rows = _evaluate(lambda twists: _rows(node, twists), (-8, 0))
     cc = _class_from_rows(rows)  # from the raw rows, before h2 is withheld
     for t in range(-8, -3 - cc.e):  # h2 withheld below -3-e
         rows[t] = rows[t][:2] + (None, rows[t][3])

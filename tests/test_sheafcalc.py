@@ -503,15 +503,22 @@ def test_pipeline_refuses_what_no_rank_2_class_explains(node, error, text):
         construction_spectrum(node)
 
 
+def shifted_ein(k):
+    # Ein's monad with every degree raised by k, spliced on its own
+    return MonadShape(*([d + k for d in EIN_MONAD[x]] for x in "abc"))
+
+
 @pytest.mark.parametrize("k,twist", [(1, -1), (-1, 1), (2, -2)])
-def test_an_unnormalized_recipe_is_told_its_normalizing_twist(k, twist):
-    # Ein has c1 = 0, so Twist(ein, k) has c1 = 2k
+@pytest.mark.parametrize("ein", [lambda k: Twist(EIN_NODE, k), shifted_ein],
+                         ids=["twist", "monad"])
+def test_an_unnormalized_recipe_is_told_its_normalizing_twist(ein, k, twist):
+    # Ein has c1 = 0, so Ein(k) has c1 = 2k
     with pytest.raises(NotNormalizedError) as err:
-        construction_spectrum(Twist(EIN_NODE, k))
+        construction_spectrum(ein(k))
     assert str(err.value) == (
         f"recipe has first Chern class {2 * k}; twist it by {twist} to normalize it"
     )
-    normalized = Twist(Twist(EIN_NODE, k), twist)
+    normalized = Twist(ein(k), twist)
     assert construction_spectrum(normalized) == (
         ChernClasses(0, 3, 0), SpectrumWithS((-1, 0, 1), 0)
     )
@@ -1017,3 +1024,32 @@ def test_columns_match_the_per_twist_reference(node, lo, length):
         assert columns == [outcome(splice_ses, node, rng), outcome(construction_spectrum, node)]
     if isinstance(node, ShortExactSequenceSpec):
         assert outcome(splice_bounds, node, rng) == outcome(reference_bounds, node, rng)
+
+
+def known_column(name):
+    # up to 6 rows of small entries, with or without a stand-in error, as _rows returns them
+    rows = st.lists(st.tuples(*[st.integers(0, 6)] * 4), max_size=6)
+    return st.tuples(rows, st.sampled_from([None, AmbiguousCurveModuleError(f"{name} stand-in")]))
+
+
+def described(err):
+    return err and (type(err), str(err))
+
+
+@given(st.sampled_from(["left", "middle", "right"]), st.booleans(),
+       known_column("first"), known_column("second"))
+@settings(deadline=None, max_examples=300)
+def test_the_solver_matches_the_per_twist_reference_on_any_rows(slot, maximal, a, b):
+    # rows no node reaches: the reference walks the twists and stops at the
+    # first infeasible one, else ends with the error of the shorter column
+    import sheafspectra.sheafcalc as sheafcalc
+
+    rows, err = [], a[1] if len(a[0]) <= len(b[0]) else b[1]
+    for u, v in zip(a[0], b[0]):
+        try:
+            rows.append(_solve(*_BLOCKS[slot](u, v), None if maximal else (0, 0, 0)))
+        except SequenceInfeasibleError as exc:
+            err = exc
+            break
+    got, got_err = sheafcalc._solve(slot, [a, b], maximal)
+    assert (got, described(got_err)) == (rows, described(err))
