@@ -15,8 +15,8 @@ catalog = catalog_load()
 print("bundled catalog:", len(catalog.components), "components over",
       len(catalog.moduli_classes()), "moduli spaces")
 
-# Every derived component's recipe is re-run and checked against its
-# recorded spectrum while building the report.
+# Every derived component's recipe was re-run and checked against its
+# recorded spectrum while the catalog was loaded; reports only format.
 cc = ChernClasses(-1, 2, 0)
 report = component_report(catalog, cc)
 print()

@@ -181,6 +181,7 @@ def table_from_spectrum(
     m = len(sw.values)
     cc = ChernClasses(e, m, c3_from_spectrum(e, m, sw))  # validates values and s
     lo, hi = rng
+    _twists(lo, hi)  # a bad range is a ValueError before any window is built
     windows = _windows(sw, ValidityWindows.from_splitting_type(st), lo, hi)
     rows = {t: (0 if t <= -1 else None, h1, h2, 0 if t >= -3 - e else None)
             for t, (h1, h2) in enumerate(windows, lo)}

@@ -31,8 +31,8 @@ construction_spectrum runs the full pipeline from a node to its class
 and spectrum: the rows and the spectrum must fit the class read from
 the rows' chi and be admissible, and the raw policy h2, which can
 misread deep syzygies, is withheld below the twist -3-e.  It derives on
-every call; a catalog remembers which of its recipes have checked out
-(workbench).
+every call; a catalog derives each of its recipes once, when it is
+built (workbench).
 """
 
 from __future__ import annotations

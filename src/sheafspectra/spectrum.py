@@ -24,7 +24,6 @@ from .invariants import (
     SplittingType,
     _Checked,
     _exact,
-    euler_characteristic,
     splitting_type_from_e,
 )
 
@@ -34,7 +33,6 @@ __all__ = [
     "UNBOUNDED",
     "validate_spectrum",
     "c3_from_spectrum",
-    "sum_via_chi",
     "validate_chain_down",
     "validate_chain_up",
     "s_upper_bound",
@@ -91,17 +89,6 @@ def c3_from_spectrum(e: int, c2: int, sw: SpectrumWithS) -> int:
         raise InadmissibleSpectrumError(f"s must be a nonnegative int, got {sw.s!r}")
     splitting_type_from_e(e)  # NotNormalizedError unless e is -1 or 0
     return -2 * sum(spec) + e * c2 - 2 * sw.s
-
-
-def sum_via_chi(cc: ChernClasses, s: int) -> int:
-    """sum(k_i) computed from the Euler characteristic instead of c3.
-
-    Independent route: m (a2 - 1) - chi(E(-a2 - 1)) - s.  Agreement with
-    the c3 identities is the basic consistency check of the sign
-    conventions.
-    """
-    a2 = splitting_type_from_e(cc.e).a2
-    return cc.c2 * (a2 - 1) - euler_characteristic(cc, -a2 - 1) - s
 
 
 def validate_chain_down(

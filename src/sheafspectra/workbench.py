@@ -4,7 +4,7 @@ The bundled catalog records the known irreducible components of the two
 desk-scale moduli spaces (classes (-1,2,0) and (0,3,0)): name, family,
 family parameters, dimension, generic spectrum, and, where the
 construction is expressible with the recipe grammar, a recipe that
-component_report re-executes to confirm the stored spectrum.  Closed
+the catalog re-executes to confirm the stored spectrum.  Closed
 dimension and Chern-class formulas for the X and T families are
 enforced at load time, as are the c3 identity between spectrum and s,
 the chain-down rule, the general bound on s and, for every record, the
@@ -20,10 +20,12 @@ check_slope_examples reruns the slope-semistable kernel examples whose
 s-invariant breaks the zero-dimensional bound.
 
 _descriptor_from_json alone reads and checks a record, and turns its
-recipe into the construction node that reports evaluate; any failure
-there is a CatalogError naming the component, and a catalog remembers
-each recipe component_report has matched.  Reports print through
-the cohomology layer's writer (report_json and its markdown builder).
+recipe into a construction node; any failure there is a CatalogError
+naming the component.  A Catalog, however it is built, derives every
+recipe and refuses one that fails or contradicts its stored class and
+spectrum, so every report, pair and gap rests on verified records.
+Reports print through the cohomology layer's writer (report_json and
+its markdown builder).
 """
 
 from __future__ import annotations
@@ -114,11 +116,10 @@ class ComponentDescriptor(NamedTuple):
 
 
 class Catalog(_Checked, NamedTuple("Catalog", [("components", tuple)])):
-    # no __slots__: the instance dict holds the keys of the verified records
+    __slots__ = ()
 
     def __new__(cls, components=()):
         self = tuple.__new__(cls, (tuple(components),))
-        self._verified = set()  # (moduli, name) of each record whose recipe matched
         seen = set()
         for desc in self.components:
             key = (desc.moduli.as_tuple(), desc.name)
@@ -128,6 +129,18 @@ class Catalog(_Checked, NamedTuple("Catalog", [("components", tuple)])):
                     f"{desc.moduli.as_tuple()}"
                 )
             seen.add(key)
+        for desc in self.components:  # every recipe must give its stored record
+            if desc.construction is None:
+                continue
+            try:
+                cc, recomputed = construction_spectrum(desc.construction)
+            except SheafSpectraError as exc:  # same class, so the exit code holds
+                raise type(exc)(f"component {desc.name!r}: {exc}") from exc
+            if (cc, recomputed) != (desc.moduli, desc.spectrum):
+                raise VerificationError(
+                    f"component {desc.name!r}: construction gives {cc.as_tuple()}, "
+                    f"{recomputed}; catalog stores {desc.moduli.as_tuple()}, {desc.spectrum}"
+                )
         return self
 
     def moduli_classes(self) -> list:
@@ -222,37 +235,20 @@ def catalog_load(source=None) -> Catalog:
 def component_report(catalog: Catalog, moduli: ChernClasses) -> dict:
     """Rows (name, dimension, spectrum, s, level, verified) for one moduli class.
 
-    Components carrying a construction recipe are re-derived through the
-    splice pipeline once per catalog, a failure on every report; it names
-    the component, and a class or spectrum mismatch is a VerificationError.
-    Such a row is "derived" and verified; a row without a recipe is "data".
+    The catalog derived every recipe when it was built, so a row with a
+    recipe is "derived" and verified; a row without one is "data".
     """
-    rows = []
-    for desc in sorted(
-        catalog.for_moduli(moduli), key=lambda d: (d.dimension, d.name)
-    ):
-        key = (desc.moduli, desc.name)
-        if desc.construction is not None and key not in catalog._verified:
-            try:
-                cc, recomputed = construction_spectrum(desc.construction)
-            except SheafSpectraError as exc:  # same class, so the exit code holds
-                raise type(exc)(f"component {desc.name!r}: {exc}") from exc
-            if (cc, recomputed) != (desc.moduli, desc.spectrum):
-                raise VerificationError(
-                    f"component {desc.name!r}: construction gives {cc.as_tuple()}, "
-                    f"{recomputed}; catalog stores {desc.moduli.as_tuple()}, {desc.spectrum}"
-                )
-            catalog._verified.add(key)
-        rows.append(
-            {
-                "name": desc.name,
-                "dimension": desc.dimension,
-                "spectrum": list(desc.spectrum.values),
-                "s": desc.spectrum.s,
-                "level": "data" if desc.construction is None else "derived",
-                "verified": desc.construction is not None,
-            }
-        )
+    rows = [
+        {
+            "name": desc.name,
+            "dimension": desc.dimension,
+            "spectrum": list(desc.spectrum.values),
+            "s": desc.spectrum.s,
+            "level": "data" if desc.construction is None else "derived",
+            "verified": desc.construction is not None,
+        }
+        for desc in sorted(catalog.for_moduli(moduli), key=lambda d: (d.dimension, d.name))
+    ]
     return {"moduli": list(moduli.as_tuple()), "components": rows}
 
 

@@ -242,7 +242,8 @@ def test_report_json_deterministic(capsys):
     assert first == second
 
 
-def test_report_tampered_catalog(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["report", "rao-pairs", "gap"])
+def test_report_tampered_catalog(capsys, tmp_path, command):
     import importlib.resources as resources
 
     doc = json.loads(
@@ -253,8 +254,9 @@ def test_report_tampered_catalog(capsys, tmp_path):
             record["spectrum"] = [0, 0, 0]
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "report", "--moduli=0,3,0", "--catalog", str(path))
-    assert code == 2 and "Ein" in err
+    code, out, err = run(capsys, command, "--moduli=0,3,0", "--catalog", str(path))
+    assert (code, out) == (2, "")  # every command refuses the catalog, not only report
+    assert len(err.splitlines()) == 1 and err.startswith("error: component 'Ein': "), err
 
 
 def test_report_catalog_name_looking_like_json(capsys, tmp_path, monkeypatch):
@@ -287,32 +289,40 @@ def test_broken_recipe_is_an_error_line_naming_the_component(
     assert err.startswith("error: component 'C(2)': ")
 
 
+@pytest.mark.parametrize("command", ["report", "rao-pairs", "gap"])
 @pytest.mark.parametrize(
-    "name,moduli,construction,message",
+    "name,moduli,change,message",
     [
         ("T(-1,2,2,1)", "0,2,2", None,
          "error: component 'relabelled': construction gives (-1, 2, 0), "),
-        ("C(2)", "-1,2,0", {"kind": "ses", "unknown": "left", "middle": {"kind": "line", "a": 0},
-                            "right": {"kind": "line", "a": -5}},
+        ("C(2)", "-1,2,0",
+         {"construction": {"kind": "ses", "unknown": "left", "middle": {"kind": "line", "a": 0},
+                           "right": {"kind": "line", "a": -5}}},
          "error: component 'C(2)': h3 of the right column (220) exceeds h3 of the middle (35)"),
+        # c3 still matches, so only the recipe can tell; rao-pairs would pair Ein
+        # with Instanton and lose (C, Instanton)
+        ("Instanton", "0,3,0", {"spectrum": [-1, 0, 1]},
+         "error: component 'Instanton': construction gives (0, 3, 0), "
+         "SpectrumWithS(values=(0, 0, 0), s=0); catalog stores (0, 3, 0), "
+         "SpectrumWithS(values=(-1, 0, 1), s=0)\n"),
     ],
-    ids=["relabelled-class", "infeasible-recipe"],
+    ids=["relabelled-class", "infeasible-recipe", "wrong-spectrum"],
 )
-def test_report_recipe_failure_names_the_component(capsys, tmp_path, name, moduli,
-                                                    construction, message):
+def test_report_recipe_failure_names_the_component(capsys, tmp_path, command, name, moduli,
+                                                    change, message):
     doc = json.loads(
         resources.files("sheafspectra").joinpath("data/catalog.json").read_text()
     )
     record = next(r for r in doc["components"] if r["name"] == name)
-    if construction is None:  # a copy of the record claimed for another class
+    if change is None:  # a copy of the record claimed for another class
         record = dict(record, name="relabelled", moduli=[0, 2, 2],
                       family="quotient-sequence", params=None)
         doc["components"].append(record)
     else:
-        record["construction"] = construction
+        record.update(change)
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "report", f"--moduli={moduli}", "--catalog", str(path))
+    code, out, err = run(capsys, command, f"--moduli={moduli}", "--catalog", str(path))
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1 and err.startswith(message), err
 

@@ -88,6 +88,18 @@ def test_vanishing_windows_and_unknowns():
 
 
 @pytest.mark.parametrize(
+    "rng,text",
+    [((0, -1), "empty twist range [0, -1]"), ((True, 2), "bad twist range [True, 2]"),
+     ((0.0, 1), "bad twist range [0.0, 1]"), ((0, 1.0), "bad twist range [0, 1.0]")],
+)
+def test_a_bad_range_is_refused_before_any_window_is_built(rng, text):
+    # the same ValueError as CohomologyTable and splice_ses, not range()'s TypeError
+    with pytest.raises(ValueError) as err:
+        table_from_spectrum(SpectrumWithS((-1, 0), 0), ST_MINUS, rng)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize(
     "key,expected",
     [
         (((-1, 0), 0), SpectrumWithS((-1, 0), 0)),

@@ -50,8 +50,7 @@ def test_no_public_object_has_two_names():
 
 def test_every_exported_name_is_used_in_code():
     # a reference is a loaded Name or Attribute (not a docstring or a comment) in
-    # src outside the name's own definition, in demos/ or in bench/; sum_via_chi
-    # is exempt, as the independent chi route the tests compare against
+    # src outside the name's own definition, in demos/ or in bench/
     package = Path(sheafspectra.__file__).parent
     statements = []  # (file, name the statement defines, names it loads)
     for path in [*package.glob("*.py"), *(BENCH.parent / "demos").glob("*.py"),
@@ -65,7 +64,7 @@ def test_every_exported_name_is_used_in_code():
     for layer in LAYERS:
         home = package / f"{layer}.py"
         for name in importlib.import_module(f"sheafspectra.{layer}").__all__:
-            if name != "sum_via_chi" and not any(
+            if not any(
                 name in loads for path, defined, loads in statements
                 if (path, defined) != (home, name)
             ):

@@ -334,11 +334,38 @@ def test_report_catches_a_recipe_of_another_class():
     record = dict(next(r for r in records if r["name"] == "T(-1,2,2,1)"))
     record.update(name="relabelled", moduli=[0, 2, 2], family="quotient-sequence")
     del record["params"]
-    catalog = catalog_load(records + [record])
     with pytest.raises(VerificationError) as err:
-        component_report(catalog, ChernClasses(0, 2, 2))
+        catalog_load(records + [record])
     assert str(err.value).startswith("component 'relabelled': construction gives (-1, 2, 0)")
-    assert all(r["verified"] for r in component_report(catalog, M2)["components"])
+
+
+def wrong_instanton():
+    # Instanton's recipe gives (0, 0, 0); the stored (-1, 0, 1) keeps the c3 identity
+    return [d._replace(spectrum=d.spectrum._replace(values=(-1, 0, 1)))
+            if d.name == "Instanton" else d for d in catalog_load().components]
+
+
+INSTANTON_MISMATCH = (
+    "component 'Instanton': construction gives (0, 3, 0), SpectrumWithS(values=(0, 0, 0), "
+    "s=0); catalog stores (0, 3, 0), SpectrumWithS(values=(-1, 0, 1), s=0)"
+)
+
+
+def test_a_catalog_built_from_descriptors_is_verified():
+    with pytest.raises(VerificationError) as err:
+        Catalog(wrong_instanton())
+    assert str(err.value) == INSTANTON_MISMATCH
+
+
+def test_replace_verifies_the_new_components():
+    good = catalog_load()
+    with pytest.raises(VerificationError) as err:
+        good._replace(components=wrong_instanton())
+    assert str(err.value) == INSTANTON_MISMATCH
+
+
+def test_a_catalog_has_no_instance_dict():
+    assert not hasattr(catalog_load(), "__dict__")
 
 
 def test_descriptor_keeps_the_node_read_from_its_recipe():
@@ -373,10 +400,10 @@ INFEASIBLE_RECIPE = {"kind": "ses", "unknown": "left", "middle": {"kind": "line"
 
 
 def test_recipe_failure_names_the_component():
-    catalog = catalog_load(records_with_recipe("C(2)", INFEASIBLE_RECIPE))
-    for _ in range(2):  # an error is not memoised, so the second call fails alike
+    records = records_with_recipe("C(2)", INFEASIBLE_RECIPE)
+    for _ in range(2):  # an error is not memoised, so the second load fails alike
         with pytest.raises(SequenceInfeasibleError) as err:  # class kept for the exit code
-            component_report(catalog, M2)
+            catalog_load(records)
         assert str(err.value) == (
             "component 'C(2)': h3 of the right column (220) exceeds h3 of the middle (35)"
         )
@@ -401,12 +428,12 @@ def count_derivations(monkeypatch) -> list:
     return calls
 
 
-def test_a_failing_recipe_is_derived_again_on_every_report(monkeypatch):
-    catalog = catalog_load(records_with_recipe("C(2)", KERNEL_ONTO_NEGATIVE_CUBIC))
+def test_every_load_derives_a_failing_recipe_again(monkeypatch):
+    records = records_with_recipe("C(2)", KERNEL_ONTO_NEGATIVE_CUBIC)
     calls = count_derivations(monkeypatch)
     for _ in range(2):
         with pytest.raises(InadmissibleSpectrumError) as err:
-            component_report(catalog, M2)
+            catalog_load(records)
         assert str(err.value) == (
             "component 'C(2)': spectrum (-2, -2, -2), s=0 "
             "breaks the chain-down rule or the bound on s"
@@ -415,15 +442,18 @@ def test_a_failing_recipe_is_derived_again_on_every_report(monkeypatch):
 
 
 def test_each_catalog_derives_its_recipes_once(monkeypatch):
-    first, second = catalog_load(), catalog_load()
     calls = count_derivations(monkeypatch)
-    for catalog in (first, second, first, second):
-        for cc in (M2, M3):
-            component_report(catalog, cc)
+    first = catalog_load()
+    assert len(calls) == 7  # every recipe, in catalog order, while loading
+    second = catalog_load()
     nodes = [d.construction for catalog in (first, second) for d in catalog.components
              if d.construction is not None]
     assert len(nodes) == 14
-    assert sorted(map(id, calls)) == sorted(map(id, nodes))
+    assert list(map(id, calls)) == list(map(id, nodes))
+    for catalog in (first, second, first, second):
+        for cc in (M2, M3):
+            component_report(catalog, cc)
+    assert len(calls) == 14  # the 8 reports derive nothing
 
 
 def count_rows(monkeypatch) -> list:
@@ -435,15 +465,18 @@ def count_rows(monkeypatch) -> list:
     return calls
 
 
-def test_a_second_report_evaluates_nothing(monkeypatch):
+def test_a_report_evaluates_nothing(monkeypatch):
     catalog = catalog_load()
-    first = [component_report(catalog, cc) for cc in (M2, M3)]
     calls = count_rows(monkeypatch)
+    first = [component_report(catalog, cc) for cc in (M2, M3)]
     assert [component_report(catalog, cc) for cc in (M2, M3)] == first
     assert calls == []
-    # a reloaded catalog holds fresh nodes, which are derived again
-    assert [component_report(catalog_load(), cc) for cc in (M2, M3)] == first
+    # a reloaded catalog holds fresh nodes, which its load derives again
+    reloaded = catalog_load()
     assert calls
+    del calls[:]
+    assert [component_report(reloaded, cc) for cc in (M2, M3)] == first
+    assert calls == []
 
 
 # ------------------------------------------------------------- rao pairs
