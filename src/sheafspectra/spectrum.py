@@ -168,9 +168,10 @@ def enumerate_spectra(
     -1, and then an entry v < -1 is followed by v or v + 1 and needs
     -1 - v entries after it to reach -1.  The window 0 <= s <=
     s_upper_bound(general) on sum(k_i) bounds entries on both sides, so
-    no entry below the window is visited, however large |c3|.  Every leaf
-    survives (the chain-up rule, when s_eh is set, is checked at the
-    leaf), so the cost is roughly proportional to the output.
+    no entry below the window is visited, however large |c3|.  Each leaf
+    is emitted in its parent's frame and survives; the chain-up rule, when
+    s_eh is set, filters the finished list.  So the walk takes one frame
+    per inner node, and its cost is roughly proportional to the output.
     """
     m = cc.c2
     if m < 1:
@@ -182,16 +183,9 @@ def enumerate_spectra(
 
     results: list[SpectrumWithS] = []
     prefix: list[int] = []
-    bounded = p.s_eh is not None  # read once, not at every leaf
 
     def walk(total: int, start: int, stop: int):
-        depth = len(prefix)
-        if depth == m:
-            values = tuple(prefix)
-            if not bounded or not validate_chain_up(values, st, p):
-                results.append(SpectrumWithS(values, sum_max - total))
-            return
-        remaining = m - depth
+        remaining = m - len(prefix)
         # below low even hi in every later slot misses sum_min, below -remaining
         # too few slots are left to climb to -1, above top even v in every slot
         # left passes sum_max (conditionals, not max(): this runs per inner node)
@@ -199,6 +193,11 @@ def enumerate_spectra(
         low = low if low > start else start
         low = low if low > -remaining else -remaining
         top = (sum_max - total) // remaining
+        if remaining == 1:  # the leaves, in this frame: v >= -1 needs no climb, and
+            # tuple.__new__ skips a NamedTuple __new__ that checks nothing
+            for v in range(low, (top if top < stop else stop) + 1):
+                results.append(tuple.__new__(SpectrumWithS, ((*prefix, v), top - v)))
+            return
         for v in range(low, (top if top < stop else stop) + 1):
             # v < -1 must climb to -1, which adds v (v + 1) / 2 to the least sum;
             # that sum still grows with v, so the first v past sum_max ends the loop
@@ -210,8 +209,10 @@ def enumerate_spectra(
 
     try:
         walk(0, -m, hi)
-    except RecursionError:  # one frame per entry: the input is flat, just long
+    except RecursionError:  # one frame per entry but the last: the input is flat, just long
         raise ValueError(
             f"enumerating c2 = {m} needs a walk {m} entries deep, past Python's recursion limit"
         ) from None
+    if p.s_eh is not None:
+        results = [sw for sw in results if not validate_chain_up(sw.values, st, p)]
     return results

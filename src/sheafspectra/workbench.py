@@ -139,7 +139,8 @@ class Catalog(_Checked, NamedTuple("Catalog", [("components", tuple)])):
             if (cc, recomputed) != (desc.moduli, desc.spectrum):
                 raise VerificationError(
                     f"component {desc.name!r}: construction gives {cc.as_tuple()}, "
-                    f"{recomputed}; catalog stores {desc.moduli.as_tuple()}, {desc.spectrum}"
+                    f"{recomputed.values}, s={recomputed.s}; catalog stores "
+                    f"{desc.moduli.as_tuple()}, {desc.spectrum.values}, s={desc.spectrum.s}"
                 )
         return self
 

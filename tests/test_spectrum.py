@@ -198,10 +198,8 @@ def test_enumerate_skips_to_the_sum_window_at_once():
     assert out == [SpectrumWithS((10**12 - 1,), 1), SpectrumWithS((10**12,), 0)]
 
 
-@pytest.mark.parametrize("e,c3", [(0, 420), (-1, 400)])
-def test_enumerate_walks_no_prefix_that_cannot_climb(e, c3):
-    # the one spectrum is (-20, ..., -1) at s = 0; a prefix whose forced climb
-    # to -1 overshoots the sum is cut at once (7,341 walk calls without that)
+def _enumerate_counting_walks(cc):
+    """enumerate_spectra(cc) and the number of walk frames it opened."""
     calls = []
 
     def count(frame, event, arg):
@@ -210,15 +208,31 @@ def test_enumerate_walks_no_prefix_that_cannot_climb(e, c3):
 
     sys.setprofile(count)
     try:
-        out = enumerate_spectra(ChernClasses(e, 20, c3))
+        out = enumerate_spectra(cc)
     finally:
         sys.setprofile(None)
+    return out, len(calls)
+
+
+@pytest.mark.parametrize("e,c3", [(0, 420), (-1, 400)])
+def test_enumerate_walks_no_prefix_that_cannot_climb(e, c3):
+    # the one spectrum is (-20, ..., -1) at s = 0; a prefix whose forced climb
+    # to -1 overshoots the sum is cut at once (7,341 walk calls without that)
+    out, frames = _enumerate_counting_walks(ChernClasses(e, 20, c3))
     assert out == [SpectrumWithS(tuple(range(-20, 0)), 0)]
-    assert len(calls) <= 21
+    assert frames <= 20  # one per entry: the last entry is emitted in its parent's frame
+
+
+def test_enumerate_takes_one_frame_per_inner_node():
+    # each leaf is emitted in its parent's frame (20,045 frames with one per leaf)
+    out, frames = _enumerate_counting_walks(ChernClasses(0, 9, 0))
+    assert len(out) == 16857
+    assert frames <= 3188
 
 
 def test_a_walk_past_the_recursion_limit_names_c2_and_its_depth():
-    # (-m, ..., -1) at s = 0 is the one spectrum: flat input, one walk frame per entry
+    # (-m, ..., -1) at s = 0 is the one spectrum: flat input, one walk frame per
+    # entry but the last
     m = sys.getrecursionlimit()
     with pytest.raises(ValueError, match=f"enumerating c2 = {m} needs a walk {m} entries deep"):
         enumerate_spectra(ChernClasses(0, m, m * (m + 1)))
@@ -411,9 +425,13 @@ def _count_spectra(e, m, c3):
 @pytest.mark.parametrize("e", [-1, 0])
 def test_enumeration_matches_counting_oracle(e, c2):
     for c3 in _c3_window(e, c2):
-        assert len(enumerate_spectra(ChernClasses(e, c2, c3))) == _count_spectra(
-            e, c2, c3
-        ), (e, c2, c3)
+        cc = ChernClasses(e, c2, c3)
+        out = enumerate_spectra(cc)
+        assert len(out) == _count_spectra(e, c2, c3), (e, c2, c3)
+        # leaves are built with tuple.__new__: each must still be a plain SpectrumWithS
+        for sw in out + enumerate_spectra(cc, ChainUpParam(1)):
+            assert type(sw) is SpectrumWithS and type(sw.values) is tuple, (cc, sw)
+            assert sw == SpectrumWithS(sw.values, sw.s), (cc, sw)
 
 
 @pytest.mark.parametrize(
