@@ -8,7 +8,7 @@ rational coefficients that always evaluates to an integer.
 """
 
 from sheafspectra import ChernClasses, euler_characteristic
-from sheafspectra import chern_from_resolution, ParityError
+from sheafspectra import MonadShape, ParityError
 
 # A normalized class: first Chern class e in {-1, 0}.  The constructor
 # enforces the parity law tying c3 to the other classes.
@@ -25,11 +25,12 @@ try:
 except ParityError as exc:
     print("rejected:", exc)
 
-# Chern classes of a sheaf presented by line bundles can be read off the
-# total Chern series, truncated after t^3.  A cokernel of O(-2) -> 3 O(-1) -> F:
+# Chern classes of a sheaf presented by line bundles are read off its
+# Euler characteristic, a signed sum of line-bundle cubics.  A cokernel of
+# O(-2) -> 3 O(-1) -> F is a monad with no right-hand term:
 print()
 print("cokernel 0 -> O(-2) -> 3 O(-1) -> F -> 0")
-chern = chern_from_resolution([-1, -1, -1], [-2])
+chern = MonadShape(a=(-2,), b=(-1, -1, -1), c=()).chern()
 print("chern(F) =", chern.as_tuple())
 
 # The same classes as coefficients of (1 - t)^3 / (1 - 2t) = 1 + c1 t + c2 t^2 + c3 t^3.

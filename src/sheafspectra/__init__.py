@@ -4,7 +4,7 @@ Everything runs over the integers.  The package splits into five layers
 over a shared exception module:
 
 * :mod:`sheafspectra.invariants` -- Chern classes, Euler characteristics,
-  and the Chern classes of a line-bundle resolution.
+  splitting types and the invariants of a kernel onto points.
 * :mod:`sheafspectra.spectrum` -- admissibility rules for spectra and the
   exhaustive enumerator.
 * :mod:`sheafspectra.cohomology` -- twist-indexed cohomology tables, the

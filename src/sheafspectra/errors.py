@@ -51,7 +51,7 @@ class InadmissibleSpectrumError(SheafSpectraError):
 
 
 class RankMismatchError(SheafSpectraError):
-    """Resolution or monad whose alternating rank is not the target."""
+    """Monad or recipe whose rank is not the target."""
 
 
 class IntegralityError(SheafSpectraError):

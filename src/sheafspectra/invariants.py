@@ -1,11 +1,10 @@
 """Exact numerical invariants of normalized rank-2 sheaves on P^3.
 
 Everything in this module is closed-form integer arithmetic: Euler
-characteristics of twists, generic splitting types, and a
-total-Chern-class oracle that recovers (e, c2, c3) from a
-resolution by sums of line bundles as one truncated product.  All
-arithmetic is on int; the one division, chi's by 6, is done by divmod
-with an explicit check of the remainder (IntegralityError).
+characteristics of twists, generic splitting types and the invariants
+of a kernel onto points.  All arithmetic is on int; the one division,
+chi's by 6, is done by divmod with an explicit check of the remainder
+(IntegralityError).
 
 The Euler characteristic of a normalized class (e, c2, c3) at twist t is
 
@@ -19,21 +18,15 @@ enforced at construction time.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .errors import (
-    IntegralityError,
-    NotNormalizedError,
-    ParityError,
-    RankMismatchError,
-)
+from .errors import IntegralityError, NotNormalizedError, ParityError
 
 __all__ = [
     "ChernClasses",
     "SplittingType",
     "euler_characteristic",
     "splitting_type_from_e",
-    "chern_from_resolution",
     "kernel_invariants",
 ]
 
@@ -127,29 +120,6 @@ def splitting_type_from_e(e: int) -> SplittingType:
     if _exact(e) not in _GENERIC:
         raise NotNormalizedError(f"no semistable splitting type for e = {e}")
     return _GENERIC[e]
-
-
-def chern_from_resolution(
-    positive_terms: Iterable[int],
-    negative_terms: Iterable[int],
-) -> ChernClasses:
-    """Chern classes of a virtual rank-2 sum of line bundles.
-
-    positive_terms and negative_terms are line bundle degrees; the result
-    is the class of (+)sum O(a_i) - (+)sum O(b_j), i.e. the truncated
-    power series prod(1 + a_i t) / prod(1 + b_j t).  This is the oracle
-    used to pin sign conventions: it needs nothing but multiplicativity
-    of total Chern classes on exact sequences.
-    """
-    pos, neg = list(positive_terms), list(negative_terms)
-    if len(pos) - len(neg) != 2:
-        raise RankMismatchError(f"resolution has rank {len(pos) - len(neg)}, expected 2")
-    c1 = c2 = c3 = 0
-    # (1, c1, c2, c3) times 1 + a t, or times 1/(1 + b t) = 1 - b t + b^2 t^2 - b^3 t^3,
-    # truncated after t^3: the constant term stays 1 and every coefficient an int
-    for f1, f2, f3 in [(a, 0, 0) for a in pos] + [(-b, b * b, -b * b * b) for b in neg]:
-        c1, c2, c3 = c1 + f1, c2 + c1 * f1 + f2, c3 + c2 * f1 + c1 * f2 + f3
-    return ChernClasses(c1, c2, c3)
 
 
 def kernel_invariants(

@@ -27,6 +27,13 @@ splice_bounds evaluates the known slots once and reads, for each entry,
 the interval attainable over all rank choices off the two corners of the
 rank box, so callers can tell policy output from forced output.
 
+A class has one reader, from chi at the twists -3..0: chi of every node
+is a cubic in t whose third difference is the rank, so a recipe of any
+rank but 2 is refused by name, and only a rank-2 one is told its
+normalizing twist or given (e, c2, c3).  MonadShape.chern reads a
+monad's chi as a signed sum of line-bundle cubics; the pipeline reads
+the chi of the rows it evaluates.
+
 construction_spectrum runs the full pipeline from a node to its class
 and spectrum: the rows and the spectrum must fit the class read from
 the rows' chi and be admissible, and the raw policy h2, which can
@@ -47,13 +54,7 @@ from .errors import (
     RankMismatchError,
     SequenceInfeasibleError,
 )
-from .invariants import (
-    ChernClasses,
-    _Checked,
-    _exact,
-    chern_from_resolution,
-    splitting_type_from_e,
-)
+from .invariants import ChernClasses, _Checked, _exact, splitting_type_from_e
 from .spectrum import SpectrumWithS, _check_admissible
 
 __all__ = [
@@ -289,7 +290,7 @@ class MonadShape(_Checked, NamedTuple("MonadShape", [
     """Line-bundle degrees (a, b, c) of a three-term monad.
 
     The middle cohomology of 0 -> sum O(a_i) -> sum O(b_j) -> sum O(c_k) -> 0
-    is a rank-2 sheaf; its Chern classes come from the series oracle.  It
+    is a rank-2 sheaf; its Chern classes are read from its chi.  It
     evaluates as its sequence, so where it nests its class may be any;
     spliced on its own it must be normalized.
     """
@@ -312,7 +313,11 @@ class MonadShape(_Checked, NamedTuple("MonadShape", [
         return ShortExactSequenceSpec(left=bundle(self.a), middle=kernel)
 
     def chern(self) -> ChernClasses:
-        return chern_from_resolution(self.b, self.a + self.c)
+        # chi(E) = sum over b - sum over a and c of chi(O(d)), each degree once
+        degrees = {d: self.b.count(d) - self.a.count(d) - self.c.count(d)
+                   for d in {*self.a, *self.b, *self.c}}
+        return _class_from_chi([sum([n * (d + t + 1) * (d + t + 2) * (d + t + 3)
+                                     for d, n in degrees.items()]) // 6 for t in range(-3, 1)])
 
 
 def _leaves(sym) -> list:
@@ -402,11 +407,14 @@ def recipe_table(node: Mapping, rng: tuple[int, int]) -> CohomologyTable:
 
 # ------------------------------------------------------------- pipeline
 
-def _class_from_rows(rows: Mapping) -> ChernClasses:
-    # chi of a row is exact whatever ranks the policy chose; for rank 2,
-    # e = its second difference, c2 = chi(-2) - chi(-1), c3 = 2 chi(-2) + e c2
-    x, y, z = [h0 - h1 + h2 - h3 for h0, h1, h2, h3 in (rows[-3], rows[-2], rows[-1])]
-    e, c2 = z - 2 * y + x, y - z
+def _class_from_chi(chi: list) -> ChernClasses:
+    # chi at t = -3..0 of any node is a cubic whose third difference is the
+    # rank; for rank 2, e = the second difference, c2 = chi(-2) - chi(-1),
+    # c3 = 2 chi(-2) + e c2
+    x, y, z, w = chi
+    rank, e, c2 = w - 3 * z + 3 * y - x, z - 2 * y + x, y - z
+    if rank != 2:
+        raise RankMismatchError(f"recipe has rank {rank}, expected 2")
     if e not in (-1, 0):  # twisting by k moves c1 by 2k
         raise NotNormalizedError(
             f"recipe has first Chern class {e}; twist it by {-((e + 1) // 2)} to normalize it"
@@ -421,7 +429,8 @@ def construction_spectrum(node) -> tuple[ChernClasses, SpectrumWithS]:
     class read from the rows' chi; h2 is withheld below the twist -3-e.
     """
     rows = _evaluate(lambda twists: _rows(node, twists), (-8, 0))
-    cc = _class_from_rows(rows)  # from the raw rows, before h2 is withheld
+    # from the raw rows, before h2 is withheld; their chi is exact whatever ranks the policy chose
+    cc = _class_from_chi([h0 - h1 + h2 - h3 for h0, h1, h2, h3 in map(rows.get, range(-3, 1))])
     for t in range(-8, -3 - cc.e):  # h2 withheld below -3-e
         rows[t] = rows[t][:2] + (None, rows[t][3])
     sw = spectrum_from_table(CohomologyTable(-8, 0, rows, cc), splitting_type_from_e(cc.e))

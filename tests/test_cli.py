@@ -289,6 +289,22 @@ def test_broken_recipe_is_an_error_line_naming_the_component(
     assert err.startswith("error: component 'C(2)': ")
 
 
+def test_a_wrong_rank_recipe_is_refused_by_its_rank(capsys, tmp_path):
+    # C's recipe replaced by the rank-3 kernel of O^4 ->> O(2)
+    doc = json.loads(
+        resources.files("sheafspectra").joinpath("data/catalog.json").read_text()
+    )
+    record = next(r for r in doc["components"] if r["name"] == "C")
+    record["construction"] = {
+        "kind": "ses", "unknown": "left", "right": {"kind": "line", "a": 2},
+        "middle": {"kind": "sum", "terms": [{"kind": "line", "a": 0}] * 4},
+    }
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "report", "--moduli=0,3,0", "--catalog", str(path))
+    assert (code, out, err) == (1, "", "error: component 'C': recipe has rank 3, expected 2\n")
+
+
 @pytest.mark.parametrize("command", ["report", "rao-pairs", "gap"])
 @pytest.mark.parametrize(
     "name,moduli,change,message",

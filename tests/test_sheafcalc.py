@@ -37,8 +37,9 @@ from sheafspectra.sheafcalc import (
     splice_ses,
     symbol_from_json,
 )
-from sheafspectra.sheafcalc import _class_from_rows
+from sheafspectra.sheafcalc import _class_from_chi
 from sheafspectra.spectrum import SpectrumWithS, c3_from_spectrum
+from test_invariants import chern_from_resolution
 
 # construction recipes for the derived components, shared across tests
 TWO_CONICS = {
@@ -98,6 +99,16 @@ def line_bundle_chi(a: int, t: int) -> int:
     """chi(O(a+t)) on P^3, the binomial cubic C(a+t+3, 3)."""
     d = a + t
     return (d + 1) * (d + 2) * (d + 3) // 6
+
+
+def rows_class(rows):
+    """The class the pipeline reads off rows by twist: their chi at t = -3..0."""
+    return _class_from_chi([h0 - h1 + h2 - h3 for h0, h1, h2, h3 in map(rows.get, range(-3, 1))])
+
+
+def series_class(shape):
+    """A monad's class from the Chern-series oracle: (+)O(b) - (+)O(a) - (+)O(c)."""
+    return chern_from_resolution(shape.b, shape.a + shape.c)
 
 
 def rational_curve(d, b):
@@ -376,7 +387,7 @@ def test_degenerate_monad_is_a_direct_sum():
 def test_point_quotient_of_one_conic_kernel():
     ambient = splice_ses(ONE_CONIC_NODE, (-8, 0))
     assert ambient.rows == EXTENSION_OVER_ONE_CONIC_ROWS
-    assert _class_from_rows(ambient.rows) == ChernClasses(-1, 2, 2)
+    assert rows_class(ambient.rows) == ChernClasses(-1, 2, 2)
     raw = splice_ses(ShortExactSequenceSpec(middle=ONE_CONIC_NODE, right=PointSheaf(1)),
                      (-8, 0))
     assert raw.row(-1) == (0, 1, 0, 0)
@@ -447,7 +458,7 @@ def test_value_equal_nodes_of_different_kinds_derive_apart():
     onto_point = ShortExactSequenceSpec(middle=EXTENSION_NODE, right=PointSheaf(1))
     assert onto_line == onto_point
     assert outcome(construction_spectrum, onto_line) == (
-        NotNormalizedError, "recipe has first Chern class -2; twist it by 1 to normalize it"
+        RankMismatchError, "recipe has rank 1, expected 2"
     )
     assert outcome(construction_spectrum, onto_point) == (
         ChernClasses(-1, 2, -2), SpectrumWithS((-1, 0), 1)
@@ -483,6 +494,15 @@ KERNEL_ONTO_NEGATIVE_CUBIC = {
 }
 
 
+# recipes of rank 0, 1 and 3, with their ranks
+WRONG_RANKS = [
+    (symbol_from_json({"kind": "points", "n": 5}), 0),
+    (symbol_from_json({"kind": "line", "a": 0}), 1),
+    (DirectSum([LineBundle(0)] * 3), 3),
+    (ShortExactSequenceSpec(middle=DirectSum([LineBundle(0)] * 4), right=LineBundle(2)), 3),
+]
+
+
 @pytest.mark.parametrize(
     "node,error,text",
     [
@@ -492,11 +512,13 @@ KERNEL_ONTO_NEGATIVE_CUBIC = {
         (symbol_from_json({"kind": "quotient", "ambient": EXTENSION_OVER_TWO_CONICS,
                            "quotient": {"kind": "points", "n": 6}}),
          InadmissibleSpectrumError, "s=6"),
-        # O fits (0, 0, 0) at t = -3..-1, but rank 1 shows at t = 0
-        (symbol_from_json({"kind": "line", "a": 0}), InconsistentTableError,
-         "t=0 has chi 1, class demands 2"),
+        # a recipe of any other rank is refused by its rank, twisted or not
+        *[(node, RankMismatchError, f"^recipe has rank {rank}, expected 2$")
+          for base, rank in WRONG_RANKS for node in (base, Twist(base, 1))],
     ],
-    ids=["negative-cubic-kernel", "six-points", "line"],
+    ids=["negative-cubic-kernel", "six-points",
+         *[f"{name}{twist}" for name in ("points", "line", "three-lines", "kernel-onto-O(2)")
+           for twist in ("", "-twisted")]],
 )
 def test_pipeline_refuses_what_no_rank_2_class_explains(node, error, text):
     with pytest.raises(error, match=text):
@@ -509,12 +531,16 @@ def shifted_ein(k):
 
 
 @pytest.mark.parametrize("k,twist", [(1, -1), (-1, 1), (2, -2)])
-@pytest.mark.parametrize("ein", [lambda k: Twist(EIN_NODE, k), shifted_ein],
-                         ids=["twist", "monad"])
-def test_an_unnormalized_recipe_is_told_its_normalizing_twist(ein, k, twist):
+@pytest.mark.parametrize("ein,derive", [
+    (lambda k: Twist(EIN_NODE, k), construction_spectrum),
+    (shifted_ein, construction_spectrum),
+    # spliced on its own, a monad's class comes from its line bundles
+    (shifted_ein, lambda node: splice_ses(node, (-8, 0))),
+], ids=["twist", "monad", "spliced-monad"])
+def test_an_unnormalized_recipe_is_told_its_normalizing_twist(ein, derive, k, twist):
     # Ein has c1 = 0, so Ein(k) has c1 = 2k
     with pytest.raises(NotNormalizedError) as err:
-        construction_spectrum(ein(k))
+        derive(ein(k))
     assert str(err.value) == (
         f"recipe has first Chern class {2 * k}; twist it by {twist} to normalize it"
     )
@@ -558,7 +584,8 @@ def test_bundled_recipe_rows_have_the_records_chi_up_to_twist_two(record):
 @pytest.mark.parametrize("node", [INSTANTON_NODE, EIN_NODE], ids=["Instanton", "Ein"])
 def test_fitted_class_of_a_monad_is_its_series_class(node):
     shape = MonadShape(*node)
-    assert construction_spectrum(node)[0] == shape.chern() == ChernClasses(0, 3, 0)
+    assert construction_spectrum(node)[0] == shape.chern() == series_class(shape)
+    assert series_class(shape) == ChernClasses(0, 3, 0)
 
 
 @st.composite
@@ -577,12 +604,19 @@ def normalised_monads(draw):
 def test_fitted_class_matches_the_series_oracle(shape, k):
     # every degree raised by k moves c1 by 2k; the twist by -k undoes it
     shifted = Twist(MonadShape(*([d + k for d in x] for x in shape)), -k)
+    assert shape.chern() == series_class(shape)
     try:
         table = splice_ses(shape, (-3, -1))
     except SequenceInfeasibleError:
         assume(False)  # only monads that evaluate
     assert splice_ses(shifted, (-3, -1)).rows == table.rows
-    assert _class_from_rows(table.rows) == shape.chern()
+    # where the rows reach t = 0, the class the pipeline reads off them is the series class
+    wide = outcome(splice_ses, shape, (-3, 0))
+    if isinstance(wide, CohomologyTable):
+        assert rows_class(wide.rows) == series_class(shape)
+    derived = outcome(construction_spectrum, shape)
+    assert derived[0] == series_class(shape) or derived[0] not in (
+        NotNormalizedError, RankMismatchError)
 
 
 # ------------------------------------------------------------- recipes
@@ -775,10 +809,7 @@ def test_any_kind_nests_anywhere(monkeypatch, position, inner):
 
 
 def test_a_top_level_monad_table_checks_its_rows_against_its_class(monkeypatch):
-    import sheafspectra.sheafcalc as sheafcalc
-
-    monkeypatch.setattr(sheafcalc, "chern_from_resolution",
-                        lambda pos, neg: ChernClasses(0, 5, 0))
+    monkeypatch.setattr(MonadShape, "chern", lambda self: ChernClasses(0, 5, 0))
     with pytest.raises(InconsistentTableError):
         recipe_table(EIN_MONAD, (-3, 0))
 
@@ -1024,6 +1055,37 @@ def test_columns_match_the_per_twist_reference(node, lo, length):
         assert columns == [outcome(splice_ses, node, rng), outcome(construction_spectrum, node)]
     if isinstance(node, ShortExactSequenceSpec):
         assert outcome(splice_bounds, node, rng) == outcome(reference_bounds, node, rng)
+
+
+def structural_rank(node) -> int:
+    """Rank of a node from its shape alone, without evaluating it."""
+    if isinstance(node, LineBundle):
+        return 1
+    if isinstance(node, (PointSheaf, CurveModule)):
+        return 0
+    if isinstance(node, DirectSum):
+        return sum(map(structural_rank, node.terms))
+    if isinstance(node, MonadShape):
+        return 2
+    if isinstance(node, Twist):
+        return structural_rank(node.of)
+    first, second = [structural_rank(slot) for slot in node if slot is not None]
+    return {"left": first - second, "middle": first + second, "right": second - first}[
+        node.unknown]
+
+
+@given(NODES, st.integers(-9, 0), st.integers(3, 6))
+@settings(deadline=None, max_examples=300)
+def test_chi_of_every_node_is_a_cubic_led_by_its_rank(node, lo, length):
+    # the class reader's premise: every four consecutive chi values have the
+    # rank as their third difference, whatever ranks the policy chose
+    import sheafspectra.sheafcalc as sheafcalc
+
+    rows, _ = sheafcalc._rows(node, range(lo, lo + length + 1))
+    assume(len(rows) >= 4)  # the twists below the first failing one
+    chi = [h0 - h1 + h2 - h3 for h0, h1, h2, h3 in rows]
+    ranks = {w - 3 * z + 3 * y - x for x, y, z, w in zip(chi, chi[1:], chi[2:], chi[3:])}
+    assert ranks == {structural_rank(node)}
 
 
 def known_column(name):
