@@ -8,11 +8,14 @@ table_from_spectrum fills the two formula windows
     h2(l) = sum_i h1(O_P1(k_i + l + 1))       for l >= a1 - 3
 
 from prefix sums of the sorted spectrum (only k >= -l-1 adds to h1 and
-only k <= -l-3 to h2), and spectrum_from_table inverts them: on both
-windows the second difference of the known column at twist l is the
-multiplicity of the spectrum value -l-1, and the stabilized deep value
-of h1 is s; the answer is checked against the recomputed windows.
-Unknown entries stay unknown; they are never conflated with zero.
+only k <= -l-3 to h2), each column only as long as its window, and
+spectrum_from_table inverts them: on both windows the second difference
+of the known column at twist l is the multiplicity of the spectrum value
+-l-1, and the stabilized deep value of h1 is s; the answer is checked
+against each known entry of its regenerated windows.  Unknown entries
+stay unknown; they are never conflated with zero.  A table read from
+outside (JSON, the CLI, user code) has every entry validated; one built
+from the library's own ints is only chi-checked on its fully known rows.
 
 This is also the lowest layer that prints, so the one writer lives
 here: report_json renders every JSON document and _markdown every
@@ -53,13 +56,17 @@ class ValidityWindows(NamedTuple):
         return cls(h1_max=-st.a2 - 1, h2_min=st.a1 - 3)
 
 
-def _check_chi(cc: ChernClasses, t: int, row: Row) -> None:
-    # a fully known row must have the Euler characteristic of its class
-    if None not in row:
-        chi = row[0] - row[1] + row[2] - row[3]
-        want = euler_characteristic(cc, t)
-        if chi != want:
-            raise InconsistentTableError(f"row t={t} has chi {chi}, class demands {want}")
+def _table(lo: int, hi: int, rows: dict, cc, checked) -> "CohomologyTable":
+    # the one way a table is made, from rows mapping each twist of [lo, hi]
+    # to 4 entries, each an int >= 0 or None; with a class, the fully known
+    # rows among the twists of checked must have its Euler characteristic
+    for t in checked if cc is not None else ():
+        h0, h1, h2, h3 = row = rows[t]
+        if None not in row:
+            chi, want = h0 - h1 + h2 - h3, euler_characteristic(cc, t)
+            if chi != want:
+                raise InconsistentTableError(f"row t={t} has chi {chi}, class demands {want}")
+    return tuple.__new__(CohomologyTable, (lo, hi, rows, cc))
 
 
 def _twists(lo: int, hi: int) -> range:
@@ -98,10 +105,7 @@ class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
         for t in rows:
             if not lo <= t <= hi:
                 raise ValueError(f"row at t={t} outside range [{lo}, {hi}]")
-        if cc is not None:
-            for t, row in normalized.items():
-                _check_chi(cc, t, row)
-        return tuple.__new__(cls, (lo, hi, normalized, cc))
+        return _table(lo, hi, normalized, cc, normalized)
 
     def row(self, t: int) -> Row:
         if not self.lo <= t <= self.hi:
@@ -173,30 +177,36 @@ def table_from_spectrum(
     """Fill the h1/h2 formula windows over rng and the vanishing windows.
 
     The h1/h2 windows come from prefix sums of the sorted spectrum, in
-    O(m + range log m) steps.  The vanishing windows h0 = 0 (t <= -1) and
-    h3 = 0 (t >= -3-e, e = a1+a2) rest on (semi)stability; everything
-    else stays unknown.
+    O(m + w log m) steps for the w twists of rng inside the windows.  The
+    vanishing windows h0 = 0 (t <= -1) and h3 = 0 (t >= -3-e, e = a1+a2)
+    rest on (semi)stability; everything else stays unknown.  The fully
+    known rows are checked against the Euler characteristic of the class.
     """
-    e = st.a1 + st.a2
-    m = len(sw.values)
+    e, m = st.a1 + st.a2, len(sw.values)
     cc = ChernClasses(e, m, c3_from_spectrum(e, m, sw))  # validates values and s
     lo, hi = rng
-    _twists(lo, hi)  # a bad range is a ValueError before any window is built
-    windows = _windows(sw, ValidityWindows.from_splitting_type(st), lo, hi)
-    rows = {t: (0 if t <= -1 else None, h1, h2, 0 if t >= -3 - e else None)
-            for t, (h1, h2) in enumerate(windows, lo)}
-    return CohomologyTable(lo, hi, rows, cc)
+    twists = _twists(lo, hi)  # a bad range is a ValueError before any window is built
+    win, n = ValidityWindows.from_splitting_type(st), len(twists)
+    h1, h2 = _columns(sw, win, lo, hi)
+    h0, h3 = [0] * min(n, max(0, -lo)), [0] * min(n, max(0, hi + 4 + e))
+    pad = [None] * n  # h0 and h1 are known on a prefix of the range, h2 and h3 on a suffix
+    rows = dict(zip(twists, zip(h0 + pad, h1 + pad, pad[len(h2):] + h2, pad[len(h3):] + h3)))
+    full = range(max(lo, -3 - e, win.h2_min), min(hi, -1, win.h1_max) + 1)
+    return _table(lo, hi, rows, cc, full)
 
 
-def _windows(sw: SpectrumWithS, win: ValidityWindows, lo: int, hi: int):
-    # (h1, h2) at each twist t of [lo, hi], None outside the windows: the
-    # values k >= -t-1 add t+2+k to h1 and those k <= -t-3 add -t-2-k to h2
-    ks, pre = sw.values, [0, *accumulate(sw.values)]  # validated nondecreasing
-    for t in range(lo, hi + 1):
-        up, down = bisect_left(ks, -t - 1), bisect_right(ks, -t - 3)
-        h1 = sw.s + (t + 2) * (len(ks) - up) + pre[-1] - pre[up]
-        h2 = -(t + 2) * down - pre[down]
-        yield (h1 if t <= win.h1_max else None, h2 if t >= win.h2_min else None)
+def _columns(sw: SpectrumWithS, win: ValidityWindows, lo: int, hi: int):
+    # h1 on [lo, min(hi, h1_max)] and h2 on [max(lo, h2_min), hi]: the
+    # values k >= -t-1 add t+2+k to h1 and those k <= -t-3 add -t-2-k to h2,
+    # so h1 = s for t < -1 - max k and h2 = 0 for t > -3 - min k
+    ks, s, pre = sw.values, sw.s, [0, *accumulate(sw.values)]  # validated nondecreasing
+    end, start = min(hi, win.h1_max), max(lo, win.h2_min)
+    deep, cut = max(lo, min(end + 1, -1 - ks[-1])), min(hi, -3 - ks[0])
+    h1 = [s + (t + 2) * (len(ks) - up) + pre[-1] - pre[up]
+          for t in range(deep, end + 1) for up in [bisect_left(ks, -t - 1)]]
+    h2 = [-(t + 2) * down - pre[down]
+          for t in range(start, cut + 1) for down in [bisect_right(ks, -t - 3)]]
+    return [s] * (deep - lo) + h1, h2 + [0] * (hi - max(cut, start - 1))
 
 
 def _known_run(
@@ -211,9 +221,10 @@ def _known_run(
                 "to count the spectrum"
             )
     u, v = min(need), max(need)
-    while u - 1 >= max(floor, table.lo) and table.rows[u - 1][i] is not None:
+    floor, ceil, rows = max(floor, table.lo), min(ceil, table.hi), table.rows
+    while u > floor and rows[u - 1][i] is not None:
         u -= 1
-    while v + 1 <= min(ceil, table.hi) and table.rows[v + 1][i] is not None:
+    while v < ceil and rows[v + 1][i] is not None:
         v += 1
     return u, v
 
@@ -306,14 +317,18 @@ def spectrum_from_table(table: CohomologyTable, st: SplittingType) -> SpectrumWi
             f"recovered spectrum {result.values}, s={s} has classes "
             f"{cc.as_tuple()}, table says {table.cc.as_tuple()}"
         )
-    for t, regen in enumerate(_windows(result, win, table.lo, table.hi), table.lo):
-        for i, want in enumerate(regen, 1):
-            have = table.rows[t][i]
-            if have is not None and want is not None and have != want:
-                raise InconsistentTableError(
-                    f"recovered spectrum {result.values}, s={s} regenerates "
-                    f"h{i}(t={t}) = {want}, table says {have}"
-                )
+    columns = _columns(result, win, table.lo, table.hi)
+    starts = (table.lo, max(table.lo, win.h2_min))
+    mismatches = [(t, i, want, table.rows[t][i])
+                  for i, column, start in zip((1, 2), columns, starts)
+                  for t, want in enumerate(column, start)
+                  if table.rows[t][i] not in (None, want)]
+    if mismatches:
+        t, i, want, have = min(mismatches)  # the lowest twist, h1 before h2 on a tie
+        raise InconsistentTableError(
+            f"recovered spectrum {result.values}, s={s} regenerates "
+            f"h{i}(t={t}) = {want}, table says {have}"
+        )
     return result
 
 

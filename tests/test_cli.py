@@ -98,6 +98,20 @@ def test_invert_table_uses_attached_classes(capsys, tmp_path):
     assert code == 0 and "spectrum (0,0,0) with s=0" in out
 
 
+def test_invert_table_names_the_regenerated_mismatch(capsys, tmp_path):
+    doc = table_from_spectrum(SpectrumWithS((-2, -1), 2), splitting_type_from_e(-1),
+                              (-8, 2)).to_json_dict()
+    del doc["cc"]
+    doc["rows"]["-1"][1] += 1
+    doc["rows"]["-4"][2] += 1
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "invert-table", str(path), "--e", "-1")
+    assert (code, out) == (2, "")
+    assert err == ("error: recovered spectrum (-2, -1, 0), s=2 regenerates "
+                   "h2(t=-4) = 9, table says 8\n")
+
+
 def test_invert_table_missing_file(capsys):
     code, _, err = run(capsys, "invert-table", "/no/such/file.json")
     assert code == 1 and "error" in err

@@ -5,9 +5,13 @@ The three printed reference tables (spectra (-1,0) s=0, (-1,-1) s=1,
 h1/h2 entries for twists -1..-4 and exercised in both directions.
 """
 
+import json
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheafspectra import cohomology
 from sheafspectra.errors import InconsistentTableError, RangeInsufficientError
 from sheafspectra.cohomology import (
     CohomologyTable,
@@ -17,6 +21,7 @@ from sheafspectra.cohomology import (
     table_from_spectrum,
 )
 from sheafspectra.invariants import ChernClasses, SplittingType
+from sheafspectra.sheafcalc import construction_spectrum, symbol_from_json
 from sheafspectra.spectrum import SpectrumWithS, c3_from_spectrum
 
 ST_MINUS = SplittingType(-1, 0)
@@ -438,17 +443,20 @@ def _reference_table(sw, st_, rng) -> CohomologyTable:
 @st.composite
 def spectrum_and_range(draw):
     # any nondecreasing spectrum with m <= 24, and a range below the h2
-    # window (t <= -5), across both windows, or above the h1 window (t >= 0)
+    # window (t <= -5), across both windows, above the h1 window (t >= 0),
+    # or of one twist anywhere
     e = draw(st.sampled_from([-1, 0]))
     m = draw(st.integers(1, 24))
     values = tuple(sorted(draw(st.lists(st.integers(-30, 30), min_size=m, max_size=m))))
     s = draw(st.integers(0, 12))
-    where = draw(st.sampled_from(["below", "across", "above"]))
+    where = draw(st.sampled_from(["below", "across", "above", "one"]))
     if where == "below":
         hi = draw(st.integers(-45, -5))
         lo = draw(st.integers(hi - 40, hi))
     elif where == "across":
         lo, hi = draw(st.integers(-45, -5)), draw(st.integers(0, 40))
+    elif where == "one":
+        lo = hi = draw(st.integers(-45, 40))
     else:
         lo = draw(st.integers(0, 40))
         hi = draw(st.integers(lo, lo + 40))
@@ -465,6 +473,8 @@ def test_generator_matches_per_value_reference(data):
     assert (table.lo, table.hi, table.cc) == (ref.lo, ref.hi, ref.cc)
     for t in range(ref.lo, ref.hi + 1):
         assert table.rows[t] == ref.rows[t], t
+    # the generator skips the validating walk; the walk would have passed
+    assert table == CohomologyTable(table.lo, table.hi, table.rows, table.cc)
 
 
 def test_inversion_checks_h1_beyond_the_decoded_run():
@@ -492,3 +502,49 @@ def test_from_json_refuses_non_canonical_row_keys(key):
     doc = {"range": [-2, 10], "rows": {key: [0, 1, 0, 0]}}
     with pytest.raises(ValueError, match=r"malformed table JSON: row key"):
         CohomologyTable.from_json_dict(doc)
+
+
+def test_generated_and_derived_tables_still_check_chi(monkeypatch):
+    # the library's own tables skip the entry walk but not the chi cross-check
+    recipe = json.loads(
+        resources.files("sheafspectra").joinpath("data/catalog.json").read_text()
+    )["components"][0]["construction"]
+    node = symbol_from_json(recipe)
+    construction_spectrum(node)
+    table_from_spectrum(SpectrumWithS((-1, 0), 0), ST_MINUS, (-4, -1))
+    chi = cohomology.euler_characteristic
+    monkeypatch.setattr(cohomology, "euler_characteristic", lambda cc, t: chi(cc, t) + 1)
+    with pytest.raises(InconsistentTableError, match="class demands"):
+        table_from_spectrum(SpectrumWithS((-1, 0), 0), ST_MINUS, (-4, -1))
+    with pytest.raises(InconsistentTableError, match="class demands"):
+        construction_spectrum(node)
+
+
+def test_regeneration_names_the_lowest_mismatching_entry():
+    # h1(-1) raised adds the value 0 to the recovered spectrum; h2(-4)
+    # raised is then the first entry its windows disagree with
+    rows = dict(table_from_spectrum(SpectrumWithS((-2, -1), 2), ST_MINUS, (-8, 2)).rows)
+    h0, h1, h2, h3 = rows[-1]
+    rows[-1] = (h0, h1 + 1, h2, h3)
+    h0, h1, h2, h3 = rows[-4]
+    rows[-4] = (h0, h1, h2 + 1, h3)
+    with pytest.raises(InconsistentTableError) as err:
+        spectrum_from_table(CohomologyTable(-8, 2, rows), ST_MINUS)
+    assert str(err.value) == (
+        "recovered spectrum (-2, -1, 0), s=2 regenerates h2(t=-4) = 9, table says 8"
+    )
+
+
+def test_regeneration_names_h1_before_h2_at_one_twist():
+    # unknown entries at t = -3 cut both decoded runs to [-2, -1], so the
+    # wrong h1(-4) and h2(-4) (want 1 and 6) are seen only on regeneration
+    rows = {-4: (0, 5, 9, None), -3: (0, None, None, None), -2: (0, 1, 2, None),
+            -1: (0, 1, 0, None), 0: (None, None, 0, None), 1: (None, None, 0, None)}
+    with pytest.raises(InconsistentTableError) as err:
+        spectrum_from_table(CohomologyTable(-4, 1, rows), ST_MINUS)
+    assert str(err.value) == (
+        "recovered spectrum (-1, -1), s=1 regenerates h1(t=-4) = 1, table says 5"
+    )
+    rows[-4] = (0, 1, 6, None)
+    recovered = spectrum_from_table(CohomologyTable(-4, 1, rows), ST_MINUS)
+    assert recovered == SpectrumWithS((-1, -1), 1)
