@@ -74,10 +74,11 @@ def _seh(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _emit(args, payload, markdown: str) -> int:
+def _emit(args, payload, render, *parts) -> int:
+    # the one printer: render(*parts) builds the markdown, only when it prints
     from .cohomology import report_json
 
-    print(report_json(payload) if args.format == "json" else markdown)
+    print(report_json(payload) if args.format == "json" else render(*parts))
     return 0
 
 
@@ -98,7 +99,7 @@ def _cmd_enumerate(args) -> int:
         "spectra": [{"values": list(sw.values), "s": sw.s} for sw in found],
     }
     rows = ((_spectrum_str(sw.values), sw.s) for sw in found)
-    return _emit(args, payload, _markdown(("Spectrum", "s"), rows))
+    return _emit(args, payload, _markdown, ("Spectrum", "s"), rows)
 
 
 def _cmd_table(args) -> int:
@@ -107,7 +108,7 @@ def _cmd_table(args) -> int:
 
     sw = SpectrumWithS(args.spectrum, args.s)
     table = table_from_spectrum(sw, splitting_type_from_e(args.e), args.range)
-    return _emit(args, table.to_json_dict(), table.to_markdown())
+    return _emit(args, table.to_json_dict(), table.to_markdown)
 
 
 def _cmd_invert_table(args) -> int:
@@ -126,7 +127,7 @@ def _cmd_invert_table(args) -> int:
         raise ValueError("supply --e or a table with attached Chern classes")
     sw = spectrum_from_table(table, splitting_type_from_e(e))
     payload = {"values": list(sw.values), "s": sw.s}
-    return _emit(args, payload, f"spectrum {_spectrum_str(sw.values)} with s={sw.s}")
+    return _emit(args, payload, lambda: f"spectrum {_spectrum_str(sw.values)} with s={sw.s}")
 
 
 def _cmd_splice(args) -> int:
@@ -137,14 +138,14 @@ def _cmd_splice(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as handle:
         node = json.load(handle)
     table = recipe_table(node, args.range)
-    return _emit(args, table.to_json_dict(), table.to_markdown())
+    return _emit(args, table.to_json_dict(), table.to_markdown)
 
 
 def _cmd_report(args) -> int:
     from .workbench import catalog_load, component_report, report_markdown
 
     report = component_report(catalog_load(args.catalog), args.moduli)
-    return _emit(args, report, report_markdown(report))
+    return _emit(args, report, report_markdown, report)
 
 
 def _cmd_rao_pairs(args) -> int:
@@ -152,8 +153,8 @@ def _cmd_rao_pairs(args) -> int:
 
     pairs = rao_pairs(catalog_load(args.catalog), args.moduli)
     payload = {"moduli": list(args.moduli.as_tuple()), "pairs": [list(p) for p in pairs]}
-    md = "\n".join(f"{a} & {b}" for a, b in pairs) or "no shared spectra"
-    return _emit(args, payload, md)
+    return _emit(args, payload, lambda: "\n".join(f"{a} & {b}" for a, b in pairs)
+                 or "no shared spectra")
 
 
 def _cmd_gap(args) -> int:
@@ -166,18 +167,18 @@ def _cmd_gap(args) -> int:
         "missing": [list(v) for v in missing],
         "extra_candidates": [list(v) for v in extra],
     }
-    lines = ["missing (no known component):"]
-    lines += [f"  {_spectrum_str(v)}" for v in missing] or ["  none"]
-    lines.append("extra candidates (beyond the documented list):")
-    lines += [f"  {_spectrum_str(v)}" for v in extra] or ["  none"]
-    return _emit(args, payload, "\n".join(lines))
+    blocks = (("missing (no known component):", missing),
+              ("extra candidates (beyond the documented list):", extra))
+    lines = (line for head, spectra in blocks  # a generator: nothing is built for json
+             for line in [head, *([f"  {_spectrum_str(v)}" for v in spectra] or ["  none"])])
+    return _emit(args, payload, "\n".join, lines)
 
 
 def _cmd_check_examples(args) -> int:
     from .workbench import check_slope_examples, slope_examples_markdown
 
     report = check_slope_examples()
-    return _emit(args, report, slope_examples_markdown(report))
+    return _emit(args, report, slope_examples_markdown, report)
 
 
 def build_parser() -> _Parser:

@@ -9,13 +9,14 @@ table_from_spectrum fills the two formula windows
 
 from prefix sums of the sorted spectrum (only k >= -l-1 adds to h1 and
 only k <= -l-3 to h2), each column only as long as its window, and
-spectrum_from_table inverts them: on both windows the second difference
-of the known column at twist l is the multiplicity of the spectrum value
--l-1, and the stabilized deep value of h1 is s; the answer is checked
-against each known entry of its regenerated windows.  Unknown entries
-stay unknown; they are never conflated with zero.  A table read from
-outside (JSON, the CLI, user code) has every entry validated; one built
-from the library's own ints is only chi-checked on its fully known rows.
+spectrum_from_table inverts them: each known run is read once into its
+first differences, whose own difference at twist l is the multiplicity
+of -l-1, and s is h1 right after the leading zero differences of h1;
+the answer is checked against each known entry of its regenerated
+windows.  Unknown entries stay unknown, never conflated with zero.  A
+table read from outside (JSON, the CLI, user code) has every entry
+validated; one built from the library's own ints is only chi-checked
+on its fully known rows.
 
 This is also the lowest layer that prints, so the one writer lives
 here: report_json renders every JSON document and _markdown every
@@ -83,10 +84,10 @@ class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
     """Partial or total table of h^i(E(t)) over a twist range.
 
     rows maps each twist of [lo, hi] to a 4-tuple; missing twists are
-    normalized to all-unknown rows.  The range ends and every known
-    entry must be a real int (not bool, float or str).  When Chern
-    classes are attached, every fully known row is checked against the
-    Euler characteristic.
+    normalized to all-unknown rows.  The range ends, every row key and
+    every known entry must be a real int (not bool, float or str).
+    When Chern classes are attached, every fully known row is checked
+    against the Euler characteristic.
     """
 
     __slots__ = ()
@@ -102,7 +103,9 @@ class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
                 if h is not None and (type(h) is not int or h < 0):
                     raise ValueError(f"bad entry {h!r} at t={t}")
             normalized[t] = row
-        for t in rows:
+        for t in rows:  # True and 1.0 would pass as twist 1, "1" would not compare
+            if type(t) is not int:
+                raise ValueError(f"row key {t!r} is not an int twist")
             if not lo <= t <= hi:
                 raise ValueError(f"row at t={t} outside range [{lo}, {hi}]")
         return _table(lo, hi, normalized, cc, normalized)
@@ -209,11 +212,11 @@ def _columns(sw: SpectrumWithS, win: ValidityWindows, lo: int, hi: int):
     return [s] * (deep - lo) + h1, h2 + [0] * (hi - max(cut, start - 1))
 
 
-def _known_run(
-    table: CohomologyTable, i: int, need: tuple, floor: int, ceil: int
-) -> tuple[int, int]:
-    # maximal run [u, v] of known h_i entries inside [floor, ceil] that
-    # contains every twist of need
+def _run(table: CohomologyTable, i: int, need: tuple, floor: int, ceil: int):
+    # the maximal run of known h_i entries inside [floor, ceil] that contains
+    # every twist of need, as its first twist u and its differences
+    # d[j] = h_i(u+j+1) - h_i(u+j): h1 never falls, h2 never rises, and on
+    # both columns d never decreases
     for t in need:
         if not table.lo <= t <= table.hi or table.rows[t][i] is None:
             raise RangeInsufficientError(
@@ -226,68 +229,58 @@ def _known_run(
         u -= 1
     while v < ceil and rows[v + 1][i] is not None:
         v += 1
-    return u, v
-
-
-def _differences(table: CohomologyTable, i: int, lo: int, hi: int) -> dict:
-    # d(l) = h_i(l) - h_i(l-1) on [lo+1, hi]: h1 never falls, h2 never
-    # rises, and on both columns d never decreases
-    sign = 1 if i == 1 else -1
-    d = {}
-    for l in range(lo + 1, hi + 1):
-        d[l] = table.rows[l][i] - table.rows[l - 1][i]
-        if sign * d[l] < 0:
+    h = [rows[t][i] for t in range(u, v + 1)]
+    d = [b - a for a, b in zip(h, h[1:])]
+    for k, x in enumerate(d):
+        if (x if i == 1 else -x) < 0:
             raise InconsistentTableError(
-                f"h{i} {'falls' if i == 1 else 'rises'} from t={l - 1} to t={l}"
+                f"h{i} {'falls' if i == 1 else 'rises'} from t={u + k} to t={u + k + 1}"
             )
-        if l - 1 in d and d[l] < d[l - 1]:
-            raise InconsistentTableError(f"h{i} is not convex at t={l - 1}")
-    return d
+        if k and x < d[k - 1]:
+            raise InconsistentTableError(f"h{i} is not convex at t={u + k}")
+    return u, d
 
 
 def spectrum_from_table(table: CohomologyTable, st: SplittingType) -> SpectrumWithS:
     """Recover (spectrum, s) from a table, or fail loudly.
 
-    On both windows the second difference of the known column counts
-    spectrum values: d(l) - d(l-1), with d(l) = h_i(l) - h_i(l-1), is the
-    multiplicity of -l-1.  The h1 side must witness stabilization (two
-    equal consecutive deep values) to read s, and counts the values
-    above a2 - 1; the h2 side counts everything below, aggregating
-    whatever lies at or below the deepest visible twist into a bucket
-    that must be pinned by one of four closed rules.  No extrapolation:
-    anything unwitnessed raises a range error, and any column running
-    in a forbidden direction raises an inconsistency error.  The result
-    is verified against its recomputed windows, entry by known in-window
-    entry, and against the Chern classes when the table carries them.
+    Each window's known run is read once into its first differences
+    d(l) = h_i(l) - h_i(l-1); d(l) - d(l-1) is the multiplicity of -l-1.
+    h1 rises convexly, so its zero differences come first: at least one
+    must witness stabilization, and s is h1 right after them.  The h1
+    side counts the values above a2 - 1; the h2 side counts everything
+    below, aggregating whatever lies at or below the deepest visible
+    twist into a bucket that must be pinned by one of four closed rules.
+    No extrapolation: anything unwitnessed raises a range error, and any
+    column running in a forbidden direction raises an inconsistency
+    error.  The result is verified against its recomputed windows, entry
+    by known in-window entry, and against the Chern classes when the
+    table carries them.
     """
     win = ValidityWindows.from_splitting_type(st)
     a2 = st.a2
 
-    # --- h1 side: s and the values >= a2
-    p, q = _known_run(table, 1, (win.h1_max,), table.lo, win.h1_max)
-    if p == q:
+    # --- h1 side: s and the values >= a2; d1 never decreases, so its zeros lead
+    p, d1 = _run(table, 1, (win.h1_max,), table.lo, win.h1_max)
+    if not d1:
         raise RangeInsufficientError(
             "single h1 value cannot witness stabilization; extend the range down"
         )
-    d1 = _differences(table, 1, p, q)
-    settled = [l for l, d in d1.items() if d == 0]
-    if not settled:
+    z = d1.count(0)
+    if not z:
         raise RangeInsufficientError(
             "h1 never stabilizes inside the table; extend the range down"
         )
-    l_s = max(settled)
-    s = table.entry(l_s, 1)
+    s = table.rows[p + z][1]
 
     # --- h2 side: the values <= a2 - 1, the deepest ones in a bucket
-    u, v = _known_run(table, 2, (-a2 - 2, -a2 - 1), win.h2_min, table.hi)
-    d2 = _differences(table, 2, u, v)
+    u, d2 = _run(table, 2, (-a2 - 2, -a2 - 1), win.h2_min, table.hi)
     values = []
-    for d, lo, hi in ((d1, l_s + 1, -a2 - 1), (d2, -a2, v)):
-        for l in range(lo, hi + 1):
-            values.extend([-l - 1] * (d[l] - d[l - 1]))
-    x_min = -v - 2
-    r = -d2[v]
-    w = table.entry(v, 2)
+    for lo, d, first in ((p, d1, z), (u, d2, -a2 - u - 1)):
+        for j in range(first, len(d)):  # d[j] - d[j-1] values equal -l-1, l = lo+j+1
+            values += [-lo - j - 2] * (d[j] - d[j - 1])
+    v = u + len(d2)
+    x_min, r, w = -v - 2, -d2[-1], table.rows[v][2]
     if r == 0:
         if w != 0:
             raise InconsistentTableError(

@@ -88,16 +88,21 @@ DOCUMENTED_CANDIDATES = {
 
 def _family_invariants(family: str, params: Mapping, e: int) -> tuple:
     # closed-form dimension and (e, c2, c3) of an X- or T-family component,
-    # read from params that must be JSON integers
+    # read from params that must be JSON integers and hold no other key
+    keys = ("n", "m", "r", "s") if family == "X" else ("n", "m", "s")
+    values = [_exact(params[k]) for k in keys]
+    stray = sorted(set(params) - set(keys))
+    if stray:  # a misspelt key must not be silently ignored
+        raise ValueError(f"unknown {family}-family param {stray[0]!r}")
     if family == "X":
-        n, m, r, s = (_exact(params[k]) for k in ("n", "m", "r", "s"))
+        n, m, r, s = values
         ordinary = r >= 2 and 0 <= s <= 2 * r + 2 + e - m
         if not (ordinary or (r, s, n, m) == (1, 0, 1, 1)):
             raise ValueError(
                 f"X-family parameters out of range: n={n} m={m} r={r} s={s} e={e}"
             )
         return 8 * n + 4 * s + 2 * r + 2 + e, (e, n + 1, m + 2 + e - 2 * r - 2 * s)
-    n, m, s = (_exact(params[k]) for k in ("n", "m", "s"))  # the T family
+    n, m, s = values  # the T family
     if n < 1 or s < 0 or m - 2 * s < 0:
         raise ValueError(f"T-family parameters out of range: n={n} m={m} s={s}")
     return 8 * n - 3 + 2 * e + 4 * s, (e, n, m - 2 * s)

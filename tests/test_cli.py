@@ -489,3 +489,38 @@ def test_table_rows_must_be_an_object(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
 
+
+def test_json_output_builds_no_markdown(capsys, tmp_path, monkeypatch):
+    # every subcommand hands _emit its renderer, so --format json calls none
+    import sheafspectra
+    from sheafspectra import cli, cohomology, sheafcalc, workbench
+
+    table = tmp_path / "t.json"
+    table.write_text(table_from_spectrum(
+        SpectrumWithS((-1, 0), 0), splitting_type_from_e(-1), (-8, 0)).to_json())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "sum", "terms": [{"kind": "line", "a": 0}] * 2}))
+    commands = [
+        ("enumerate", "--e", "0", "--c2", "3", "--c3", "0"),
+        ("table", "--spectrum=-1,0", "--s", "0", "--e", "-1"),
+        ("invert-table", str(table)),
+        ("splice", "--spec", str(spec)),
+        ("report", "--moduli=0,3,0"),
+        ("rao-pairs", "--moduli=0,3,0"),
+        ("gap", "--moduli=0,3,0"),
+        ("check-examples",),
+    ]
+    expected = [run(capsys, *argv, "--format", "json") for argv in commands]
+
+    def writer_called(*args, **kwargs):
+        raise AssertionError("a markdown writer ran for --format json")
+
+    writers = ("_markdown", "_spectrum_str", "report_markdown", "slope_examples_markdown")
+    for module in (sheafspectra, cli, cohomology, sheafcalc, workbench):
+        for name in writers:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, writer_called)
+    monkeypatch.setattr(cohomology.CohomologyTable, "to_markdown", writer_called)
+    for argv, want in zip(commands, expected):
+        assert want[0] == 0 and want[1].startswith("{"), argv
+        assert run(capsys, *argv, "--format", "json") == want, argv

@@ -6,6 +6,7 @@ h1/h2 entries for twists -1..-4 and exercised in both directions.
 """
 
 import json
+import re
 from importlib import resources
 
 import pytest
@@ -131,8 +132,12 @@ def test_inversion_needs_stabilization_witness():
         -3: (None, None, 5, None),
         -4: (None, None, 7, None),
     })
-    with pytest.raises(RangeInsufficientError):
-        spectrum_from_table(table, ST_MINUS)
+    # and over (-1, 2) the table has no twist below the window top
+    shallow = table_from_spectrum(SpectrumWithS((-1, 0), 0), ST_MINUS, (-1, 2))
+    text = "single h1 value cannot witness stabilization; extend the range down"
+    for short in (table, shallow):
+        with pytest.raises(RangeInsufficientError, match=f"^{re.escape(text)}$"):
+            spectrum_from_table(short, ST_MINUS)
 
 
 def test_inversion_rejects_decreasing_h1():
@@ -142,7 +147,7 @@ def test_inversion_rejects_decreasing_h1():
         -3: (None, 1, 4, None),
         -4: (None, 1, 6, None),
     })
-    with pytest.raises(InconsistentTableError):
+    with pytest.raises(InconsistentTableError, match="^h1 falls from t=-2 to t=-1$"):
         spectrum_from_table(table, ST_MINUS)
 
 
@@ -153,7 +158,7 @@ def test_inversion_rejects_growing_h2():
         -3: (None, 1, 4, None),
         -4: (None, 1, 6, None),
     })
-    with pytest.raises(InconsistentTableError):
+    with pytest.raises(InconsistentTableError, match="^h2 rises from t=-2 to t=-1$"):
         spectrum_from_table(table, ST_MINUS)
 
 
@@ -165,16 +170,17 @@ def columns_table(h1, h2) -> CohomologyTable:
 
 
 def test_inversion_rejects_non_convex_h1():
-    # h1 differences 2, 1, 2 drop at t = -2; that is an inconsistency,
-    # reported before the missing stabilization
-    with pytest.raises(InconsistentTableError):
+    # h1 differences 2, 1, 2 drop at t = -2, so h1 bends down at t = -3;
+    # that is an inconsistency, reported before the missing stabilization
+    with pytest.raises(InconsistentTableError, match="^h1 is not convex at t=-3$"):
         spectrum_from_table(columns_table((0, 2, 3, 5), (5, 3, 1, 0)), ST_MINUS)
 
 
 def test_inversion_rejects_non_convex_h2():
-    # h2 differences -1, -4, -2 drop at t = -2; that is an inconsistency,
-    # reported before the unplaceable deep bucket (r = 2, w = 2)
-    with pytest.raises(InconsistentTableError):
+    # h2 differences -1, -4, -2 drop at t = -2, so h2 bends down at t = -3;
+    # that is an inconsistency, reported before the unplaceable deep bucket
+    # (r = 2, w = 2)
+    with pytest.raises(InconsistentTableError, match="^h2 is not convex at t=-3$"):
         spectrum_from_table(columns_table((1, 1, 1, 1), (9, 8, 4, 2)), ST_MINUS)
 
 
@@ -205,15 +211,16 @@ def test_inversion_rejects_empty_spectrum():
 
 def test_inversion_cross_check_catches_mixed_columns():
     # h1 column of spectrum (-1,0), h2 column of (-2,-1): each side alone
-    # decodes fine, but the assembled (-2,-1,0) regenerates h2(-3) = 6,
-    # and the final comparison must object to the printed 5
+    # decodes fine, but the assembled (-2,-1,0) regenerates h2(-4) = 9,
+    # and the final comparison must object to the printed 7
     table = CohomologyTable(-4, -1, {
         -1: (None, 1, 1, None),
         -2: (None, 0, 3, None),
         -3: (None, 0, 5, None),
         -4: (None, 0, 7, None),
     })
-    with pytest.raises(InconsistentTableError):
+    text = "recovered spectrum (-2, -1, 0), s=0 regenerates h2(t=-4) = 9, table says 7"
+    with pytest.raises(InconsistentTableError, match=f"^{re.escape(text)}$"):
         spectrum_from_table(table, ST_MINUS)
 
 
@@ -227,7 +234,9 @@ def test_deep_bucket_is_not_guessed():
     for t in range(-10, 3):
         for i in (1, 2):
             assert ta.entry(t, i) == tb.entry(t, i)
-    with pytest.raises(RangeInsufficientError):
+    text = ("4 spectrum values at or below t-dual -4 cannot be placed from "
+            "residual h2 weight 7; extend the range up")
+    with pytest.raises(RangeInsufficientError, match=f"^{re.escape(text)}$"):
         spectrum_from_table(ta, ST_ZERO)
     # a range adapted to the spectrum depth resolves both
     wide_a = table_from_spectrum(a, ST_ZERO, (-10, 6))
@@ -269,6 +278,14 @@ def test_constructor_rejects_non_int_entries(bad):
         CohomologyTable(0, 0, {0: (bad, 0, 0, 0)})
     with pytest.raises(ValueError):
         CohomologyTable(bad, 2, {})
+
+
+@pytest.mark.parametrize("key", [True, 1.0, "1"])
+def test_constructor_rejects_non_int_row_keys(key):
+    # True and 1.0 hash like twist 1 and "1" cannot be compared with a twist
+    with pytest.raises(ValueError) as err:
+        CohomologyTable(0, 2, {key: (0, 0, 0, 0)})
+    assert str(err.value) == f"row key {key!r} is not an int twist"
 
 
 def test_json_round_trip():

@@ -272,6 +272,17 @@ def test_closed_form_parameter_range_errors(name, params):
     assert name in str(err.value)
 
 
+@pytest.mark.parametrize("name,key,value", [("T(0,3,2,1)", "r", 7), ("X(0,2,2,2,0)", "t", 1)])
+def test_a_param_no_closed_form_reads_is_refused(name, key, value):
+    # T reads n, m, s and X reads n, m, r, s; any other key is a misspelling
+    record = bundled_record(name)
+    stray = dict(record, params={**record["params"], key: value})
+    with pytest.raises(CatalogError) as err:
+        catalog_load([stray])
+    assert str(err.value) == f"component {name!r}: unknown {name[0]}-family param {key!r}"
+    assert catalog_load([record]).components[0].params == record["params"]
+
+
 # ------------------------------------------------------------- reports
 
 
