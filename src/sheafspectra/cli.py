@@ -74,11 +74,11 @@ def _seh(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _emit(args, payload, render, *parts) -> int:
-    # the one printer: render(*parts) builds the markdown, only when it prints
+def _emit(args, payload, render) -> int:
+    # the one printer: builds only the one of payload() and render() it prints
     from .cohomology import report_json
 
-    print(report_json(payload) if args.format == "json" else render(*parts))
+    print(report_json(payload()) if args.format == "json" else render())
     return 0
 
 
@@ -94,12 +94,10 @@ def _cmd_enumerate(args) -> int:
 
     cc = ChernClasses(args.e, args.c2, args.c3)
     found = enumerate_spectra(cc, args.seh)
-    payload = {
+    return _emit(args, lambda: {
         "moduli": list(cc.as_tuple()),
         "spectra": [{"values": list(sw.values), "s": sw.s} for sw in found],
-    }
-    rows = ((_spectrum_str(sw.values), sw.s) for sw in found)
-    return _emit(args, payload, _markdown, ("Spectrum", "s"), rows)
+    }, lambda: _markdown(("Spectrum", "s"), ((_spectrum_str(sw.values), sw.s) for sw in found)))
 
 
 def _cmd_table(args) -> int:
@@ -108,7 +106,7 @@ def _cmd_table(args) -> int:
 
     sw = SpectrumWithS(args.spectrum, args.s)
     table = table_from_spectrum(sw, splitting_type_from_e(args.e), args.range)
-    return _emit(args, table.to_json_dict(), table.to_markdown)
+    return _emit(args, table.to_json_dict, table.to_markdown)
 
 
 def _cmd_invert_table(args) -> int:
@@ -126,8 +124,8 @@ def _cmd_invert_table(args) -> int:
     elif e is None:
         raise ValueError("supply --e or a table with attached Chern classes")
     sw = spectrum_from_table(table, splitting_type_from_e(e))
-    payload = {"values": list(sw.values), "s": sw.s}
-    return _emit(args, payload, lambda: f"spectrum {_spectrum_str(sw.values)} with s={sw.s}")
+    return _emit(args, lambda: {"values": list(sw.values), "s": sw.s},
+                 lambda: f"spectrum {_spectrum_str(sw.values)} with s={sw.s}")
 
 
 def _cmd_splice(args) -> int:
@@ -138,23 +136,23 @@ def _cmd_splice(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as handle:
         node = json.load(handle)
     table = recipe_table(node, args.range)
-    return _emit(args, table.to_json_dict(), table.to_markdown)
+    return _emit(args, table.to_json_dict, table.to_markdown)
 
 
 def _cmd_report(args) -> int:
     from .workbench import catalog_load, component_report, report_markdown
 
     report = component_report(catalog_load(args.catalog), args.moduli)
-    return _emit(args, report, report_markdown, report)
+    return _emit(args, lambda: report, lambda: report_markdown(report))
 
 
 def _cmd_rao_pairs(args) -> int:
     from .workbench import catalog_load, rao_pairs
 
     pairs = rao_pairs(catalog_load(args.catalog), args.moduli)
-    payload = {"moduli": list(args.moduli.as_tuple()), "pairs": [list(p) for p in pairs]}
-    return _emit(args, payload, lambda: "\n".join(f"{a} & {b}" for a, b in pairs)
-                 or "no shared spectra")
+    return _emit(args, lambda: {"moduli": list(args.moduli.as_tuple()),
+                                "pairs": [list(p) for p in pairs]},
+                 lambda: "\n".join(f"{a} & {b}" for a, b in pairs) or "no shared spectra")
 
 
 def _cmd_gap(args) -> int:
@@ -162,23 +160,21 @@ def _cmd_gap(args) -> int:
     from .workbench import catalog_load, realizability_gap
 
     missing, extra = realizability_gap(catalog_load(args.catalog), args.moduli, args.seh)
-    payload = {
+    blocks = (("missing (no known component):", missing),
+              ("extra candidates (beyond the documented list):", extra))
+    return _emit(args, lambda: {
         "moduli": list(args.moduli.as_tuple()),
         "missing": [list(v) for v in missing],
         "extra_candidates": [list(v) for v in extra],
-    }
-    blocks = (("missing (no known component):", missing),
-              ("extra candidates (beyond the documented list):", extra))
-    lines = (line for head, spectra in blocks  # a generator: nothing is built for json
-             for line in [head, *([f"  {_spectrum_str(v)}" for v in spectra] or ["  none"])])
-    return _emit(args, payload, "\n".join, lines)
+    }, lambda: "\n".join(line for head, spectra in blocks for line in [
+        head, *([f"  {_spectrum_str(v)}" for v in spectra] or ["  none"])]))
 
 
 def _cmd_check_examples(args) -> int:
     from .workbench import check_slope_examples, slope_examples_markdown
 
     report = check_slope_examples()
-    return _emit(args, report, slope_examples_markdown, report)
+    return _emit(args, lambda: report, lambda: slope_examples_markdown(report))
 
 
 def build_parser() -> _Parser:

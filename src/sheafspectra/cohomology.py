@@ -15,8 +15,8 @@ of -l-1, and s is h1 right after the leading zero differences of h1;
 the answer is checked against each known entry of its regenerated
 windows.  Unknown entries stay unknown, never conflated with zero.  A
 table read from outside (JSON, the CLI, user code) has every entry
-validated; one built from the library's own ints is only chi-checked
-on its fully known rows.
+validated, one built from the library's own ints has not; either way,
+with a class, every fully known row is chi-checked.
 
 This is also the lowest layer that prints, so the one writer lives
 here: report_json renders every JSON document and _markdown every
@@ -31,7 +31,7 @@ from itertools import accumulate
 from typing import Mapping, NamedTuple
 
 from .errors import InconsistentTableError, RangeInsufficientError
-from .invariants import ChernClasses, SplittingType, _Checked, euler_characteristic
+from .invariants import ChernClasses, SplittingType, _Checked, _exact, euler_characteristic
 from .spectrum import SpectrumWithS, c3_from_spectrum
 
 __all__ = [
@@ -57,13 +57,13 @@ class ValidityWindows(NamedTuple):
         return cls(h1_max=-st.a2 - 1, h2_min=st.a1 - 3)
 
 
-def _table(lo: int, hi: int, rows: dict, cc, checked) -> "CohomologyTable":
-    # the one way a table is made, from rows mapping each twist of [lo, hi]
-    # to 4 entries, each an int >= 0 or None; with a class, the fully known
-    # rows among the twists of checked must have its Euler characteristic
-    for t in checked if cc is not None else ():
-        h0, h1, h2, h3 = row = rows[t]
+def _table(lo: int, hi: int, rows: dict, cc) -> "CohomologyTable":
+    # the one way a table is made, from rows mapping each twist of [lo, hi],
+    # in ascending order, to 4 entries, each an int >= 0 or None; with a
+    # class, every fully known row is chi-checked
+    for t, row in rows.items() if cc is not None else ():
         if None not in row:
+            h0, h1, h2, h3 = row
             chi, want = h0 - h1 + h2 - h3, euler_characteristic(cc, t)
             if chi != want:
                 raise InconsistentTableError(f"row t={t} has chi {chi}, class demands {want}")
@@ -85,30 +85,33 @@ class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
 
     rows maps each twist of [lo, hi] to a 4-tuple; missing twists are
     normalized to all-unknown rows.  The range ends, every row key and
-    every known entry must be a real int (not bool, float or str).
-    When Chern classes are attached, every fully known row is checked
-    against the Euler characteristic.
+    every known entry must be a real int (not bool, float or str), and
+    cc a ChernClasses or None.  With a class, every fully known row is
+    checked against the Euler characteristic.
     """
 
     __slots__ = ()
 
     def __new__(cls, lo: int, hi: int, rows: Mapping = {}, cc=None):
         # rows is only read (the table keeps a normalized copy), so {} is safe
-        normalized = {}
-        for t in _twists(lo, hi):
-            row = tuple(rows.get(t, (None, None, None, None)))
+        normalized = dict.fromkeys(_twists(lo, hi), (None,) * 4)
+        if not isinstance(rows, Mapping):
+            raise TypeError(f"rows must map twists to rows, got {rows!r}")
+        if cc is not None:
+            _exact(cc, ChernClasses)
+        for t, row in rows.items():
+            if type(t) is not int:  # True and 1.0 would pass as twist 1, "1" would not compare
+                raise ValueError(f"row key {t!r} is not an int twist")
+            if not lo <= t <= hi:
+                raise ValueError(f"row at t={t} outside range [{lo}, {hi}]")
+            row = tuple(row)
             if len(row) != 4:
                 raise ValueError(f"row at t={t} must have 4 entries, got {row}")
             for h in row:
                 if h is not None and (type(h) is not int or h < 0):
                     raise ValueError(f"bad entry {h!r} at t={t}")
             normalized[t] = row
-        for t in rows:  # True and 1.0 would pass as twist 1, "1" would not compare
-            if type(t) is not int:
-                raise ValueError(f"row key {t!r} is not an int twist")
-            if not lo <= t <= hi:
-                raise ValueError(f"row at t={t} outside range [{lo}, {hi}]")
-        return _table(lo, hi, normalized, cc, normalized)
+        return _table(lo, hi, normalized, cc)
 
     def row(self, t: int) -> Row:
         if not self.lo <= t <= self.hi:
@@ -134,13 +137,12 @@ class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
     def from_json_dict(cls, data: Mapping) -> "CohomologyTable":
         try:
             lo, hi = data["range"]
-            rows = {int(key): tuple(row) for key, row in data["rows"].items()}
-            bad = [key for key in data["rows"] if key != str(int(key))]
-            if bad:
-                raise ValueError(f"row key {bad[0]!r} is not a decimal twist")
-            cc = None
-            if data.get("cc") is not None:
-                cc = ChernClasses(*data["cc"])
+            rows = {}
+            for key, row in data["rows"].items():
+                if key != str(t := int(key)):
+                    raise ValueError(f"row key {key!r} is not a decimal twist")
+                rows[t] = tuple(row)
+            cc = None if data.get("cc") is None else ChernClasses(*data["cc"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed table JSON: {exc}") from exc
         return cls(lo, hi, rows, cc)
@@ -194,8 +196,7 @@ def table_from_spectrum(
     h0, h3 = [0] * min(n, max(0, -lo)), [0] * min(n, max(0, hi + 4 + e))
     pad = [None] * n  # h0 and h1 are known on a prefix of the range, h2 and h3 on a suffix
     rows = dict(zip(twists, zip(h0 + pad, h1 + pad, pad[len(h2):] + h2, pad[len(h3):] + h3)))
-    full = range(max(lo, -3 - e, win.h2_min), min(hi, -1, win.h1_max) + 1)
-    return _table(lo, hi, rows, cc, full)
+    return _table(lo, hi, rows, cc)
 
 
 def _columns(sw: SpectrumWithS, win: ValidityWindows, lo: int, hi: int):

@@ -482,6 +482,14 @@ def test_invert_table_refuses_a_contradicting_e(capsys, tmp_path, values, table_
     assert code == 0 and out == f"spectrum ({values}) with s=0\n"
 
 
+def test_table_row_must_be_a_list(capsys, tmp_path):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"range": [0, 0], "rows": {"0": 5}}))
+    code, out, err = run(capsys, "invert-table", str(path), "--e", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed table JSON: ") and "Traceback" not in err
+
+
 def test_table_rows_must_be_an_object(capsys, tmp_path):
     path = tmp_path / "t.json"
     path.write_text(json.dumps({"range": [0, 1], "rows": []}))
@@ -524,3 +532,37 @@ def test_json_output_builds_no_markdown(capsys, tmp_path, monkeypatch):
     for argv, want in zip(commands, expected):
         assert want[0] == 0 and want[1].startswith("{"), argv
         assert run(capsys, *argv, "--format", "json") == want, argv
+
+
+def test_markdown_output_builds_no_json_document(capsys, tmp_path, monkeypatch):
+    # every subcommand hands _emit its payload builder, so --format md calls none
+    import sheafspectra
+    from sheafspectra import cli, cohomology, sheafcalc, workbench
+
+    table = tmp_path / "t.json"
+    table.write_text(table_from_spectrum(
+        SpectrumWithS((-1, 0), 0), splitting_type_from_e(-1), (-8, 0)).to_json())
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "sum", "terms": [{"kind": "line", "a": 0}] * 2}))
+    commands = [
+        ("enumerate", "--e", "0", "--c2", "3", "--c3", "0"),
+        ("table", "--spectrum=-1,0", "--s", "0", "--e", "-1"),
+        ("invert-table", str(table)),
+        ("splice", "--spec", str(spec)),
+        ("report", "--moduli=0,3,0"),
+        ("rao-pairs", "--moduli=0,3,0"),
+        ("gap", "--moduli=0,3,0"),
+        ("check-examples",),
+    ]
+    expected = [run(capsys, *argv, "--format", "md") for argv in commands]
+
+    def builder_called(*args, **kwargs):
+        raise AssertionError("a JSON document was built for --format md")
+
+    for module in (sheafspectra, cli, cohomology, sheafcalc, workbench):
+        if hasattr(module, "report_json"):
+            monkeypatch.setattr(module, "report_json", builder_called)
+    monkeypatch.setattr(cohomology.CohomologyTable, "to_json_dict", builder_called)
+    for argv, want in zip(commands, expected):
+        assert want[0] == 0 and want[1] and not want[1].startswith("{"), argv
+        assert run(capsys, *argv, "--format", "md") == want, argv

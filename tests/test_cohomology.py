@@ -288,6 +288,23 @@ def test_constructor_rejects_non_int_row_keys(key):
     assert str(err.value) == f"row key {key!r} is not an int twist"
 
 
+def test_constructor_refuses_a_class_that_is_not_chern_classes():
+    # refused by name, whether or not a fully known row would consult it
+    for rows in ({-1: (0, 1, 0, 0)}, {}):
+        with pytest.raises(TypeError, match=r"expected ChernClasses, got \(-1, 2, 0\)"):
+            CohomologyTable(-2, -1, rows, (-1, 2, 0))
+    table = CohomologyTable(-2, -1, {}, ChernClasses(-1, 2, 0))
+    with pytest.raises(TypeError, match="expected ChernClasses"):
+        table._replace(cc=(-1, 2, 0))
+    assert table._replace(cc=None).cc is None
+
+
+@pytest.mark.parametrize("rows", [[(0, 1, 0, 0)], [(-1, (0, 1, 0, 0))], "rows"])
+def test_constructor_refuses_rows_that_are_not_a_mapping(rows):
+    with pytest.raises(TypeError, match="rows must map twists to rows"):
+        CohomologyTable(-1, -1, rows)
+
+
 def test_json_round_trip():
     table = table_from_spectrum(SpectrumWithS((-2, -1), 2), ST_MINUS, (-5, 1))
     again = CohomologyTable.from_json(table.to_json())
@@ -519,6 +536,19 @@ def test_from_json_refuses_non_canonical_row_keys(key):
     doc = {"range": [-2, 10], "rows": {key: [0, 1, 0, 0]}}
     with pytest.raises(ValueError, match=r"malformed table JSON: row key"):
         CohomologyTable.from_json_dict(doc)
+
+
+def test_from_json_refuses_a_row_that_is_not_a_list():
+    with pytest.raises(ValueError, match=r"^malformed table JSON: "):
+        CohomologyTable.from_json_dict({"range": [0, 0], "rows": {"0": 5}})
+
+
+@pytest.mark.parametrize("order", [("0", "01"), ("01", "0")])
+def test_from_json_names_the_non_canonical_key_beside_a_canonical_one(order):
+    rows = dict(zip(order, ([0, 0, 0, 0], [0, 0, 0, 0])))
+    with pytest.raises(ValueError) as err:
+        CohomologyTable.from_json_dict({"range": [0, 1], "rows": rows})
+    assert str(err.value) == "malformed table JSON: row key '01' is not a decimal twist"
 
 
 def test_generated_and_derived_tables_still_check_chi(monkeypatch):
