@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from itertools import accumulate
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import InconsistentTableError, RangeInsufficientError
 from .invariants import ChernClasses, SplittingType, _Checked, _exact, euler_characteristic

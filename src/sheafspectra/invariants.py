@@ -99,6 +99,8 @@ class SplittingType(_Checked, NamedTuple("SplittingType", [("a1", int), ("a2", i
 
 def euler_characteristic(cc: ChernClasses, t: int) -> int:
     """chi(E(t)) for the normalized class cc, as an exact integer."""
+    if type(t) is not int:  # inline, not _exact: chi runs several times per table
+        raise TypeError(f"twist must be an int, got {t!r}")
     # six times chi: both formulas over their common denominator
     if cc.e == -1:
         sixfold = (t + 1) * (t + 2) * (2 * t + 3) + 3 * (cc.c2 + cc.c3)

@@ -44,7 +44,8 @@ built (workbench).
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from collections.abc import Mapping
+from typing import NamedTuple
 
 from .cohomology import CohomologyTable, _table, _twists, spectrum_from_table
 from .errors import (

@@ -116,6 +116,7 @@ def validate_chain_up(
     #{i : k_i >= k} >= s_eh + 1, every integer of [a2 + 1, k] must
     appear.  With p unbounded the rule never triggers.
     """
+    _exact(p, ChainUpParam)
     spec = validate_spectrum(values)
     if p.s_eh is None:
         return []
@@ -168,11 +169,13 @@ def enumerate_spectra(
     -1, and then an entry v < -1 is followed by v or v + 1 and needs
     -1 - v entries after it to reach -1.  The window 0 <= s <=
     s_upper_bound(general) on sum(k_i) bounds entries on both sides, so
-    no entry below the window is visited, however large |c3|.  Each leaf
-    is emitted in its parent's frame and survives; the chain-up rule, when
-    s_eh is set, filters the finished list.  So the walk takes one frame
-    per inner node, and its cost is roughly proportional to the output.
+    no entry below the window is visited, however large |c3|.  The last
+    two entries come from one frame and every leaf survives; the chain-up
+    rule, when s_eh is set, filters the finished list.  So the walk takes one
+    frame per node with two or more entries left, and costs about its output.
     """
+    _exact(cc, ChernClasses)
+    _exact(p, ChainUpParam)
     m = cc.c2
     if m < 1:
         raise DegenerateClassError(f"enumeration needs c2 >= 1, got {cc.c2}")
@@ -180,12 +183,11 @@ def enumerate_spectra(
     sum_max = (cc.e * m - cc.c3) // 2  # sum(k_i) at s = 0, from the c3 identities
     sum_min = sum_max - s_upper_bound(cc.e, m, "general")
     hi = sum_max + m * (m - 1)
-
     results: list[SpectrumWithS] = []
-    prefix: list[int] = []
+    emit, new = results.append, tuple.__new__  # skips a NamedTuple __new__ that checks nothing
 
-    def walk(total: int, start: int, stop: int):
-        remaining = m - len(prefix)
+    def walk(head: tuple[int, ...], total: int, start: int, stop: int):
+        remaining = m - len(head)  # >= 2: the last two entries come from one frame
         # below low even hi in every later slot misses sum_min, below -remaining
         # too few slots are left to climb to -1, above top even v in every slot
         # left passes sum_max (conditionals, not max(): this runs per inner node)
@@ -193,26 +195,31 @@ def enumerate_spectra(
         low = low if low > start else start
         low = low if low > -remaining else -remaining
         top = (sum_max - total) // remaining
-        if remaining == 1:  # the leaves, in this frame: v >= -1 needs no climb, and
-            # tuple.__new__ skips a NamedTuple __new__ that checks nothing
-            for v in range(low, (top if top < stop else stop) + 1):
-                results.append(tuple.__new__(SpectrumWithS, ((*prefix, v), top - v)))
-            return
         for v in range(low, (top if top < stop else stop) + 1):
             # v < -1 must climb to -1, which adds v (v + 1) / 2 to the least sum;
             # that sum still grows with v, so the first v past sum_max ends the loop
             if v < -1 and total + v * remaining + v * (v + 1) // 2 > sum_max:
                 break
-            prefix.append(v)
-            walk(total + v, v, v + 1 if v < -1 else hi)
-            prefix.pop()
+            if remaining > 2:
+                walk(head + (v,), total + v, v, v + 1 if v < -1 else hi)
+                continue
+            # the leaves head + (v, w), in this frame: w >= -1 needs no climb, s = room - w
+            room, w_low = sum_max - total - v, sum_min - total - v
+            w_low = w_low if w_low > v else v
+            w_top = v + 1 if v < -1 else hi
+            for w in range(w_low if w_low > -1 else -1, (room if room < w_top else w_top) + 1):
+                emit(new(SpectrumWithS, (head + (v, w), room - w)))
 
-    try:
-        walk(0, -m, hi)
-    except RecursionError:  # one frame per entry but the last: the input is flat, just long
-        raise ValueError(
-            f"enumerating c2 = {m} needs a walk {m} entries deep, past Python's recursion limit"
-        ) from None
+    if m == 1:  # one entry, a leaf of the top frame: v >= -1 and s = sum_max - v
+        results += [new(SpectrumWithS, ((v,), sum_max - v))
+                    for v in range(max(sum_min, -1), sum_max + 1)]
+    else:
+        try:
+            walk((), 0, -m, hi)
+        except RecursionError:  # one frame per entry but the last two: flat input, just long
+            raise ValueError(
+                f"enumerating c2 = {m} needs a walk {m} entries deep, past Python's recursion limit"
+            ) from None
     if p.s_eh is not None:
         results = [sw for sw in results if not validate_chain_up(sw.values, st, p)]
     return results

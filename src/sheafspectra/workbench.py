@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Mapping, Sequence
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .cohomology import _markdown, _spectrum_str
 from .errors import CatalogError, SheafSpectraError, VerificationError

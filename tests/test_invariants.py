@@ -99,6 +99,13 @@ def test_chi_frozen_values():
     assert type(euler_characteristic(ChernClasses(0, 3, 2), 4)) is int
 
 
+@pytest.mark.parametrize("t", [2.0, True, "1"])
+def test_chi_refuses_a_twist_that_is_not_an_int(t):
+    # a float twist gave the float 8.0, and True was read as the twist 1
+    with pytest.raises(TypeError, match=f"twist must be an int, got {t!r}"):
+        euler_characteristic(ChernClasses(0, 3, 0), t)
+
+
 def test_parity_rejected():
     with pytest.raises(ParityError):
         ChernClasses(0, 2, 1)

@@ -198,20 +198,26 @@ def test_enumerate_skips_to_the_sum_window_at_once():
     assert out == [SpectrumWithS((10**12 - 1,), 1), SpectrumWithS((10**12,), 0)]
 
 
-def _enumerate_counting_walks(cc):
-    """enumerate_spectra(cc) and the number of walk frames it opened."""
-    calls = []
+def _enumerate_walk_heads(cc):
+    """enumerate_spectra(cc) and the entries fixed on entry to each walk frame."""
+    heads = []
 
-    def count(frame, event, arg):
+    def record(frame, event, arg):
         if event == "call" and frame.f_code.co_name == "walk":
-            calls.append(None)
+            heads.append(len(frame.f_locals["head"]))
 
-    sys.setprofile(count)
+    sys.setprofile(record)
     try:
         out = enumerate_spectra(cc)
     finally:
         sys.setprofile(None)
-    return out, len(calls)
+    return out, heads
+
+
+def _enumerate_counting_walks(cc):
+    """enumerate_spectra(cc) and the number of walk frames it opened."""
+    out, heads = _enumerate_walk_heads(cc)
+    return out, len(heads)
 
 
 @pytest.mark.parametrize("e,c3", [(0, 420), (-1, 400)])
@@ -220,14 +226,15 @@ def test_enumerate_walks_no_prefix_that_cannot_climb(e, c3):
     # to -1 overshoots the sum is cut at once (7,341 walk calls without that)
     out, frames = _enumerate_counting_walks(ChernClasses(e, 20, c3))
     assert out == [SpectrumWithS(tuple(range(-20, 0)), 0)]
-    assert frames <= 20  # one per entry: the last entry is emitted in its parent's frame
+    assert frames <= 19  # one per entry but the last two, which are emitted in one frame
 
 
 def test_enumerate_takes_one_frame_per_inner_node():
-    # each leaf is emitted in its parent's frame (20,045 frames with one per leaf)
+    # the last two entries are emitted in one frame (20,045 frames with one
+    # per leaf, 3,188 with one per node that has one entry left)
     out, frames = _enumerate_counting_walks(ChernClasses(0, 9, 0))
     assert len(out) == 16857
-    assert frames <= 3188
+    assert frames <= 1012
 
 
 def test_a_walk_past_the_recursion_limit_names_c2_and_its_depth():
@@ -236,6 +243,18 @@ def test_a_walk_past_the_recursion_limit_names_c2_and_its_depth():
     m = sys.getrecursionlimit()
     with pytest.raises(ValueError, match=f"enumerating c2 = {m} needs a walk {m} entries deep"):
         enumerate_spectra(ChernClasses(0, m, m * (m + 1)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_spectra(ChernClasses(0, 3, 0), None),
+    lambda: enumerate_spectra(ChernClasses(0, 3, 0), 2),
+    lambda: enumerate_spectra((0, 3, 0)),
+    lambda: validate_chain_up((-1, 0), ST_ZERO, None),
+], ids=["param-None", "param-int", "class-tuple", "chain-up-None"])
+def test_wrong_types_are_refused_at_entry(call):
+    # each gave a bare AttributeError, a wrong param only after walking the whole class
+    with pytest.raises(TypeError, match=r"expected (ChainUpParam|ChernClasses), got "):
+        call()
 
 
 def test_enumerate_chain_up_thresholds():
@@ -381,6 +400,19 @@ def test_walk_matches_leaf_filter(e, c2):
             out = enumerate_spectra(cc, p)
             assert out == _reference_enumerate(cc, p), (cc, p)
             assert all(a.values < b.values for a, b in zip(out, out[1:]))
+
+
+def test_enumerate_opens_no_frame_with_one_entry_left():
+    # the last two entries come from one frame, and c2 = 1 opens no frame at all
+    classes = [ChernClasses(0, 9, 0)] + [
+        ChernClasses(e, c2, c3) for e in (-1, 0) for c2 in range(2, 6) for c3 in _c3_window(e, c2)
+    ]
+    for cc in classes:
+        heads = _enumerate_walk_heads(cc)[1]
+        assert heads and all(cc.c2 - fixed >= 2 for fixed in heads), cc
+    for e in (-1, 0):
+        for c3 in _c3_window(e, 1):
+            assert _enumerate_walk_heads(ChernClasses(e, 1, c3))[1] == []
 
 
 # ------------------------------------------------------------- counting oracle
