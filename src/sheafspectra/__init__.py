@@ -19,7 +19,9 @@ over a shared exception module:
 Each module lists its public names in its own ``__all__``; the package
 root re-exports exactly those names, on first access.  Importing the
 root loads no layer; the first read of a public name, or of ``__all__``,
-imports every layer and binds all their names here.
+imports every layer and binds all their names here.  Reading a layer or
+``cli`` through the root (``from sheafspectra import spectrum``) imports
+that module and what it imports, nothing more.
 """
 
 __version__ = "0.1.0"
@@ -29,10 +31,12 @@ _LAYERS = ("errors", "invariants", "spectrum", "cohomology", "sheafcalc", "workb
 
 def __getattr__(name):
     # PEP 562: called only for names not bound in this module yet
+    from importlib import import_module
+
+    if name in _LAYERS or name == "cli":  # binds the module here as it imports it
+        return import_module(f"{__name__}.{name}")
     scope = globals()
     if "__all__" not in scope:
-        from importlib import import_module
-
         layers = [import_module(f"{__name__}.{layer}") for layer in _LAYERS]
         scope.update((key, getattr(m, key)) for m in layers for key in m.__all__)
         scope["__all__"] = [key for m in layers for key in m.__all__]

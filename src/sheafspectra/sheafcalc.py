@@ -13,7 +13,9 @@ rational curve as a genus-0 curve module, an ideal of a curve as the
 kernel of O ->> O_C and a quotient as the kernel of ambient ->> quotient.
 splice_ses evaluates any node over a twist range, each node once for
 the whole range; a line bundle's column is its cubic chi computed in
-place.  A sequence's unknown column is solved in one pass, by one closed
+place, and the line bundles of a sum, or of a monad's degree list, are
+one column that computes each distinct degree once and multiplies it by
+its count.  A sequence's unknown column is solved in one pass, by one closed
 form for every unknown slot (see "sequence solving" below) read off its
 twelve-term cohomology sequence under the generic maximal-rank policy:
 every free connecting or interior map takes the largest rank its source
@@ -21,8 +23,9 @@ and target allow.  The forced maps, injective at the left end and
 surjective at the right, make an unknown left slot infeasible where h3
 of the right exceeds h3 of the middle and an unknown right slot where
 h0 of the left exceeds h0 of the middle; a middle slot is always
-feasible.  A monad evaluates as its sequence, so a monad of any class
-may nest; only a monad spliced on its own needs a normalized class.
+feasible.  A monad is solved as its two nested sequences straight from
+its three degree lists, building no node, so a monad of any class may
+nest; only a monad spliced on its own needs a normalized class.
 splice_bounds evaluates the known slots once and reads, for each entry,
 the interval attainable over all rank choices off the two corners of the
 rank box, so callers can tell policy output from forced output.
@@ -129,6 +132,20 @@ class Twist(_Checked, NamedTuple("Twist", [("of", object), ("n", int)])):
         return tuple.__new__(cls, (of, _exact(n)))
 
 
+def _lines(degrees, twists: range) -> list:
+    """Rows of the sum of O(d) over degrees, each distinct degree's column computed once."""
+    out = None
+    for d in dict.fromkeys(degrees):  # chi(n O(d)) = n C(d + 3, 3), one-sided as for one O(d)
+        n = degrees.count(d)
+        rows = [(c, 0, 0, 0) if c >= 0 else (0, 0, 0, -c)
+                for x in range(d + twists.start, d + twists.stop)
+                for c in [n * (x + 1) * (x + 2) * (x + 3) // 6]]
+        if out is not None:
+            rows = [(h0 + g0, 0, 0, h3 + g3) for (h0, _, _, h3), (g0, _, _, g3) in zip(out, rows)]
+        out = rows
+    return [(0, 0, 0, 0)] * len(twists) if out is None else out
+
+
 def _rows(node, twists: range) -> tuple[list, Exception | None]:
     """Rows of a node up to the lowest failing twist, with the error that twist raises first."""
     if isinstance(node, LineBundle):  # chi(O(d)) = C(d + 3, 3): > 0 for d >= 0, < 0 for d <= -4
@@ -136,8 +153,18 @@ def _rows(node, twists: range) -> tuple[list, Exception | None]:
                 for d in range(node.a + twists.start, node.a + twists.stop)
                 for c in [(d + 1) * (d + 2) * (d + 3) // 6]], None
     if isinstance(node, DirectSum):
-        columns = [_rows(term, twists) for term in node.terms]
-        out = columns[0][0] if columns else [(0, 0, 0, 0)] * len(twists)
+        # the line bundles add up to one column, which never fails
+        degrees, columns = [], []
+        for term in node.terms:
+            if isinstance(term, LineBundle):
+                degrees.append(term.a)
+            else:
+                columns.append(_rows(term, twists))
+        if not columns:  # line bundles only, or no term at all
+            return _lines(degrees, twists), None
+        if degrees:
+            columns.append((_lines(degrees, twists), None))
+        out = columns[0][0]
         for rows, _ in columns[1:]:
             out = [(a + e, b + f, c + g, d + h) for (a, b, c, d), (e, f, g, h) in zip(out, rows)]
         return out, next((err for rows, err in columns if len(rows) == len(out)), None)
@@ -155,8 +182,9 @@ def _rows(node, twists: range) -> tuple[list, Exception | None]:
             f"degree {chis[strip[0]] + g - 1} lies in the special strip of a genus-{g} "
             "curve and the module is not declared generic"
         )
-    if isinstance(node, MonadShape):
-        return _rows(node.sequence, twists)
+    if isinstance(node, MonadShape):  # sum O(a) -> K -> E, with K ->> sum O(b) ->> sum O(c)
+        kernel = _solve("left", [(_lines(node.b, twists), None), (_lines(node.c, twists), None)])
+        return _solve("right", [(_lines(node.a, twists), None), kernel])
     if isinstance(node, Twist):
         return _rows(node.of, range(twists.start + node.n, twists.stop + node.n))
     return [], TypeError(f"not a sheaf symbol: {node!r}")
@@ -291,7 +319,8 @@ class MonadShape(_Checked, NamedTuple("MonadShape", [
 
     The middle cohomology of 0 -> sum O(a_i) -> sum O(b_j) -> sum O(c_k) -> 0
     is a rank-2 sheaf; its Chern classes are read from its chi.  It
-    evaluates as its sequence, so where it nests its class may be any;
+    evaluates as the cokernel of sum O(a) -> K, K the kernel of
+    sum O(b) ->> sum O(c), so where it nests its class may be any;
     spliced on its own it must be normalized.
     """
 
@@ -304,13 +333,6 @@ class MonadShape(_Checked, NamedTuple("MonadShape", [
                 f"monad has rank {len(self.b) - len(self.a) - len(self.c)}, expected 2"
             )
         return self
-
-    @property
-    def sequence(self) -> ShortExactSequenceSpec:
-        # 0 -> sum O(a) -> K -> E -> 0, with 0 -> K -> sum O(b) -> sum O(c) -> 0
-        bundle = lambda degrees: DirectSum(LineBundle(d) for d in degrees)
-        kernel = ShortExactSequenceSpec(middle=bundle(self.b), right=bundle(self.c))
-        return ShortExactSequenceSpec(left=bundle(self.a), middle=kernel)
 
     def chern(self) -> ChernClasses:
         # chi(E) = sum over b - sum over a and c of chi(O(d)), each degree once

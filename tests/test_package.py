@@ -144,6 +144,14 @@ def test_root_import_loads_no_layer():
     assert [m for m in _modules_after("import sheafspectra") if "sheafspectra." in m] == []
 
 
+def test_a_layer_read_through_the_root_loads_only_what_it_imports():
+    # the import system's hasattr must not load every layer on the way
+    loaded = _modules_after("from sheafspectra import spectrum")
+    assert {m for m in loaded if m.startswith("sheafspectra")} == {
+        "sheafspectra", "sheafspectra.errors", "sheafspectra.invariants",
+        "sheafspectra.spectrum"}
+
+
 @pytest.mark.parametrize("argv", [["chi", "--e", "-1", "--c2", "2", "--c3", "0"],
                                   ["--version"]])
 def test_chi_and_version_load_only_invariants(argv):

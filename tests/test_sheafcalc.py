@@ -839,7 +839,7 @@ def test_sequences_are_built_once_per_node(monkeypatch):
 
     monkeypatch.setattr(ShortExactSequenceSpec, "__new__", staticmethod(counting_new))
     splice_ses(MonadShape(*(INSTANTON_MONAD[k] for k in "abc")), (-8, 0))
-    assert len(built) == 2  # the kernel and the cokernel, not one per twist
+    assert len(built) == 0  # a monad is solved from its degree lists, building no node
     built.clear()
     recipe_table(EXTENSION_OVER_TWO_CONICS, (-8, 0))
     assert len(built) == 2  # the extension and the ideal
@@ -877,6 +877,22 @@ def test_each_node_is_evaluated_once_per_range(monkeypatch):
         visits.append(len(calls))
     # the quotient, its ambient, O(-1), the ideal, O, the conic and the points
     assert visits == [7, 7]
+
+
+@pytest.mark.parametrize("monad", [INSTANTON_MONAD, EIN_MONAD])
+def test_a_monad_is_evaluated_in_one_visit_per_range(monkeypatch, monad):
+    import sheafspectra.sheafcalc as sheafcalc
+
+    rows, calls = sheafcalc._rows, []
+    monkeypatch.setattr(sheafcalc, "_rows",
+                        lambda node, twists: calls.append(node) or rows(node, twists))
+    node = symbol_from_json(monad)
+    visits = []
+    for rng in [(-8, 0), (-3, 0)]:
+        calls.clear()
+        splice_ses(node, rng)
+        visits.append(len(calls))
+    assert visits == [1, 1]  # its three line-bundle sums are columns, not nodes
 
 
 def test_splice_bounds_evaluates_each_known_slot_once_per_range(monkeypatch):
@@ -961,10 +977,17 @@ def _row(node, t: int) -> tuple:
             )
         return (max(chi, 0), max(-chi, 0), 0, 0)
     if isinstance(node, MonadShape):
-        return _row(node.sequence, t)
+        return _row(monad_sequence(node), t)
     if isinstance(node, Twist):
         return _row(node.of, t + node.n)
     raise TypeError(f"not a sheaf symbol: {node!r}")
+
+
+def monad_sequence(monad) -> ShortExactSequenceSpec:
+    """0 -> sum O(a) -> K -> E -> 0, with 0 -> K -> sum O(b) -> sum O(c) -> 0."""
+    bundle = lambda degrees: DirectSum(LineBundle(d) for d in degrees)
+    kernel = ShortExactSequenceSpec(middle=bundle(monad.b), right=bundle(monad.c))
+    return ShortExactSequenceSpec(left=bundle(monad.a), middle=kernel)
 
 
 # the known rows (a, b), in slot order, as the block entries (p, q)
@@ -1012,10 +1035,20 @@ def per_twist_rows(node, twists):
 
 @st.composite
 def monads(draw):
-    a = draw(st.lists(st.integers(-3, 0), max_size=2))
-    c = draw(st.lists(st.integers(0, 3), max_size=2))
+    # b has up to 8 entries, as many as the instanton's
+    a = draw(st.lists(st.integers(-3, 0), max_size=3))
+    c = draw(st.lists(st.integers(0, 3), max_size=3))
     n = len(a) + len(c) + 2
     return MonadShape(a, draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)), c)
+
+
+def sums(nodes):
+    # up to 8 terms: up to 3 nodes of any kind shuffled among line bundles of
+    # three degrees, so that degrees repeat and line bundles mix with other terms
+    lines = st.integers(-1, 1).map(LineBundle)
+    return st.lists(nodes, max_size=3).flatmap(
+        lambda others: st.lists(lines, max_size=8 - len(others)).flatmap(
+            lambda more: st.permutations(others + more))).map(DirectSum)
 
 
 def sequence(slots):
@@ -1036,7 +1069,7 @@ NODES = st.recursive(
         monads(),
     ),
     lambda nodes: st.one_of(
-        st.lists(nodes, max_size=3).map(DirectSum),
+        sums(nodes),
         st.builds(Twist, nodes, st.integers(-3, 3)),
         st.tuples(nodes, nodes, st.sampled_from(["left", "middle", "right"])).map(sequence),
     ),
