@@ -115,14 +115,13 @@ class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
         return _table(lo, hi, normalized, cc)
 
     def row(self, t: int) -> Row:
+        if type(t) is not int:  # -2.0 and True would read rows -2 and 1; __new__ refuses such keys
+            raise TypeError(f"twist must be an int, got {t!r}")
         if not self.lo <= t <= self.hi:
             raise RangeInsufficientError(
                 f"table covers [{self.lo}, {self.hi}], has no row at t={t}"
             )
         return self.rows[t]
-
-    def entry(self, t: int, i: int):
-        return self.row(t)[i]
 
     def to_json_dict(self) -> dict:
         rows = {str(t): list(row) for t, row in self.rows.items()}
@@ -337,6 +336,7 @@ def chi_consistency(
     are treated as those forced zeros, unknown h1/h2 make the twist
     unverifiable and are skipped.  Returns (t, got, want) triples.
     """
+    _exact(cc, ChernClasses)
     out = []
     for t in range(max(table.lo, -3 - cc.e), min(table.hi, -1) + 1):
         h0, h1, h2, h3 = table.row(t)

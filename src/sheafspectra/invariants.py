@@ -133,6 +133,7 @@ def kernel_invariants(
     singularities of F, the total class of the quotient is 1 + 2n t^3,
     so only c3 moves: c3(E) = c3(F) - 2n, and the s-invariant of E is n.
     """
+    _exact(f_chern, ChernClasses)
     if _exact(n_points) < 0:
         raise ValueError(f"point count must be nonnegative, got {n_points}")
     return ChernClasses(f_chern.e, f_chern.c2, f_chern.c3 - 2 * n_points), n_points

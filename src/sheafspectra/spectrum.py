@@ -9,9 +9,9 @@ The identities tying (spectrum, s) to (e, c2, c3) are
     e =  0:  c3 = -2 sum(k_i) - 2 s
 
 which make s determined by the class and the spectrum.  The chain rules
-constrain which tuples can occur at all.  enumerate_spectra walks every
-candidate for given Chern classes; the chain-down rule bounds each step
-of the walk, so its cost is roughly proportional to its output.
+(an entry k <= a1 - 1 forces all of [k, -1]; under a threshold s_eh,
+k > a2 + 1 with #{i : k_i >= k} > s_eh forces all of [a2 + 1, k]) cap
+each step of enumerate_spectra's walk, so its cost is about its output.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "validate_spectrum",
     "c3_from_spectrum",
     "validate_chain_down",
-    "validate_chain_up",
     "s_upper_bound",
     "enumerate_spectra",
 ]
@@ -100,33 +99,10 @@ def validate_chain_down(
     Returns (trigger, missing) pairs; the spectrum is admissible on this
     rule iff the list is empty.
     """
+    _exact(st, SplittingType)
     present = set(validate_spectrum(values))
     triggers = sorted(k for k in present if k <= st.a1 - 1)
     return [(k, kp) for k in triggers for kp in range(k, 0) if kp not in present]
-
-
-def validate_chain_up(
-    values: Iterable[int],
-    st: SplittingType,
-    p: ChainUpParam = UNBOUNDED,
-) -> list[tuple[int, int]]:
-    """Ascending chain rule violations under threshold p.
-
-    For every k > a2 + 1 occurring with multiplicity-weighted count
-    #{i : k_i >= k} >= s_eh + 1, every integer of [a2 + 1, k] must
-    appear.  With p unbounded the rule never triggers.
-    """
-    _exact(p, ChainUpParam)
-    spec = validate_spectrum(values)
-    if p.s_eh is None:
-        return []
-    present = set(spec)
-    triggers = sorted(
-        k for k in present if k > st.a2 + 1 and sum(v >= k for v in spec) > p.s_eh
-    )
-    return [
-        (k, kp) for k in triggers for kp in range(st.a2 + 1, k + 1) if kp not in present
-    ]
 
 
 def s_upper_bound(e: int, c2: int, regime: str = "general") -> int:
@@ -164,30 +140,34 @@ def enumerate_spectra(
     """All spectrum candidates for the class cc, sorted lexicographically.
 
     A depth-first walk over nondecreasing m-tuples (m = c2), smallest
-    value first, so tuples come out sorted.  The chain-down rule bounds
-    each step: with a1 in {-1, 0} it fires exactly when an entry is below
-    -1, and then an entry v < -1 is followed by v or v + 1 and needs
-    -1 - v entries after it to reach -1.  The window 0 <= s <=
+    value first, so tuples come out sorted.  Both chain rules cap each
+    step (a1 is -1 or 0, a2 = 0): an entry v < -1 is followed by v or
+    v + 1 and needs -1 - v entries after it to reach -1; with s_eh set,
+    among the first m - s_eh entries the first is at most 1 and the one
+    after v at most max(v, 0) + 1.  The window 0 <= s <=
     s_upper_bound(general) on sum(k_i) bounds entries on both sides, so
     no entry below the window is visited, however large |c3|.  The last
-    two entries come from one frame and every leaf survives; the chain-up
-    rule, when s_eh is set, filters the finished list.  So the walk takes one
-    frame per node with two or more entries left, and costs about its output.
+    two entries come from one frame and every leaf survives, so the walk
+    takes one frame per node with two or more entries left, and costs
+    about its output.
     """
     _exact(cc, ChernClasses)
     _exact(p, ChainUpParam)
     m = cc.c2
     if m < 1:
         raise DegenerateClassError(f"enumeration needs c2 >= 1, got {cc.c2}")
-    st = splitting_type_from_e(cc.e)
     sum_max = (cc.e * m - cc.c3) // 2  # sum(k_i) at s = 0, from the c3 identities
     sum_min = sum_max - s_upper_bound(cc.e, m, "general")
     hi = sum_max + m * (m - 1)
+    lim = m + 1 if p.s_eh is None else p.s_eh + 1  # s_eh + 1, and m + 1 when unset: no cap binds
+    first = 1 if lim <= m else hi  # the first entry's cap
     results: list[SpectrumWithS] = []
     emit, new = results.append, tuple.__new__  # skips a NamedTuple __new__ that checks nothing
 
     def walk(head: tuple[int, ...], total: int, start: int, stop: int):
         remaining = m - len(head)  # >= 2: the last two entries come from one frame
+        # chain-up caps the entry after v, 0-based at m - remaining + 1, if below m - s_eh
+        above, flat = (0, 1) if remaining > lim else (hi, hi)
         # below low even hi in every later slot misses sum_min, below -remaining
         # too few slots are left to climb to -1, above top even v in every slot
         # left passes sum_max (conditionals, not max(): this runs per inner node)
@@ -201,25 +181,23 @@ def enumerate_spectra(
             if v < -1 and total + v * remaining + v * (v + 1) // 2 > sum_max:
                 break
             if remaining > 2:
-                walk(head + (v,), total + v, v, v + 1 if v < -1 else hi)
+                walk(head + (v,), total + v, v, v + 1 if v < -1 or v > above else flat)
                 continue
             # the leaves head + (v, w), in this frame: w >= -1 needs no climb, s = room - w
             room, w_low = sum_max - total - v, sum_min - total - v
             w_low = w_low if w_low > v else v
-            w_top = v + 1 if v < -1 else hi
+            w_top = v + 1 if v < -1 or v > above else flat
             for w in range(w_low if w_low > -1 else -1, (room if room < w_top else w_top) + 1):
                 emit(new(SpectrumWithS, (head + (v, w), room - w)))
 
     if m == 1:  # one entry, a leaf of the top frame: v >= -1 and s = sum_max - v
         results += [new(SpectrumWithS, ((v,), sum_max - v))
-                    for v in range(max(sum_min, -1), sum_max + 1)]
+                    for v in range(max(sum_min, -1), min(sum_max, first) + 1)]
     else:
         try:
-            walk((), 0, -m, hi)
+            walk((), 0, -m, first)
         except RecursionError:  # one frame per entry but the last two: flat input, just long
             raise ValueError(
                 f"enumerating c2 = {m} needs a walk {m} entries deep, past Python's recursion limit"
             ) from None
-    if p.s_eh is not None:
-        results = [sw for sw in results if not validate_chain_up(sw.values, st, p)]
     return results

@@ -90,7 +90,7 @@ def test_acceptance_2_table_reproduction():
     ]:
         table = table_from_spectrum(sw, st, (-4, -1))
         for t, (h1, h2) in published.items():
-            assert (table.entry(t, 1), table.entry(t, 2)) == (h1, h2)
+            assert (table.row(t)[1], table.row(t)[2]) == (h1, h2)
 
     catalog = catalog_load()
     cc = ChernClasses(-1, 2, 0)
@@ -103,7 +103,7 @@ def test_acceptance_2_table_reproduction():
         assert recipe_cc == cc
         table = table_from_spectrum(sw, st, (-4, -1))
         for t, (h1, h2) in published.items():
-            assert (table.entry(t, 1), table.entry(t, 2)) == (h1, h2)
+            assert (table.row(t)[1], table.row(t)[2]) == (h1, h2)
     _ok(2, "closed form and construction pipelines reproduce all four tables")
 
 
@@ -207,7 +207,7 @@ def test_acceptance_8_identity_web():
         table = table_from_spectrum(sw, st, (lo, hi))
         assert spectrum_from_table(table, st) == sw
         for t in range(lo, -max(values) - 2 + 1):
-            assert table.entry(t, 1) == s
+            assert table.row(t)[1] == s
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"identity web took {elapsed:.1f}s"
     _ok(8, f"{cases} random classes pass every identity in {elapsed:.1f}s")

@@ -68,29 +68,29 @@ def test_table_from_spectrum_matches_printed(key):
     values, s = key
     table = table_from_spectrum(SpectrumWithS(values, s), ST_MINUS, (-4, -1))
     for t, (h1, h2) in PRINTED[key].items():
-        assert table.entry(t, 1) == h1, (key, t)
-        assert table.entry(t, 2) == h2, (key, t)
+        assert table.row(t)[1] == h1, (key, t)
+        assert table.row(t)[2] == h2, (key, t)
 
 
 def test_table_from_spectrum_spot_values():
     t2 = table_from_spectrum(SpectrumWithS((-1, 0), 0), ST_MINUS, (-4, -1))
-    assert t2.entry(-3, 2) == 3
+    assert t2.row(-3)[2] == 3
     t4 = table_from_spectrum(SpectrumWithS((-1, -1), 1), ST_MINUS, (-4, -1))
-    assert t4.entry(-4, 2) == 6 and t4.entry(-4, 1) == 1
+    assert t4.row(-4)[2] == 6 and t4.row(-4)[1] == 1
     t5 = table_from_spectrum(SpectrumWithS((-2, -1), 2), ST_MINUS, (-4, -1))
-    assert t5.entry(-1, 1) == 2 and t5.entry(-1, 2) == 1
+    assert t5.row(-1)[1] == 2 and t5.row(-1)[2] == 1
     inst = table_from_spectrum(SpectrumWithS((0, 0, 0), 0), ST_ZERO, (-4, -1))
-    assert inst.entry(-1, 1) == 3
+    assert inst.row(-1)[1] == 3
 
 
 def test_vanishing_windows_and_unknowns():
     table = table_from_spectrum(SpectrumWithS((-1, 0), 0), ST_MINUS, (-6, 2))
     # stability: h0 = 0 up to t = -1, unknown after
-    assert table.entry(-1, 0) == 0 and table.entry(0, 0) is None
+    assert table.row(-1)[0] == 0 and table.row(0)[0] is None
     # duality window for e = -1: h3 = 0 from t = -2 on, unknown below
-    assert table.entry(-2, 3) == 0 and table.entry(-3, 3) is None
+    assert table.row(-2)[3] == 0 and table.row(-3)[3] is None
     # h1 formula stops above t = -1, h2 formula below t = -4
-    assert table.entry(0, 1) is None and table.entry(-5, 2) is None
+    assert table.row(0)[1] is None and table.row(-5)[2] is None
 
 
 @pytest.mark.parametrize(
@@ -233,7 +233,7 @@ def test_deep_bucket_is_not_guessed():
     tb = table_from_spectrum(b, ST_ZERO, (-10, 2))
     for t in range(-10, 3):
         for i in (1, 2):
-            assert ta.entry(t, i) == tb.entry(t, i)
+            assert ta.row(t)[i] == tb.row(t)[i]
     text = ("4 spectrum values at or below t-dual -4 cannot be placed from "
             "residual h2 weight 7; extend the range up")
     with pytest.raises(RangeInsufficientError, match=f"^{re.escape(text)}$"):
@@ -297,6 +297,20 @@ def test_constructor_refuses_a_class_that_is_not_chern_classes():
     with pytest.raises(TypeError, match="expected ChernClasses"):
         table._replace(cc=(-1, 2, 0))
     assert table._replace(cc=None).cc is None
+
+
+@pytest.mark.parametrize("call,text", [
+    (lambda table: table.row(-2.0), "twist must be an int, got -2.0"),
+    (lambda table: table.row(True), "twist must be an int, got True"),
+    (lambda table: chi_consistency(table, (-1, 2, 0)), "expected ChernClasses, got (-1, 2, 0)"),
+], ids=["row-float", "row-bool", "chi-consistency-tuple"])
+def test_wrong_types_are_refused_at_entry(call, text):
+    # row(-2.0) read row -2 and row(True) twist 1, keys the constructor refuses;
+    # chi_consistency gave a bare AttributeError
+    table = table_from_spectrum(SpectrumWithS((-1, 0), 0), ST_MINUS, (-4, 1))
+    with pytest.raises(TypeError) as info:
+        call(table)
+    assert str(info.value) == text
 
 
 @pytest.mark.parametrize("rows", [[(0, 1, 0, 0)], [(-1, (0, 1, 0, 0))], "rows"])
@@ -384,11 +398,11 @@ def test_generated_table_properties(data):
     win = ValidityWindows.from_splitting_type(st_)
     # h1 stabilizes exactly to s once every projective-line term dies
     for t in range(lo, min(-k_top - 2, win.h1_max) + 1):
-        assert table.entry(t, 1) == sw.s
+        assert table.row(t)[1] == sw.s
     # h2 nonincreasing with backward differences in [0, m]
     prev = None
     for t in range(win.h2_min, 3):
-        h2 = table.entry(t, 2)
+        h2 = table.row(t)[2]
         if prev is not None:
             assert 0 <= prev - h2 <= m
         prev = h2
@@ -428,8 +442,8 @@ def test_inversion_regenerates_every_known_entry(data):
     regen = table_from_spectrum(sw, st_, (table.lo, table.hi))
     for t in range(table.lo, table.hi + 1):
         for i in (1, 2):
-            if table.entry(t, i) is not None:
-                assert regen.entry(t, i) == table.entry(t, i), (t, i)
+            if table.row(t)[i] is not None:
+                assert regen.row(t)[i] == table.row(t)[i], (t, i)
 
 
 @pytest.mark.parametrize("cc,agrees", [((-1, 2, 0), True), ((-1, 2, 2), False),

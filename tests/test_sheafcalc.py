@@ -201,8 +201,8 @@ def test_twist_shifts_rows():
 
 def test_ideal_of_conic_sections():
     table = splice_ses(ideal({"kind": "rational_curve", "d": 2, "b": 0}), (0, 2))
-    assert table.entry(0, 0) == 0
-    assert table.entry(2, 0) == 5  # quadrics through a conic
+    assert table.row(0)[0] == 0
+    assert table.row(2)[0] == 5  # quadrics through a conic
 
 
 def p1_cohomology(d: int) -> tuple[int, int]:
@@ -235,7 +235,7 @@ def test_cokernel_of_twisted_trivial_bundle():
         left=LineBundle(-2), middle=DirectSum([LineBundle(-1)] * 3)
     )
     table = splice_ses(spec, (-6, 2))
-    assert all(table.entry(t, 1) == 0 for t in range(-6, 3))
+    assert all(table.row(t)[1] == 0 for t in range(-6, 3))
     assert table.row(-2) == (0, 0, 1, 0)
 
 
@@ -426,8 +426,8 @@ def test_one_conic_kernel_pipeline_recovers_double_point_spectrum():
 
 def test_plane_cubic_sequence_rows():
     table = recipe_table(PLANE_CUBIC_SECTIONS, (-8, 0))
-    assert table.entry(-1, 1) == 3
-    assert all(table.entry(t, 1) == 0 for t in range(-8, -1))
+    assert table.row(-1)[1] == 3
+    assert all(table.row(t)[1] == 0 for t in range(-8, -1))
 
 
 def test_pipeline_chi_agreement():

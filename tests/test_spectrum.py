@@ -15,6 +15,7 @@ from sheafspectra.errors import (
 from sheafspectra.invariants import (
     ChernClasses,
     SplittingType,
+    _exact,
     euler_characteristic,
     kernel_invariants,
     splitting_type_from_e,
@@ -27,7 +28,6 @@ from sheafspectra.spectrum import (
     enumerate_spectra,
     s_upper_bound,
     validate_chain_down,
-    validate_chain_up,
     validate_spectrum,
 )
 
@@ -89,6 +89,27 @@ def test_chain_down():
     # e = 0 triggers already at -1; e = -1 does not
     assert validate_chain_down((-2, 0), ST_ZERO) == [(-2, -1)]
     assert validate_chain_down((-1, 0), ST_MINUS) == []
+
+
+def validate_chain_up(values, st, p=UNBOUNDED):
+    """Ascending chain rule violations under threshold p.
+
+    For every k > a2 + 1 occurring with multiplicity-weighted count
+    #{i : k_i >= k} >= s_eh + 1, every integer of [a2 + 1, k] must
+    appear.  With p unbounded the rule never triggers.  The reference
+    for the cap that enumerate_spectra puts on each step of its walk.
+    """
+    _exact(p, ChainUpParam)
+    spec = validate_spectrum(values)
+    if p.s_eh is None:
+        return []
+    present = set(spec)
+    triggers = sorted(
+        k for k in present if k > st.a2 + 1 and sum(v >= k for v in spec) > p.s_eh
+    )
+    return [
+        (k, kp) for k in triggers for kp in range(st.a2 + 1, k + 1) if kp not in present
+    ]
 
 
 def test_chain_up():
@@ -194,12 +215,16 @@ def test_enumerate_c2_1():
 
 def test_enumerate_skips_to_the_sum_window_at_once():
     # sum(k_i) = 10^12 - s: entries below the window are never visited one by one
-    out = enumerate_spectra(ChernClasses(0, 1, -2 * 10**12))
+    cc = ChernClasses(0, 1, -2 * 10**12)
+    out = enumerate_spectra(cc)
     assert out == [SpectrumWithS((10**12 - 1,), 1), SpectrumWithS((10**12,), 0)]
+    assert enumerate_spectra(cc, ChainUpParam(1)) == out
+    # at s_eh = 0 the chain-up cap holds the one entry to 1, below the window
+    assert enumerate_spectra(cc, ChainUpParam(0)) == []
 
 
-def _enumerate_walk_heads(cc):
-    """enumerate_spectra(cc) and the entries fixed on entry to each walk frame."""
+def _enumerate_walk_heads(cc, p=UNBOUNDED):
+    """enumerate_spectra(cc, p) and the entries fixed on entry to each walk frame."""
     heads = []
 
     def record(frame, event, arg):
@@ -208,15 +233,15 @@ def _enumerate_walk_heads(cc):
 
     sys.setprofile(record)
     try:
-        out = enumerate_spectra(cc)
+        out = enumerate_spectra(cc, p)
     finally:
         sys.setprofile(None)
     return out, heads
 
 
-def _enumerate_counting_walks(cc):
-    """enumerate_spectra(cc) and the number of walk frames it opened."""
-    out, heads = _enumerate_walk_heads(cc)
+def _enumerate_counting_walks(cc, p=UNBOUNDED):
+    """enumerate_spectra(cc, p) and the number of walk frames it opened."""
+    out, heads = _enumerate_walk_heads(cc, p)
     return out, len(heads)
 
 
@@ -237,6 +262,15 @@ def test_enumerate_takes_one_frame_per_inner_node():
     assert frames <= 1012
 
 
+@pytest.mark.parametrize("s_eh,count", [(0, 1434), (1, 8173), (3, 16714)])
+def test_the_chain_up_cap_opens_no_more_frames(s_eh, count):
+    # the cap only cuts the walk; frames whose prefix cannot reach the sum
+    # window under it stay open and yield nothing
+    out, frames = _enumerate_counting_walks(ChernClasses(0, 9, 0), ChainUpParam(s_eh))
+    assert len(out) == count
+    assert frames <= 1012
+
+
 def test_a_walk_past_the_recursion_limit_names_c2_and_its_depth():
     # (-m, ..., -1) at s = 0 is the one spectrum: flat input, one walk frame per
     # entry but the last
@@ -245,16 +279,20 @@ def test_a_walk_past_the_recursion_limit_names_c2_and_its_depth():
         enumerate_spectra(ChernClasses(0, m, m * (m + 1)))
 
 
-@pytest.mark.parametrize("call", [
-    lambda: enumerate_spectra(ChernClasses(0, 3, 0), None),
-    lambda: enumerate_spectra(ChernClasses(0, 3, 0), 2),
-    lambda: enumerate_spectra((0, 3, 0)),
-    lambda: validate_chain_up((-1, 0), ST_ZERO, None),
-], ids=["param-None", "param-int", "class-tuple", "chain-up-None"])
-def test_wrong_types_are_refused_at_entry(call):
+@pytest.mark.parametrize("call,text", [
+    (lambda: enumerate_spectra(ChernClasses(0, 3, 0), None), "expected ChainUpParam, got None"),
+    (lambda: enumerate_spectra(ChernClasses(0, 3, 0), 2), "expected ChainUpParam, got 2"),
+    (lambda: enumerate_spectra((0, 3, 0)), "expected ChernClasses, got (0, 3, 0)"),
+    (lambda: enumerate_spectra(ChernClasses(0, 3, 0), (1,)), "expected ChainUpParam, got (1,)"),
+    (lambda: kernel_invariants((0, 3, 12), 6), "expected ChernClasses, got (0, 3, 12)"),
+    (lambda: validate_chain_down((-1, 0), (0, 0)), "expected SplittingType, got (0, 0)"),
+], ids=["param-None", "param-int", "class-tuple", "param-tuple", "kernel-class-tuple",
+        "chain-down-tuple"])
+def test_wrong_types_are_refused_at_entry(call, text):
     # each gave a bare AttributeError, a wrong param only after walking the whole class
-    with pytest.raises(TypeError, match=r"expected (ChainUpParam|ChernClasses), got "):
+    with pytest.raises(TypeError) as info:
         call()
+    assert str(info.value) == text
 
 
 def test_enumerate_chain_up_thresholds():
@@ -347,10 +385,17 @@ def _sum_window(e, m, c3):
 def _reference_enumerate(cc, p=UNBOUNDED):
     """Every nondecreasing tuple in the sum window, filtered at the leaves.
 
-    The enumerator before the chain-down rule moved into its walk: the
+    The enumerator before either chain rule moved into its walk: the
     same sum-window depth-first search, both chain rules checked on
     finished tuples, and a final sort.
     """
+    st_ = SplittingType(-1, 0) if cc.e == -1 else SplittingType(0, 0)
+    return [sw for sw in _reference_chain_down(cc) if not validate_chain_up(sw.values, st_, p)]
+
+
+@functools.cache
+def _reference_chain_down(cc):
+    # the search and the chain-down check, once per class for every threshold
     m = cc.c2
     st_ = SplittingType(-1, 0) if cc.e == -1 else SplittingType(0, 0)
     sum_min, sum_max = _sum_window(cc.e, m, cc.c3)
@@ -361,11 +406,7 @@ def _reference_enumerate(cc, p=UNBOUNDED):
         depth = len(prefix)
         if depth == m:
             values = tuple(prefix)
-            if (
-                sum_min <= total <= sum_max
-                and not validate_chain_down(values, st_)
-                and not validate_chain_up(values, st_, p)
-            ):
+            if sum_min <= total <= sum_max and not validate_chain_down(values, st_):
                 results.append(SpectrumWithS(values, sum_max - total))
             return
         remaining = m - depth
@@ -394,12 +435,26 @@ def _c3_window(e, m):
 @pytest.mark.parametrize("c2", range(1, 6))
 @pytest.mark.parametrize("e", [-1, 0])
 def test_walk_matches_leaf_filter(e, c2):
-    for c3 in _c3_window(e, c2):
+    # and one class at sum(k_i) = 2 c2 + 1 at s = 0, where the first entry can pass 1
+    for c3 in _c3_window(e, c2) + [-4 * c2 - 2 + e * c2]:
         cc = ChernClasses(e, c2, c3)
-        for p in (UNBOUNDED, ChainUpParam(0), ChainUpParam(1), ChainUpParam(3)):
+        for p in (UNBOUNDED, *map(ChainUpParam, range(c2 + 2))):
             out = enumerate_spectra(cc, p)
             assert out == _reference_enumerate(cc, p), (cc, p)
             assert all(a.values < b.values for a, b in zip(out, out[1:]))
+
+
+@settings(deadline=None)
+@given(e=st.sampled_from([-1, 0]), c2=st.integers(6, 7), data=st.data())
+def test_the_chain_up_cap_matches_the_oracle_filter(e, c2, data):
+    # past the reach of the leaf-filter reference: the unbounded walk, filtered
+    cc = ChernClasses(e, c2, data.draw(st.sampled_from(_c3_window(e, c2))))
+    p = ChainUpParam(data.draw(st.integers(0, c2 + 1)))
+    st_ = splitting_type_from_e(e)
+    want = [sw for sw in enumerate_spectra(cc) if not validate_chain_up(sw.values, st_, p)]
+    out = enumerate_spectra(cc, p)
+    kinds = lambda spectra: [(type(sw), type(sw.values)) for sw in spectra]
+    assert out == want and kinds(out) == kinds(want)
 
 
 def test_enumerate_opens_no_frame_with_one_entry_left():
