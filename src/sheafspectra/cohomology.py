@@ -9,14 +9,16 @@ table_from_spectrum fills the two formula windows
 
 from prefix sums of the sorted spectrum (only k >= -l-1 adds to h1 and
 only k <= -l-3 to h2), each column only as long as its window, and
-spectrum_from_table inverts them: each known run is read once into its
-first differences, whose own difference at twist l is the multiplicity
-of -l-1, and s is h1 right after the leading zero differences of h1;
-the answer is checked against each known entry of its regenerated
-windows.  Unknown entries stay unknown, never conflated with zero.  A
-table read from outside (JSON, the CLI, user code) has every entry
-validated, one built from the library's own ints has not; either way,
-with a class, every fully known row is chi-checked.
+spectrum_from_table inverts them: each window's column is read once as
+a list, its known run into first differences, whose own difference at
+twist l is the multiplicity of -l-1, and s is h1 right after the leading
+zero differences of h1; each regenerated window is compared with the
+column read, whole, and only one that differs is scanned for its lowest
+wrong known entry.  Unknown entries stay unknown, never conflated with
+zero.  A table read from outside (JSON, the CLI, user code) has every
+entry validated, one built from the library's own ints has not; either
+way, with a class, every fully known row is chi-checked (in a generated
+table they form one interval, which table_from_spectrum hands over).
 
 This is also the lowest layer that prints, so the one writer lives
 here: report_json renders every JSON document and _markdown every
@@ -28,7 +30,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .errors import InconsistentTableError, RangeInsufficientError
@@ -58,13 +61,14 @@ class ValidityWindows(NamedTuple):
         return cls(h1_max=-st.a2 - 1, h2_min=st.a1 - 3)
 
 
-def _table(lo: int, hi: int, rows: dict, cc) -> "CohomologyTable":
+def _table(lo: int, hi: int, rows: dict, cc, full=None) -> "CohomologyTable":
     # the one way a table is made, from rows mapping each twist of [lo, hi],
     # in ascending order, to 4 entries, each an int >= 0 or None; with a
-    # class, every fully known row is chi-checked
-    for t, row in rows.items() if cc is not None else ():
-        if None not in row:
-            h0, h1, h2, h3 = row
+    # class, every fully known row is chi-checked: those of the twist range
+    # full when the caller knows it, else each row found with no None
+    if cc is not None:
+        for t in [t for t, row in rows.items() if None not in row] if full is None else full:
+            h0, h1, h2, h3 = rows[t]
             chi, want = h0 - h1 + h2 - h3, euler_characteristic(cc, t)
             if chi != want:
                 raise InconsistentTableError(f"row t={t} has chi {chi}, class demands {want}")
@@ -187,7 +191,7 @@ def table_from_spectrum(
     rest on (semi)stability; everything else stays unknown.  The fully
     known rows are checked against the Euler characteristic of the class.
     """
-    e, m = st.a1 + st.a2, len(sw.values)
+    e, m = _exact(st, SplittingType).a1 + st.a2, len(_exact(sw, SpectrumWithS).values)
     cc = ChernClasses(e, m, c3_from_spectrum(e, m, sw))  # validates values and s
     lo, hi = rng
     twists = _twists(lo, hi)  # a bad range is a ValueError before any window is built
@@ -196,7 +200,8 @@ def table_from_spectrum(
     h0, h3 = [0] * min(n, max(0, -lo)), [0] * min(n, max(0, hi + 4 + e))
     pad = [None] * n  # h0 and h1 are known on a prefix of the range, h2 and h3 on a suffix
     rows = dict(zip(twists, zip(h0 + pad, h1 + pad, pad[len(h2):] + h2, pad[len(h3):] + h3)))
-    return _table(lo, hi, rows, cc)
+    full = range(max(lo, -3 - e, win.h2_min), min(hi, -1, win.h1_max) + 1)  # the known rows
+    return _table(lo, hi, rows, cc, full)
 
 
 def _columns(sw: SpectrumWithS, win: ValidityWindows, lo: int, hi: int):
@@ -214,32 +219,34 @@ def _columns(sw: SpectrumWithS, win: ValidityWindows, lo: int, hi: int):
 
 
 def _run(table: CohomologyTable, i: int, need: tuple, floor: int, ceil: int):
-    # the maximal run of known h_i entries inside [floor, ceil] that contains
-    # every twist of need, as its first twist u and its differences
-    # d[j] = h_i(u+j+1) - h_i(u+j): h1 never falls, h2 never rises, and on
-    # both columns d never decreases
+    # the h_i column over [floor, ceil], read once as a list, and its maximal
+    # known run around every twist of need, as its first twist u and its
+    # differences d[j] = h_i(u+j+1) - h_i(u+j): h1 never falls, h2 never
+    # rises, and on both columns d never decreases, so the sign is that of
+    # d's first (h1) or last (h2) entry; only a run that fails these checks
+    # is scanned entry by entry, to name its first fault
     for t in need:
         if not table.lo <= t <= table.hi or table.rows[t][i] is None:
             raise RangeInsufficientError(
                 f"h{i} must be known at t={', '.join(map(str, need))} "
                 "to count the spectrum"
             )
-    u, v = min(need), max(need)
-    floor, ceil, rows = max(floor, table.lo), min(ceil, table.hi), table.rows
-    while u > floor and rows[u - 1][i] is not None:
-        u -= 1
-    while v < ceil and rows[v + 1][i] is not None:
-        v += 1
-    h = [rows[t][i] for t in range(u, v + 1)]
-    d = [b - a for a, b in zip(h, h[1:])]
-    for k, x in enumerate(d):
-        if (x if i == 1 else -x) < 0:
-            raise InconsistentTableError(
-                f"h{i} {'falls' if i == 1 else 'rises'} from t={u + k} to t={u + k + 1}"
-            )
-        if k and x < d[k - 1]:
-            raise InconsistentTableError(f"h{i} is not convex at t={u + k}")
-    return u, d
+    floor, ceil = max(floor, table.lo), min(ceil, table.hi)
+    rows = islice(table.rows.values(), floor - table.lo, ceil - table.lo + 1)
+    column = [*map(itemgetter(i), rows)]
+    a, b = min(need) - floor, max(need) - floor  # the run holds column[a:b+1]; None ends it
+    start = a + 1 - (column[a::-1] + [None]).index(None)
+    h = column[start:b + (column[b:] + [None]).index(None)]
+    d, u = [*map(sub, h[1:], h)], floor + start
+    if d and ((d[0] if i == 1 else -d[-1]) < 0 or d != sorted(d)):
+        for k, x in enumerate(d):
+            if (x if i == 1 else -x) < 0:
+                raise InconsistentTableError(
+                    f"h{i} {'falls' if i == 1 else 'rises'} from t={u + k} to t={u + k + 1}"
+                )
+            if k and x < d[k - 1]:
+                raise InconsistentTableError(f"h{i} is not convex at t={u + k}")
+    return u, d, column
 
 
 def spectrum_from_table(table: CohomologyTable, st: SplittingType) -> SpectrumWithS:
@@ -258,11 +265,11 @@ def spectrum_from_table(table: CohomologyTable, st: SplittingType) -> SpectrumWi
     by known in-window entry, and against the Chern classes when the
     table carries them.
     """
-    win = ValidityWindows.from_splitting_type(st)
-    a2 = st.a2
+    _exact(table, CohomologyTable)
+    win, a2 = ValidityWindows.from_splitting_type(_exact(st, SplittingType)), st.a2
 
     # --- h1 side: s and the values >= a2; d1 never decreases, so its zeros lead
-    p, d1 = _run(table, 1, (win.h1_max,), table.lo, win.h1_max)
+    p, d1, h1 = _run(table, 1, (win.h1_max,), table.lo, win.h1_max)
     if not d1:
         raise RangeInsufficientError(
             "single h1 value cannot witness stabilization; extend the range down"
@@ -275,7 +282,7 @@ def spectrum_from_table(table: CohomologyTable, st: SplittingType) -> SpectrumWi
     s = table.rows[p + z][1]
 
     # --- h2 side: the values <= a2 - 1, the deepest ones in a bucket
-    u, d2 = _run(table, 2, (-a2 - 2, -a2 - 1), win.h2_min, table.hi)
+    u, d2, h2 = _run(table, 2, (-a2 - 2, -a2 - 1), win.h2_min, table.hi)
     values = []
     for lo, d, first in ((p, d1, z), (u, d2, -a2 - u - 1)):
         for j in range(first, len(d)):  # d[j] - d[j-1] values equal -l-1, l = lo+j+1
@@ -304,25 +311,26 @@ def spectrum_from_table(table: CohomologyTable, st: SplittingType) -> SpectrumWi
     result = SpectrumWithS(tuple(sorted(values)), s)
 
     # --- verify: the classes, then every known entry of both windows
-    e, m = st.a1 + st.a2, len(result.values)
-    cc = ChernClasses(e, m, c3_from_spectrum(e, m, result))  # validates values and s
+    e, m = st.a1 + st.a2, len(values)
+    cc = ChernClasses(e, m, e * m - 2 * (sum(values) + s))  # the c3 identity; all ints
     if table.cc is not None and table.cc != cc:
         raise InconsistentTableError(
             f"recovered spectrum {result.values}, s={s} has classes "
             f"{cc.as_tuple()}, table says {table.cc.as_tuple()}"
         )
-    columns = _columns(result, win, table.lo, table.hi)
-    starts = (table.lo, max(table.lo, win.h2_min))
-    mismatches = [(t, i, want, table.rows[t][i])
-                  for i, column, start in zip((1, 2), columns, starts)
-                  for t, want in enumerate(column, start)
-                  if table.rows[t][i] not in (None, want)]
-    if mismatches:
-        t, i, want, have = min(mismatches)  # the lowest twist, h1 before h2 on a tie
-        raise InconsistentTableError(
-            f"recovered spectrum {result.values}, s={s} regenerates "
-            f"h{i}(t={t}) = {want}, table says {have}"
-        )
+    columns = _columns(result, win, table.lo, table.hi)  # the spans _run read
+    if columns != (h1, h2):  # a hole or a wrong entry; scan for the lowest wrong one
+        starts = (table.lo, max(table.lo, win.h2_min))
+        mismatches = [(t, i, want, table.rows[t][i])
+                      for i, column, start in zip((1, 2), columns, starts)
+                      for t, want in enumerate(column, start)
+                      if table.rows[t][i] not in (None, want)]
+        if mismatches:
+            t, i, want, have = min(mismatches)  # the lowest twist, h1 before h2 on a tie
+            raise InconsistentTableError(
+                f"recovered spectrum {result.values}, s={s} regenerates "
+                f"h{i}(t={t}) = {want}, table says {have}"
+            )
     return result
 
 
@@ -337,6 +345,7 @@ def chi_consistency(
     unverifiable and are skipped.  Returns (t, got, want) triples.
     """
     _exact(cc, ChernClasses)
+    _exact(table, CohomologyTable)
     out = []
     for t in range(max(table.lo, -3 - cc.e), min(table.hi, -1) + 1):
         h0, h1, h2, h3 = table.row(t)

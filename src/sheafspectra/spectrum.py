@@ -68,18 +68,18 @@ UNBOUNDED = ChainUpParam(None)
 def validate_spectrum(values: Iterable[int]) -> tuple[int, ...]:
     """Normalize to a tuple; reject non-int, empty or decreasing input."""
     spec = tuple(values)
-    if any(type(v) is not int for v in spec):
+    if not {*map(type, spec)} <= {int}:
         raise InadmissibleSpectrumError(f"spectrum {spec!r} has a non-int value")
     if not spec:
         raise InadmissibleSpectrumError("spectrum must have at least one entry")
-    if any(spec[i] > spec[i + 1] for i in range(len(spec) - 1)):
+    if [*spec] != sorted(spec):
         raise InadmissibleSpectrumError(f"spectrum {spec} is not nondecreasing")
     return spec
 
 
 def c3_from_spectrum(e: int, c2: int, sw: SpectrumWithS) -> int:
     """c3 determined by (spectrum, s) for first Chern class e."""
-    spec = validate_spectrum(sw.values)
+    spec = validate_spectrum(_exact(sw, SpectrumWithS).values)
     if len(spec) != c2:
         raise InadmissibleSpectrumError(
             f"spectrum has {len(spec)} entries, expected m = c2 = {c2}"

@@ -8,6 +8,8 @@ h1/h2 entries for twists -1..-4 and exercised in both directions.
 import json
 import re
 from importlib import resources
+from itertools import accumulate
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from sheafspectra.cohomology import (
 from sheafspectra.invariants import ChernClasses, SplittingType
 from sheafspectra.sheafcalc import construction_spectrum, symbol_from_json
 from sheafspectra.spectrum import SpectrumWithS, c3_from_spectrum
+from test_sheafcalc import outcome
 
 ST_MINUS = SplittingType(-1, 0)
 ST_ZERO = SplittingType(0, 0)
@@ -303,10 +306,19 @@ def test_constructor_refuses_a_class_that_is_not_chern_classes():
     (lambda table: table.row(-2.0), "twist must be an int, got -2.0"),
     (lambda table: table.row(True), "twist must be an int, got True"),
     (lambda table: chi_consistency(table, (-1, 2, 0)), "expected ChernClasses, got (-1, 2, 0)"),
-], ids=["row-float", "row-bool", "chi-consistency-tuple"])
+    (lambda table: chi_consistency("x", table.cc), "expected CohomologyTable, got 'x'"),
+    (lambda table: table_from_spectrum(SpectrumWithS((-1, 0), 0), (-1, 0), (-4, -1)),
+     "expected SplittingType, got (-1, 0)"),
+    (lambda table: table_from_spectrum(((-1, 0), 0), ST_MINUS, (-4, -1)),
+     "expected SpectrumWithS, got ((-1, 0), 0)"),
+    (lambda table: spectrum_from_table(table, (-1, 0)), "expected SplittingType, got (-1, 0)"),
+    (lambda table: spectrum_from_table("x", ST_MINUS), "expected CohomologyTable, got 'x'"),
+], ids=["row-float", "row-bool", "chi-consistency-tuple", "chi-consistency-str",
+        "generate-splitting-tuple", "generate-spectrum-tuple", "invert-splitting-tuple",
+        "invert-str"])
 def test_wrong_types_are_refused_at_entry(call, text):
     # row(-2.0) read row -2 and row(True) twist 1, keys the constructor refuses;
-    # chi_consistency gave a bare AttributeError
+    # the others gave a bare AttributeError
     table = table_from_spectrum(SpectrumWithS((-1, 0), 0), ST_MINUS, (-4, 1))
     with pytest.raises(TypeError) as info:
         call(table)
@@ -609,3 +621,132 @@ def test_regeneration_names_h1_before_h2_at_one_twist():
     rows[-4] = (0, 1, 6, None)
     recovered = spectrum_from_table(CohomologyTable(-4, 1, rows), ST_MINUS)
     assert recovered == SpectrumWithS((-1, -1), 1)
+
+
+def _reference_run(table, i, need, floor, ceil):
+    """_run twist by twist, one dict lookup per entry: the oracle for its list reads.
+
+    Extends the known run around need one twist at a time, then checks
+    the differences in order, the sign before convexity at each k.
+    """
+    for t in need:
+        if not table.lo <= t <= table.hi or table.rows[t][i] is None:
+            raise RangeInsufficientError(
+                f"h{i} must be known at t={', '.join(map(str, need))} "
+                "to count the spectrum"
+            )
+    u, v = min(need), max(need)
+    floor, ceil, rows = max(floor, table.lo), min(ceil, table.hi), table.rows
+    while u > floor and rows[u - 1][i] is not None:
+        u -= 1
+    while v < ceil and rows[v + 1][i] is not None:
+        v += 1
+    h = [rows[t][i] for t in range(u, v + 1)]
+    d = [b - a for a, b in zip(h, h[1:])]
+    for k, x in enumerate(d):
+        if (x if i == 1 else -x) < 0:
+            raise InconsistentTableError(
+                f"h{i} {'falls' if i == 1 else 'rises'} from t={u + k} to t={u + k + 1}"
+            )
+        if k and x < d[k - 1]:
+            raise InconsistentTableError(f"h{i} is not convex at t={u + k}")
+    return u, d
+
+
+@st.composite
+def column_and_run(draw):
+    # an h1 column (rising, convex) or an h2 column (its mirror) over
+    # [lo, hi], with holes and entries moved by 1 or 2, which make falls,
+    # rises and breaks in convexity; need is one twist or two adjacent ones,
+    # possibly outside the table, and [floor, ceil] holds need
+    i = draw(st.sampled_from([1, 2]))
+    lo = draw(st.integers(-10, 2))
+    hi = draw(st.integers(lo, lo + 12))
+    steps = sorted(draw(st.lists(st.integers(0, 3), min_size=hi - lo, max_size=hi - lo)))
+    h = list(accumulate(steps, initial=draw(st.integers(0, 4))))
+    h = h if i == 1 else h[::-1]
+    for j, edit in draw(st.lists(st.tuples(st.integers(0, hi - lo),
+                                           st.sampled_from([None, -2, -1, 1, 2])), max_size=3)):
+        h[j] = None if edit is None or h[j] is None else max(0, h[j] + edit)
+    rows = {t: (None, x, None, None) if i == 1 else (None, None, x, None)
+            for t, x in zip(range(lo, hi + 1), h)}
+    first = draw(st.integers(lo, hi) | st.integers(lo - 2, hi + 1))
+    need = (first,) if draw(st.booleans()) else (first, first + 1)
+    floor = first - draw(st.integers(0, hi - lo + 3))
+    ceil = need[-1] + draw(st.integers(0, hi - lo + 3))
+    return CohomologyTable(lo, hi, rows), i, need, floor, ceil
+
+
+@settings(deadline=None, max_examples=300)
+@given(column_and_run())
+def test_run_matches_the_twist_by_twist_oracle(case):
+    table, i, need, floor, ceil = case
+    got = outcome(lambda: cohomology._run(*case))
+    want = outcome(_reference_run, *case)
+    assert got[:2] == want
+    if type(want[0]) is int:  # a run: the column read is the table's over [floor, ceil]
+        span = range(max(floor, table.lo), min(ceil, table.hi) + 1)
+        assert got[2] == [table.rows[t][i] for t in span]
+
+
+def _reference_regeneration_check(table, st_, result):
+    """The per-entry scan spectrum_from_table ran on every table: the oracle.
+
+    Every known entry of both windows against the windows regenerated
+    from result; the lowest wrong one is named, h1 before h2 at one twist.
+    """
+    win = ValidityWindows.from_splitting_type(st_)
+    starts = (table.lo, max(table.lo, win.h2_min))
+    mismatches = [(t, i, want, table.rows[t][i])
+                  for i, column, start in zip((1, 2), cohomology._columns(
+                      result, win, table.lo, table.hi), starts)
+                  for t, want in enumerate(column, start)
+                  if table.rows[t][i] not in (None, want)]
+    if mismatches:
+        t, i, want, have = min(mismatches)
+        raise InconsistentTableError(
+            f"recovered spectrum {result.values}, s={result.s} regenerates "
+            f"h{i}(t={t}) = {want}, table says {have}"
+        )
+    return result
+
+
+@settings(deadline=None, max_examples=300)
+@given(edited_table(), st.lists(st.tuples(st.integers(0, 19), st.sampled_from([1, 2])),
+                                max_size=3))
+def test_regeneration_check_matches_the_per_entry_oracle(data, holes):
+    # holes cut the decoded runs, so edits beyond them reach the check; the
+    # recovered spectrum is the one the check regenerates from, and from
+    # there the inverter's answer is the check's, whole columns or not
+    st_, table = data
+    rows = dict(table.rows)
+    for j, i in holes:
+        t = table.lo + j % (table.hi - table.lo + 1)
+        rows[t] = rows[t][:i] + (None,) + rows[t][i + 1:]
+    table = CohomologyTable(table.lo, table.hi, rows)
+    recovered, columns = [], cohomology._columns
+    spy = lambda sw, *args: recovered.append(sw) or columns(sw, *args)
+    with patch.object(cohomology, "_columns", spy):
+        got = outcome(spectrum_from_table, table, st_)
+    if recovered:
+        assert got == outcome(_reference_regeneration_check, table, st_, recovered[0])
+
+
+@settings(deadline=None, max_examples=200)
+@given(spectrum_and_range(), st.data())
+def test_the_generator_hands_over_exactly_its_fully_known_twists(case, data):
+    st_, sw, rng = case
+    handed, table = [], cohomology._table
+    spy = lambda *args: handed.append(args) or table(*args)
+    with patch.object(cohomology, "_table", spy):
+        table_from_spectrum(sw, st_, rng)
+    (lo, hi, rows, cc, full), = handed
+    assert list(full) == [t for t, row in rows.items() if None not in row]
+    if full:
+        # a wrong chi inside the interval is still refused, with the usual text
+        t = data.draw(st.sampled_from(full))
+        h0, h1, h2, h3 = rows[t]
+        chi, want = h0 - h1 - 1 + h2 - h3, cohomology.euler_characteristic(cc, t)
+        with pytest.raises(InconsistentTableError) as err:
+            table(lo, hi, {**rows, t: (h0, h1 + 1, h2, h3)}, cc, full)
+        assert str(err.value) == f"row t={t} has chi {chi}, class demands {want}"

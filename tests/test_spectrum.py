@@ -30,6 +30,7 @@ from sheafspectra.spectrum import (
     validate_chain_down,
     validate_spectrum,
 )
+from test_sheafcalc import outcome
 
 ST_MINUS = SplittingType(-1, 0)
 ST_ZERO = SplittingType(0, 0)
@@ -57,6 +58,30 @@ def test_validate_spectrum_refuses_non_ints():
         validate_spectrum(["-1", 0.5, True])
     with pytest.raises(InadmissibleSpectrumError):
         table_from_spectrum(SpectrumWithS(("-1", 0.9), 0), ST_MINUS, (-4, -1))
+
+
+def _reference_validate_spectrum(values) -> tuple:
+    """validate_spectrum entry by entry: the oracle for its whole-tuple checks."""
+    spec = tuple(values)
+    if any(type(v) is not int for v in spec):
+        raise InadmissibleSpectrumError(f"spectrum {spec!r} has a non-int value")
+    if not spec:
+        raise InadmissibleSpectrumError("spectrum must have at least one entry")
+    if any(spec[i] > spec[i + 1] for i in range(len(spec) - 1)):
+        raise InadmissibleSpectrumError(f"spectrum {spec} is not nondecreasing")
+    return spec
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.one_of(
+    st.integers(-4, 4), st.integers(-4, 4), st.booleans(),
+    st.floats(-4, 4, allow_nan=False), st.sampled_from(["-1", "0"]),
+), max_size=6), st.booleans())
+def test_validate_spectrum_matches_the_entry_by_entry_oracle(values, ordered):
+    # bool, float or str entries, empty input and entries out of order, in any mix
+    if ordered and all(type(v) is int for v in values):
+        values.sort()
+    assert outcome(validate_spectrum, values) == outcome(_reference_validate_spectrum, values)
 
 
 def test_c3_from_spectrum_frozen():
@@ -286,8 +311,9 @@ def test_a_walk_past_the_recursion_limit_names_c2_and_its_depth():
     (lambda: enumerate_spectra(ChernClasses(0, 3, 0), (1,)), "expected ChainUpParam, got (1,)"),
     (lambda: kernel_invariants((0, 3, 12), 6), "expected ChernClasses, got (0, 3, 12)"),
     (lambda: validate_chain_down((-1, 0), (0, 0)), "expected SplittingType, got (0, 0)"),
+    (lambda: c3_from_spectrum(-1, 2, ((-1, 0), 0)), "expected SpectrumWithS, got ((-1, 0), 0)"),
 ], ids=["param-None", "param-int", "class-tuple", "param-tuple", "kernel-class-tuple",
-        "chain-down-tuple"])
+        "chain-down-tuple", "c3-spectrum-tuple"])
 def test_wrong_types_are_refused_at_entry(call, text):
     # each gave a bare AttributeError, a wrong param only after walking the whole class
     with pytest.raises(TypeError) as info:
