@@ -5,11 +5,10 @@ over a shared exception module:
 
 * :mod:`sheafspectra.invariants` -- Chern classes, Euler characteristics,
   splitting types and the invariants of a kernel onto points.
-* :mod:`sheafspectra.spectrum` -- admissibility rules for spectra and the
-  exhaustive enumerator.
-* :mod:`sheafspectra.cohomology` -- twist-indexed cohomology tables, the
-  spectrum <-> table translation in both directions, and the one writer
-  of printed JSON and markdown.
+* :mod:`sheafspectra.spectrum` -- admissibility rules for spectra, the
+  exhaustive enumerator, and the one writer of printed JSON and markdown.
+* :mod:`sheafspectra.cohomology` -- twist-indexed cohomology tables and the
+  spectrum <-> table translation in both directions.
 * :mod:`sheafspectra.sheafcalc` -- symbolic building blocks, short exact
   sequence splicing, monads, and quotient recipes.
 * :mod:`sheafspectra.workbench` -- moduli component catalogs, verification

@@ -76,7 +76,7 @@ def _seh(text: str):
 
 def _emit(args, payload, render) -> int:
     # the one printer: builds only the one of payload() and render() it prints
-    from .cohomology import report_json
+    from .spectrum import report_json
 
     print(report_json(payload()) if args.format == "json" else render())
     return 0
@@ -89,8 +89,7 @@ def _cmd_chi(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .cohomology import _markdown, _spectrum_str
-    from .spectrum import enumerate_spectra
+    from .spectrum import _markdown, _spectrum_str, enumerate_spectra
 
     cc = ChernClasses(args.e, args.c2, args.c3)
     found = enumerate_spectra(cc, args.seh)
@@ -112,7 +111,8 @@ def _cmd_table(args) -> int:
 def _cmd_invert_table(args) -> int:
     import json
 
-    from .cohomology import CohomologyTable, _spectrum_str, spectrum_from_table
+    from .cohomology import CohomologyTable, spectrum_from_table
+    from .spectrum import _spectrum_str
 
     with open(args.file, "r", encoding="utf-8") as handle:
         table = CohomologyTable.from_json_dict(json.load(handle))
@@ -156,7 +156,7 @@ def _cmd_rao_pairs(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    from .cohomology import _spectrum_str
+    from .spectrum import _spectrum_str
     from .workbench import catalog_load, realizability_gap
 
     missing, extra = realizability_gap(catalog_load(args.catalog), args.moduli, args.seh)

@@ -19,15 +19,11 @@ zero.  A table read from outside (JSON, the CLI, user code) has every
 entry validated, one built from the library's own ints has not; either
 way, with a class, every fully known row is chi-checked (in a generated
 table they form one interval, which table_from_spectrum hands over).
-
-This is also the lowest layer that prints, so the one writer lives
-here: report_json renders every JSON document and _markdown every
-markdown table the package prints, tables, reports and CLI output alike.
+Tables print through the spectrum layer's writer.
 """
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from itertools import accumulate, islice
@@ -36,7 +32,7 @@ from typing import NamedTuple
 
 from .errors import InconsistentTableError, RangeInsufficientError
 from .invariants import ChernClasses, SplittingType, _Checked, _exact, euler_characteristic
-from .spectrum import SpectrumWithS, c3_from_spectrum
+from .spectrum import SpectrumWithS, _markdown, c3_from_spectrum, report_json
 
 __all__ = [
     "CohomologyTable",
@@ -44,7 +40,6 @@ __all__ = [
     "table_from_spectrum",
     "spectrum_from_table",
     "chi_consistency",
-    "report_json",
 ]
 
 Row = tuple  # (h0, h1, h2, h3), each int or None
@@ -153,31 +148,13 @@ class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
 
     @classmethod
     def from_json(cls, text: str) -> "CohomologyTable":
+        import json
+
         return cls.from_json_dict(json.loads(text))
 
     def to_markdown(self) -> str:
         rows = ((t, *self.rows[t]) for t in range(self.hi, self.lo - 1, -1))
         return _markdown(("t", "h0", "h1", "h2", "h3"), rows)
-
-
-# ------------------------------------------------------------- writer
-
-def report_json(report: Mapping) -> str:
-    """Byte-deterministic JSON rendering of any report dict."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
-
-
-def _markdown(header, rows) -> str:
-    # the one markdown table layout; None prints as an empty cell
-    lines = [header, ["---"] * len(header), *rows]
-    return "\n".join(
-        "| " + " | ".join("" if c is None else str(c) for c in line) + " |"
-        for line in lines
-    )
-
-
-def _spectrum_str(values) -> str:
-    return "(" + ",".join(str(k) for k in values) + ")"
 
 
 def table_from_spectrum(

@@ -12,10 +12,16 @@ which make s determined by the class and the spectrum.  The chain rules
 (an entry k <= a1 - 1 forces all of [k, -1]; under a threshold s_eh,
 k > a2 + 1 with #{i : k_i >= k} > s_eh forces all of [a2 + 1, k]) cap
 each step of enumerate_spectra's walk, so its cost is about its output.
+
+This is also the lowest layer that prints (the enumerate subcommand
+prints spectra), so the one writer lives here: report_json renders every
+JSON document and _markdown every markdown table the package prints,
+tables, reports and CLI output alike.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from typing import Iterable, NamedTuple
 
 from .errors import DegenerateClassError, InadmissibleSpectrumError
@@ -36,6 +42,7 @@ __all__ = [
     "validate_chain_down",
     "s_upper_bound",
     "enumerate_spectra",
+    "report_json",
 ]
 
 
@@ -201,3 +208,25 @@ def enumerate_spectra(
                 f"enumerating c2 = {m} needs a walk {m} entries deep, past Python's recursion limit"
             ) from None
     return results
+
+
+# ------------------------------------------------------------- writer
+
+def report_json(report: Mapping) -> str:
+    """Byte-deterministic JSON rendering of any report dict."""
+    import json  # only a process that reads or writes a document loads it
+
+    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+
+
+def _markdown(header, rows) -> str:
+    # the one markdown table layout; None prints as an empty cell
+    lines = [header, ["---"] * len(header), *rows]
+    return "\n".join(
+        "| " + " | ".join("" if c is None else str(c) for c in line) + " |"
+        for line in lines
+    )
+
+
+def _spectrum_str(values) -> str:
+    return "(" + ",".join(str(k) for k in values) + ")"

@@ -24,28 +24,28 @@ recipe into a construction node; any failure there is a CatalogError
 naming the component.  A Catalog, however it is built, derives every
 recipe and refuses one that fails or contradicts its stored class and
 spectrum, so every report, pair and gap rests on verified records.
-Reports print through the cohomology layer's writer (report_json and
-its markdown builder).
+Only those two read sheafcalc, and they import it when they run, so the
+slope examples load neither it nor cohomology.  Reports print through
+the spectrum layer's writer (report_json and its markdown builder).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from collections.abc import Mapping, Sequence
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .cohomology import _markdown, _spectrum_str
 from .errors import CatalogError, SheafSpectraError, VerificationError
 from .invariants import ChernClasses, _Checked, _exact, kernel_invariants
-from .sheafcalc import construction_spectrum, symbol_from_json
 from .spectrum import (
     UNBOUNDED,
     ChainUpParam,
     SpectrumWithS,
     _check_admissible,
+    _markdown,
+    _spectrum_str,
     c3_from_spectrum,
     enumerate_spectra,
     s_upper_bound,
@@ -135,6 +135,7 @@ class Catalog(_Checked, NamedTuple("Catalog", [("components", tuple)])):
                     f"{desc.moduli.as_tuple()}"
                 )
             seen.add(key)
+        from .sheafcalc import construction_spectrum  # as a catalog is built, not on import
         for desc in self.components:  # every recipe must give its stored record
             if desc.construction is None:
                 continue
@@ -206,6 +207,7 @@ def _descriptor_from_json(record: Mapping) -> ComponentDescriptor:
                              f"{'out' if construction is None else ''} a construction"
                              f" is {level!r}")
         if construction is not None:
+            from .sheafcalc import symbol_from_json
             construction = symbol_from_json(construction)
     except Exception as exc:
         raise CatalogError(f"component {name!r}: {exc}") from exc
@@ -220,6 +222,7 @@ def catalog_load(source=None) -> Catalog:
     "components" list, or a bare list of component records.
     """
     if source is None or isinstance(source, str):
+        import json
         if source is None:
             path = resources.files("sheafspectra").joinpath("data/catalog.json")
         else:

@@ -501,7 +501,7 @@ def test_table_rows_must_be_an_object(capsys, tmp_path):
 def test_json_output_builds_no_markdown(capsys, tmp_path, monkeypatch):
     # every subcommand hands _emit its renderer, so --format json calls none
     import sheafspectra
-    from sheafspectra import cli, cohomology, sheafcalc, workbench
+    from sheafspectra import cli, cohomology, sheafcalc, spectrum, workbench
 
     table = tmp_path / "t.json"
     table.write_text(table_from_spectrum(
@@ -524,7 +524,7 @@ def test_json_output_builds_no_markdown(capsys, tmp_path, monkeypatch):
         raise AssertionError("a markdown writer ran for --format json")
 
     writers = ("_markdown", "_spectrum_str", "report_markdown", "slope_examples_markdown")
-    for module in (sheafspectra, cli, cohomology, sheafcalc, workbench):
+    for module in (sheafspectra, cli, spectrum, cohomology, sheafcalc, workbench):
         for name in writers:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, writer_called)
@@ -537,7 +537,7 @@ def test_json_output_builds_no_markdown(capsys, tmp_path, monkeypatch):
 def test_markdown_output_builds_no_json_document(capsys, tmp_path, monkeypatch):
     # every subcommand hands _emit its payload builder, so --format md calls none
     import sheafspectra
-    from sheafspectra import cli, cohomology, sheafcalc, workbench
+    from sheafspectra import cli, cohomology, sheafcalc, spectrum, workbench
 
     table = tmp_path / "t.json"
     table.write_text(table_from_spectrum(
@@ -559,7 +559,7 @@ def test_markdown_output_builds_no_json_document(capsys, tmp_path, monkeypatch):
     def builder_called(*args, **kwargs):
         raise AssertionError("a JSON document was built for --format md")
 
-    for module in (sheafspectra, cli, cohomology, sheafcalc, workbench):
+    for module in (sheafspectra, cli, spectrum, cohomology, sheafcalc, workbench):
         if hasattr(module, "report_json"):
             monkeypatch.setattr(module, "report_json", builder_called)
     monkeypatch.setattr(cohomology.CohomologyTable, "to_json_dict", builder_called)

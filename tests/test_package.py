@@ -130,16 +130,6 @@ def _modules_after(code, argv=None):
     return set(_run(f"import sys; {code}; print(*sorted(sys.modules))").split())
 
 
-def _layers_after(argv, tmp_path):
-    table = sheafspectra.table_from_spectrum(sheafspectra.SpectrumWithS((-1, 0), 0),
-                                             sheafspectra.splitting_type_from_e(-1), (-8, 0))
-    (tmp_path / "table.json").write_text(table.to_json())
-    (tmp_path / "recipe.json").write_text('{"kind": "line", "a": 0}')
-    argv = [arg.replace("TMP", str(tmp_path)) for arg in argv]
-    return {name.split(".")[1] for name in _modules_after("pass", argv)
-            if name.startswith("sheafspectra.")}
-
-
 def test_root_import_loads_no_layer():
     assert [m for m in _modules_after("import sheafspectra") if "sheafspectra." in m] == []
 
@@ -152,28 +142,43 @@ def test_a_layer_read_through_the_root_loads_only_what_it_imports():
         "sheafspectra.spectrum"}
 
 
-@pytest.mark.parametrize("argv", [["chi", "--e", "-1", "--c2", "2", "--c3", "0"],
-                                  ["--version"]])
-def test_chi_and_version_load_only_invariants(argv):
-    loaded = _modules_after("pass", argv)
-    assert {m for m in loaded if m.startswith("sheafspectra")} == {
-        "sheafspectra", "sheafspectra.cli", "sheafspectra.errors", "sheafspectra.invariants"}
-    assert "json" not in loaded
+CLI_LAYERS = {"cli", "errors", "invariants"}
+SPECTRUM_LAYERS = CLI_LAYERS | {"spectrum"}
+SLOPE_LAYERS = SPECTRUM_LAYERS | {"workbench"}
+TABLE_LAYERS = SPECTRUM_LAYERS | {"cohomology"}
+ALL_LAYERS = TABLE_LAYERS | {"sheafcalc", "workbench"}
+CLASS_ARGS = ["--e", "-1", "--c2", "2", "--c3", "0"]
+TABLE_ARGS = ["--spectrum=-1,0", "--s", "0", "--e", "-1"]
+JSON_ARGS = ["--format", "json"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["enumerate", "--e", "-1", "--c2", "2", "--c3", "0"],
-    ["table", "--spectrum=-1,0", "--s", "0", "--e", "-1", "--format", "json"],
-    ["invert-table", "TMP/table.json"],
+# every subcommand, in both formats where the format changes what loads:
+# the layers under sheafspectra it loads, and whether it loads json
+@pytest.mark.parametrize("argv, layers, loads_json", [
+    pytest.param(["--version"], CLI_LAYERS, False, id="version"),
+    pytest.param(["chi", *CLASS_ARGS], CLI_LAYERS, False, id="chi"),
+    pytest.param(["enumerate", *CLASS_ARGS], SPECTRUM_LAYERS, False, id="enumerate-md"),
+    pytest.param(["enumerate", *CLASS_ARGS, *JSON_ARGS], SPECTRUM_LAYERS, True,
+                 id="enumerate-json"),
+    pytest.param(["table", *TABLE_ARGS], TABLE_LAYERS, False, id="table-md"),
+    pytest.param(["table", *TABLE_ARGS, *JSON_ARGS], TABLE_LAYERS, True, id="table-json"),
+    pytest.param(["invert-table", "TMP/table.json"], TABLE_LAYERS, True, id="invert-table"),
+    pytest.param(["splice", "--spec", "TMP/recipe.json"], TABLE_LAYERS | {"sheafcalc"}, True,
+                 id="splice"),
+    pytest.param(["report", "--moduli=-1,2,0"], ALL_LAYERS, True, id="report"),
+    pytest.param(["rao-pairs", "--moduli=0,3,0"], ALL_LAYERS, True, id="rao-pairs"),
+    pytest.param(["gap", "--moduli=-1,2,0"], ALL_LAYERS, True, id="gap"),
+    pytest.param(["check-examples"], SLOPE_LAYERS, False, id="check-examples-md"),
+    pytest.param(["check-examples", *JSON_ARGS], SLOPE_LAYERS, True, id="check-examples-json"),
 ])
-def test_spectrum_and_table_commands_load_no_construction_layer(argv, tmp_path):
-    loaded = _layers_after(argv, tmp_path)
-    assert "cohomology" in loaded and not loaded & {"sheafcalc", "workbench"}
-
-
-def test_splice_loads_no_workbench(tmp_path):
-    loaded = _layers_after(["splice", "--spec", "TMP/recipe.json"], tmp_path)
-    assert "sheafcalc" in loaded and "workbench" not in loaded
+def test_each_subcommand_loads_only_the_layers_it_runs(argv, layers, loads_json, tmp_path):
+    table = sheafspectra.table_from_spectrum(sheafspectra.SpectrumWithS((-1, 0), 0),
+                                             sheafspectra.splitting_type_from_e(-1), (-8, 0))
+    (tmp_path / "table.json").write_text(table.to_json())
+    (tmp_path / "recipe.json").write_text('{"kind": "line", "a": 0}')
+    loaded = _modules_after("pass", [arg.replace("TMP", str(tmp_path)) for arg in argv])
+    assert {m.split(".")[1] for m in loaded if m.startswith("sheafspectra.")} == layers
+    assert ("json" in loaded) == loads_json
 
 
 def test_cli_import_adds_neither_dataclasses_nor_inspect():

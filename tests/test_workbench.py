@@ -390,7 +390,6 @@ def test_descriptor_keeps_the_node_read_from_its_recipe():
 
 def test_reports_parse_no_recipe(monkeypatch):
     import sheafspectra.sheafcalc as sheafcalc
-    import sheafspectra.workbench as workbench
 
     catalog = catalog_load()
 
@@ -398,7 +397,6 @@ def test_reports_parse_no_recipe(monkeypatch):
         raise AssertionError(f"recipe parsed again: {node!r}")
 
     monkeypatch.setattr(sheafcalc, "symbol_from_json", refuse)
-    monkeypatch.setattr(workbench, "symbol_from_json", refuse)
     verified = {r["name"] for cc in (M2, M3)
                 for r in component_report(catalog, cc)["components"] if r["verified"]}
     assert verified == {"C(2)", "X(-1,1,1,1,0)", "T(-1,2,2,1)", "T(-1,2,4,2)",
@@ -431,10 +429,11 @@ KERNEL_ONTO_NEGATIVE_CUBIC = {
 
 
 def count_derivations(monkeypatch) -> list:
-    import sheafspectra.workbench as workbench
+    # a catalog imports construction_spectrum from sheafcalc as it derives
+    import sheafspectra.sheafcalc as sheafcalc
 
-    derive, calls = workbench.construction_spectrum, []
-    monkeypatch.setattr(workbench, "construction_spectrum",
+    derive, calls = sheafcalc.construction_spectrum, []
+    monkeypatch.setattr(sheafcalc, "construction_spectrum",
                         lambda node: calls.append(node) or derive(node))
     return calls
 
