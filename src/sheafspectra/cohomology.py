@@ -10,16 +10,16 @@ table_from_spectrum fills the two formula windows
 from prefix sums of the sorted spectrum (only k >= -l-1 adds to h1 and
 only k <= -l-3 to h2), each column only as long as its window, and
 spectrum_from_table inverts them: each window's column is read once as
-a list, its known run into first differences, whose own difference at
-twist l is the multiplicity of -l-1, and s is h1 right after the leading
-zero differences of h1; each regenerated window is compared with the
-column read, whole, and only one that differs is scanned for its lowest
-wrong known entry.  Unknown entries stay unknown, never conflated with
-zero.  A table read from outside (JSON, the CLI, user code) has every
-entry validated, one built from the library's own ints has not; either
-way, with a class, every fully known row is chi-checked (in a generated
-table they form one interval, which table_from_spectrum hands over).
-Tables print through the spectrum layer's writer.
+a list, its known run (the whole column when it has no None) into first
+differences, whose own difference at twist l is the multiplicity of -l-1,
+and s is h1 right after the leading zero differences of h1; each
+regenerated window is compared with the column read, whole, and only one
+that differs is scanned for its lowest wrong known entry.  Unknown
+entries stay unknown, never conflated with zero.  A table read from
+outside (JSON, the CLI, user code) is validated on one walk, which also
+collects its fully known rows; with a class, every fully known row is
+chi-checked (a generated table hands over their interval).  Tables
+print through the spectrum layer's writer.
 """
 
 from __future__ import annotations
@@ -56,11 +56,15 @@ class ValidityWindows(NamedTuple):
         return cls(h1_max=-st.a2 - 1, h2_min=st.a1 - 3)
 
 
+# the windows of the two admitted splitting types, built once
+_WINDOWS = {st: ValidityWindows.from_splitting_type(st) for st in map(SplittingType, (-1, 0), (0, 0))}
+
+
 def _table(lo: int, hi: int, rows: dict, cc, full=None) -> "CohomologyTable":
     # the one way a table is made, from rows mapping each twist of [lo, hi],
     # in ascending order, to 4 entries, each an int >= 0 or None; with a
-    # class, every fully known row is chi-checked: those of the twist range
-    # full when the caller knows it, else each row found with no None
+    # class, every fully known row is chi-checked: those of full, ascending,
+    # when the caller knows them, else each row found with no None
     if cc is not None:
         for t in [t for t, row in rows.items() if None not in row] if full is None else full:
             h0, h1, h2, h3 = rows[t]
@@ -99,19 +103,24 @@ class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
             raise TypeError(f"rows must map twists to rows, got {rows!r}")
         if cc is not None:
             _exact(cc, ChernClasses)
+        full = []  # the fully known twists, found on the one walk
         for t, row in rows.items():
             if type(t) is not int:  # True and 1.0 would pass as twist 1, "1" would not compare
                 raise ValueError(f"row key {t!r} is not an int twist")
             if not lo <= t <= hi:
                 raise ValueError(f"row at t={t} outside range [{lo}, {hi}]")
-            row = tuple(row)
+            row, known = tuple(row), True
             if len(row) != 4:
                 raise ValueError(f"row at t={t} must have 4 entries, got {row}")
             for h in row:
-                if h is not None and (type(h) is not int or h < 0):
+                if h is None:
+                    known = False
+                elif type(h) is not int or h < 0:
                     raise ValueError(f"bad entry {h!r} at t={t}")
+            if known:
+                full.append(t)
             normalized[t] = row
-        return _table(lo, hi, normalized, cc)
+        return _table(lo, hi, normalized, cc, sorted(full))
 
     def row(self, t: int) -> Row:
         if type(t) is not int:  # -2.0 and True would read rows -2 and 1; __new__ refuses such keys
@@ -172,7 +181,7 @@ def table_from_spectrum(
     cc = ChernClasses(e, m, c3_from_spectrum(e, m, sw))  # validates values and s
     lo, hi = rng
     twists = _twists(lo, hi)  # a bad range is a ValueError before any window is built
-    win, n = ValidityWindows.from_splitting_type(st), len(twists)
+    win, n = _WINDOWS[st], len(twists)
     h1, h2 = _columns(sw, win, lo, hi)
     h0, h3 = [0] * min(n, max(0, -lo)), [0] * min(n, max(0, hi + 4 + e))
     pad = [None] * n  # h0 and h1 are known on a prefix of the range, h2 and h3 on a suffix
@@ -211,9 +220,11 @@ def _run(table: CohomologyTable, i: int, need: tuple, floor: int, ceil: int):
     floor, ceil = max(floor, table.lo), min(ceil, table.hi)
     rows = islice(table.rows.values(), floor - table.lo, ceil - table.lo + 1)
     column = [*map(itemgetter(i), rows)]
-    a, b = min(need) - floor, max(need) - floor  # the run holds column[a:b+1]; None ends it
-    start = a + 1 - (column[a::-1] + [None]).index(None)
-    h = column[start:b + (column[b:] + [None]).index(None)]
+    start, h = 0, column  # a column with no None is its own run
+    if None in column:
+        a, b = min(need) - floor, max(need) - floor  # the run holds column[a:b+1]; None ends it
+        start = a + 1 - (column[a::-1] + [None]).index(None)
+        h = column[start:b + (column[b:] + [None]).index(None)]
     d, u = [*map(sub, h[1:], h)], floor + start
     if d and ((d[0] if i == 1 else -d[-1]) < 0 or d != sorted(d)):
         for k, x in enumerate(d):
@@ -243,7 +254,7 @@ def spectrum_from_table(table: CohomologyTable, st: SplittingType) -> SpectrumWi
     table carries them.
     """
     _exact(table, CohomologyTable)
-    win, a2 = ValidityWindows.from_splitting_type(_exact(st, SplittingType)), st.a2
+    win, a2 = _WINDOWS[_exact(st, SplittingType)], st.a2
 
     # --- h1 side: s and the values >= a2; d1 never decreases, so its zeros lead
     p, d1, h1 = _run(table, 1, (win.h1_max,), table.lo, win.h1_max)
@@ -325,7 +336,7 @@ def chi_consistency(
     _exact(table, CohomologyTable)
     out = []
     for t in range(max(table.lo, -3 - cc.e), min(table.hi, -1) + 1):
-        h0, h1, h2, h3 = table.row(t)
+        h0, h1, h2, h3 = table.rows[t]  # t is inside the table: the range is clamped
         if h1 is None or h2 is None:
             continue
         got = (h0 or 0) - h1 + h2 - (h3 or 0)

@@ -62,10 +62,11 @@ class ChernClasses(_Checked, NamedTuple("ChernClasses", [
     __slots__ = ()
 
     def __new__(cls, e: int, c2: int, c3: int):
-        for name, value in zip(("e", "c2", "c3"), (e, c2, c3)):
-            # bool is an int subclass and float would leak into chi
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, got {value!r}")
+        if type(e) is not int or type(c2) is not int or type(c3) is not int:
+            for name, value in zip(("e", "c2", "c3"), (e, c2, c3)):
+                # bool is an int subclass and float would leak into chi
+                if type(value) is not int:
+                    raise TypeError(f"{name} must be an int, got {value!r}")
         if e not in (-1, 0):
             raise NotNormalizedError(
                 f"first Chern class must be -1 or 0 after normalization, got {e}"

@@ -330,10 +330,12 @@ def check_slope_examples() -> dict:
     whose s exceeds the zero-dimensional bound cannot be Gieseker
     semistable.
     """
-    cases = []
+    cases, spectra = [], {}  # two examples share the kernel class (0,3,0): enumerate it once
     for label, ambient, n_points in _SLOPE_EXAMPLES:
         cc, s = kernel_invariants(ambient, n_points)
-        matches = [sw for sw in enumerate_spectra(cc) if sw.s == s]
+        if cc not in spectra:
+            spectra[cc] = enumerate_spectra(cc)
+        matches = [sw for sw in spectra[cc] if sw.s == s]
         if len(matches) != 1:
             raise VerificationError(
                 f"{label}: s = {s} matches {len(matches)} enumerated spectra, "

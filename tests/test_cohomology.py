@@ -750,3 +750,43 @@ def test_the_generator_hands_over_exactly_its_fully_known_twists(case, data):
         with pytest.raises(InconsistentTableError) as err:
             table(lo, hi, {**rows, t: (h0, h1 + 1, h2, h3)}, cc, full)
         assert str(err.value) == f"row t={t} has chi {chi}, class demands {want}"
+
+
+@settings(deadline=None, max_examples=200)
+@given(spectrum_and_range(), st.sampled_from(["shuffled", "descending"]), st.data())
+def test_the_constructor_hands_over_exactly_its_fully_known_twists(case, order, data):
+    # outside rows, with holes and in any order: the one validating walk finds
+    # the fully known twists and hands them to _table in ascending order
+    st_, sw, (lo, hi) = case
+    generated = table_from_spectrum(sw, st_, (lo, hi))
+    cc, rows = generated.cc, {t: list(row) for t, row in generated.rows.items()}
+    for t, i in data.draw(st.lists(st.tuples(st.integers(lo, hi), st.integers(0, 3)), max_size=4)):
+        rows[t][i] = None
+    twists = data.draw(st.permutations(list(rows))) if order == "shuffled" else list(rows)[::-1]
+    rows = {t: rows[t] for t in twists}
+    full = sorted(t for t, row in rows.items() if None not in row)
+
+    def build(rows):
+        document = {"range": [lo, hi], "rows": {str(t): row for t, row in rows.items()},
+                    "cc": list(cc)}
+        return [lambda: CohomologyTable(lo, hi, rows, cc),
+                lambda: CohomologyTable.from_json_dict(document)]
+
+    handed, table = [], cohomology._table
+    spy = lambda *args: handed.append(args) or table(*args)
+    with patch.object(cohomology, "_table", spy):
+        for make in build(rows):
+            make()
+    ascending = list(range(lo, hi + 1))
+    assert [(list(args[2]), list(args[4])) for args in handed] == [(ascending, full)] * 2
+    if full:
+        # a wrong chi on some fully known rows names the lowest of them, with the usual text
+        wrong = data.draw(st.lists(st.sampled_from(full), min_size=1, unique=True))
+        rows = {t: [h0, h1 + 1, h2, h3] if t in wrong else [h0, h1, h2, h3]
+                for t, (h0, h1, h2, h3) in rows.items()}
+        h0, h1, h2, h3 = rows[min(wrong)]
+        chi, want = h0 - h1 + h2 - h3, cohomology.euler_characteristic(cc, min(wrong))
+        for make in build(rows):
+            with pytest.raises(InconsistentTableError) as err:
+                make()
+            assert str(err.value) == f"row t={min(wrong)} has chi {chi}, class demands {want}"

@@ -7,6 +7,8 @@ from a second oracle kept here, the total Chern series truncated after
 t^3, which the library's chi reader (sheafcalc) is checked against.
 """
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -133,6 +135,17 @@ def test_splitting_type():
 def test_non_int_classes_rejected(args):
     with pytest.raises(TypeError):
         ChernClasses(*args)
+
+
+@pytest.mark.parametrize("bad", [True, 3.0, "3"])
+@pytest.mark.parametrize("fields", [
+    fields for r in (1, 2, 3) for fields in combinations(("e", "c2", "c3"), r)
+])
+def test_chern_classes_name_the_first_non_int_field(fields, bad):
+    args = [bad if name in fields else value for name, value in zip(("e", "c2", "c3"), (0, 3, 0))]
+    with pytest.raises(TypeError) as err:
+        ChernClasses(*args)
+    assert str(err.value) == f"{fields[0]} must be an int, got {bad!r}"
 
 
 def test_restriction_chi_counts_spectrum_length():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheafspectra import report_json
+from sheafspectra import report_json, workbench
 from sheafspectra.errors import (
     CatalogError,
     InadmissibleSpectrumError,
@@ -588,6 +588,15 @@ def test_slope_examples_report():
     assert rows[2]["spectrum"] == [-2, -1]
     assert not rows[2]["flagged"] and rows[2]["zero_dimensional_bound"] == 2
     assert rows[6]["kernel"] == [0, 3, 0] and rows[2]["kernel"] == [-1, 2, 0]
+
+
+def test_slope_examples_enumerate_each_kernel_class_once(monkeypatch):
+    # (0,3,12) onto 6 points and (0,3,10) onto 5 points share the kernel (0,3,0)
+    enumerated = []
+    spy = lambda cc: enumerated.append(cc) or enumerate_spectra(cc)
+    monkeypatch.setattr(workbench, "enumerate_spectra", spy)
+    check_slope_examples()
+    assert enumerated == [M3, M2]
 
 
 def test_slope_examples_markdown():
