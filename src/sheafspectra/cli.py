@@ -19,7 +19,8 @@ from . import __version__
 from .errors import VERIFICATION_ERRORS, SheafSpectraError
 from .invariants import ChernClasses, euler_characteristic, splitting_type_from_e
 
-# Each handler imports the layers it uses, so a process compiles only those.
+# Each handler imports the layers it uses, so a process compiles only those,
+# and a subcommand process builds only its own subparser (build_parser).
 
 __all__ = ["main"]
 
@@ -177,10 +178,17 @@ def _cmd_check_examples(args) -> int:
     return _emit(args, lambda: report, lambda: slope_examples_markdown(report))
 
 
-def build_parser() -> _Parser:
+def build_parser(command=None) -> _Parser:
+    """The root parser with every subcommand, or with only `command` if it names one."""
     parser = _Parser(prog="sheafspectra", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+
+    def add(name, help, func):
+        if command in (None, name):
+            p = sub.add_parser(name, help=help)
+            p.set_defaults(func=func)
+            return p
 
     def fmt(p):
         p.add_argument("--format", choices=("md", "json"), default="md")
@@ -198,66 +206,60 @@ def build_parser() -> _Parser:
         p.add_argument("--seh", type=_seh, default="unbounded",
                        help="chain-up threshold, an integer or 'unbounded'")
 
-    p = sub.add_parser("chi", help="Euler characteristic of a twist")
-    chern(p)
-    p.add_argument("--twist", type=_int, default=0)
-    p.set_defaults(func=_cmd_chi)
+    if p := add("chi", "Euler characteristic of a twist", _cmd_chi):
+        chern(p)
+        p.add_argument("--twist", type=_int, default=0)
 
-    p = sub.add_parser("enumerate", help="all admissible spectra for a class")
-    chern(p)
-    seh(p)
-    fmt(p)
-    p.set_defaults(func=_cmd_enumerate)
+    if p := add("enumerate", "all admissible spectra for a class", _cmd_enumerate):
+        chern(p)
+        seh(p)
+        fmt(p)
 
-    p = sub.add_parser("table", help="cohomology table of a spectrum")
-    p.add_argument("--spectrum", type=_values, required=True,
-                   help="comma-separated values, e.g. --spectrum=-1,0")
-    p.add_argument("--s", type=_int, required=True)
-    p.add_argument("--e", type=_int, required=True)
-    p.add_argument("--range", type=_twist_range, default=(-4, -1),
-                   help="twist range LO:HI, e.g. --range=-8:2")
-    fmt(p)
-    p.set_defaults(func=_cmd_table)
+    if p := add("table", "cohomology table of a spectrum", _cmd_table):
+        p.add_argument("--spectrum", type=_values, required=True,
+                       help="comma-separated values, e.g. --spectrum=-1,0")
+        p.add_argument("--s", type=_int, required=True)
+        p.add_argument("--e", type=_int, required=True)
+        p.add_argument("--range", type=_twist_range, default=(-4, -1),
+                       help="twist range LO:HI, e.g. --range=-8:2")
+        fmt(p)
 
-    p = sub.add_parser("invert-table", help="recover (spectrum, s) from a table")
-    p.add_argument("file", help="table JSON file")
-    p.add_argument("--e", type=_int, default=None,
-                   help="first Chern class if the table has none attached")
-    fmt(p)
-    p.set_defaults(func=_cmd_invert_table)
+    if p := add("invert-table", "recover (spectrum, s) from a table", _cmd_invert_table):
+        p.add_argument("file", help="table JSON file")
+        p.add_argument("--e", type=_int, default=None,
+                       help="first Chern class if the table has none attached")
+        fmt(p)
 
-    p = sub.add_parser("splice", help="solve a sequence or recipe for its table")
-    p.add_argument("--spec", required=True, help="recipe JSON file")
-    p.add_argument("--range", type=_twist_range, default=(-8, 0))
-    fmt(p)
-    p.set_defaults(func=_cmd_splice)
+    if p := add("splice", "solve a sequence or recipe for its table", _cmd_splice):
+        p.add_argument("--spec", required=True, help="recipe JSON file")
+        p.add_argument("--range", type=_twist_range, default=(-8, 0))
+        fmt(p)
 
-    p = sub.add_parser("report", help="component report for a moduli class")
-    moduli(p)
-    fmt(p)
-    p.set_defaults(func=_cmd_report)
+    if p := add("report", "component report for a moduli class", _cmd_report):
+        moduli(p)
+        fmt(p)
 
-    p = sub.add_parser("rao-pairs", help="components sharing spectrum values")
-    moduli(p)
-    fmt(p)
-    p.set_defaults(func=_cmd_rao_pairs)
+    if p := add("rao-pairs", "components sharing spectrum values", _cmd_rao_pairs):
+        moduli(p)
+        fmt(p)
 
-    p = sub.add_parser("gap", help="enumerated spectra with no known component")
-    moduli(p)
-    seh(p)
-    fmt(p)
-    p.set_defaults(func=_cmd_gap)
+    if p := add("gap", "enumerated spectra with no known component", _cmd_gap):
+        moduli(p)
+        seh(p)
+        fmt(p)
 
-    p = sub.add_parser("check-examples", help="slope-semistable bound breakers")
-    fmt(p)
-    p.set_defaults(func=_cmd_check_examples)
+    if p := add("check-examples", "slope-semistable bound breakers", _cmd_check_examples):
+        fmt(p)
 
-    return parser
+    return parser if sub.choices else build_parser()
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)  # _moduli may raise a class error
+    argv = sys.argv[1:] if argv is None else argv
+    try:  # _moduli may raise a class error
+        args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+        if extra:  # the root's error, with the usage line that lists every subcommand
+            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -151,6 +151,8 @@ class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
                     raise ValueError(f"row key {key!r} is not a decimal twist")
                 rows[t] = tuple(row)
             cc = None if data.get("cc") is None else ChernClasses(*data["cc"])
+            if stray := data.keys() - {"range", "rows", "cc"}:  # else a typo drops the class
+                raise ValueError(f"unknown field {min(stray)!r}")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed table JSON: {exc}") from exc
         return cls(lo, hi, rows, cc)

@@ -117,6 +117,11 @@ def s_upper_bound(e: int, c2: int, regime: str = "general") -> int:
 
     regime "general" covers all semistable torsion-free sheaves;
     "zero_dimensional" assumes the double-dual quotient has dimension 0.
+    There s is the quotient's length n, c3(E**) = c3(E) + 2n, and the
+    stable reflexive hull E** obeys Hartshorne's bound c3(E**) <= c3max,
+    c3max = c2^2 - c2 + 2 for e = 0 and c2^2 for e = -1 (Math. Ann. 254,
+    1980), so s <= (c3max - c3(E)) // 2.  No c3 is taken: the value is
+    c3max // 2, the bound at c3(E) = 0, and answers for that class only.
     """
     if _exact(c2) < 1:
         raise DegenerateClassError(f"bounds need c2 >= 1, got {c2}")

@@ -341,7 +341,7 @@ def check_slope_examples() -> dict:
                 f"{label}: s = {s} matches {len(matches)} enumerated spectra, "
                 "cannot pin one down"
             )
-        bound = s_upper_bound(cc.e, cc.c2, "zero_dimensional")
+        bound = s_upper_bound(cc.e, cc.c2, "zero_dimensional")  # at c3 = 0, every kernel's c3
         flagged = s > bound
         cases.append(
             {

@@ -149,6 +149,16 @@ def test_invert_table_refuses_non_canonical_row_keys(capsys, tmp_path, key, cano
     assert err.startswith("error: malformed table JSON: row key") and "Traceback" not in err
 
 
+def test_invert_table_refuses_a_misspelt_class_field(capsys, tmp_path):
+    doc = table_from_spectrum(SpectrumWithS((-1, 0), 0), splitting_type_from_e(-1),
+                              (-8, 0)).to_json_dict()
+    doc["CC"] = doc.pop("cc")
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "invert-table", str(path), "--e", "-1")
+    assert (code, out, err) == (1, "", "error: malformed table JSON: unknown field 'CC'\n")
+
+
 def test_invert_table_needs_e(capsys, tmp_path):
     table = {"range": [-4, -1], "rows": {str(t): [0, 0, 0, 0] for t in range(-4, 0)}}
     path = tmp_path / "t.json"

@@ -564,6 +564,18 @@ def test_from_json_refuses_non_canonical_row_keys(key):
         CohomologyTable.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("stray, first", [
+    ({"CC": [-1, 2, 0]}, "CC"),
+    ({"note": "", "Rows": {}}, "Rows"),
+])
+def test_from_json_refuses_a_stray_top_level_field(stray, first):
+    # a misspelt "cc" would otherwise load the table with no class and no chi check
+    doc = {"range": [-4, -1], "rows": {"-1": [0, 1, 0, 0]}, **stray}
+    with pytest.raises(ValueError) as err:
+        CohomologyTable.from_json_dict(doc)
+    assert str(err.value) == f"malformed table JSON: unknown field {first!r}"
+
+
 def test_from_json_refuses_a_row_that_is_not_a_list():
     with pytest.raises(ValueError, match=r"^malformed table JSON: "):
         CohomologyTable.from_json_dict({"range": [0, 0], "rows": {"0": 5}})

@@ -2,10 +2,11 @@
 first access, each public object under one name; the names the benchmark
 calls and the names in the README's Library table exist; importing the
 root loads no layer; and each subcommand loads only the layers it uses,
-with neither `dataclasses` nor `inspect`; the recipe kinds the README
-lists are exactly the kinds symbol_from_json reads; and every public name
-has a caller in code."""
+with neither `dataclasses` nor `inspect`, and builds only its own
+subparser; the recipe kinds the README lists are exactly the kinds
+symbol_from_json reads; and every public name has a caller in code."""
 
+import argparse
 import ast
 import importlib
 import os
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import sheafspectra
+from sheafspectra.cli import main
 
 SRC = str(Path(sheafspectra.__file__).resolve().parents[1])
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -179,6 +181,35 @@ def test_each_subcommand_loads_only_the_layers_it_runs(argv, layers, loads_json,
     loaded = _modules_after("pass", [arg.replace("TMP", str(tmp_path)) for arg in argv])
     assert {m.split(".")[1] for m in loaded if m.startswith("sheafspectra.")} == layers
     assert ("json" in loaded) == loads_json
+
+
+SUBCOMMANDS = ["chi", "enumerate", "table", "invert-table", "splice", "report", "rao-pairs",
+               "gap", "check-examples"]
+
+
+def _subparsers_built(monkeypatch, argv):
+    built, add_parser = [], argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    main(argv)
+    return built
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_a_subcommand_process_builds_only_its_own_subparser(command, monkeypatch, capsys):
+    assert _subparsers_built(monkeypatch, [command, "--help"]) == [command]
+    # the console script calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["sheafspectra", command, "--help"])
+    assert _subparsers_built(monkeypatch, None) == [command]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], [], ["bogus"]], ids=repr)
+def test_root_help_version_and_usage_errors_build_every_subparser(argv, monkeypatch, capsys):
+    assert _subparsers_built(monkeypatch, argv) == SUBCOMMANDS
 
 
 def test_cli_import_adds_neither_dataclasses_nor_inspect():
