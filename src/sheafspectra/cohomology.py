@@ -16,10 +16,10 @@ and s is h1 right after the leading zero differences of h1; each
 regenerated window is compared with the column read, whole, and only one
 that differs is scanned for its lowest wrong known entry.  Unknown
 entries stay unknown, never conflated with zero.  A table read from
-outside (JSON, the CLI, user code) is validated on one walk, which also
-collects its fully known rows; with a class, every fully known row is
-chi-checked (a generated table hands over their interval).  Tables
-print through the spectrum layer's writer.
+outside (JSON, the CLI, user code) is validated on one walk over its
+rows, which parses JSON keys and collects the fully known rows; with a
+class, every fully known row is chi-checked (each caller names them).
+Tables print through the spectrum layer's writer.
 """
 
 from __future__ import annotations
@@ -60,18 +60,50 @@ class ValidityWindows(NamedTuple):
 _WINDOWS = {st: ValidityWindows.from_splitting_type(st) for st in map(SplittingType, (-1, 0), (0, 0))}
 
 
-def _table(lo: int, hi: int, rows: dict, cc, full=None) -> "CohomologyTable":
-    # the one way a table is made, from rows mapping each twist of [lo, hi],
-    # in ascending order, to 4 entries, each an int >= 0 or None; with a
-    # class, every fully known row is chi-checked: those of full, ascending,
-    # when the caller knows them, else each row found with no None
+def _table(lo: int, hi: int, rows: dict, cc, full) -> "CohomologyTable":
+    # the one way a table is made, from rows mapping each twist of [lo, hi], ascending, to 4
+    # entries, each an int >= 0 or None; with a class, the rows of full (ascending) are chi-checked
     if cc is not None:
-        for t in [t for t, row in rows.items() if None not in row] if full is None else full:
+        for t in full:
             h0, h1, h2, h3 = rows[t]
             chi, want = h0 - h1 + h2 - h3, euler_characteristic(cc, t)
             if chi != want:
                 raise InconsistentTableError(f"row t={t} has chi {chi}, class demands {want}")
     return tuple.__new__(CohomologyTable, (lo, hi, rows, cc))
+
+
+def _read(twists: range, pairs, cc, decimal: bool = False) -> "CohomologyTable":
+    # the one validating walk of a table read from outside, over its (key, row) pairs
+    # in the caller's order, JSON keys parsed on it; the fully known twists go to _table
+    rows, full, lo, hi = dict.fromkeys(twists, (None,) * 4), [], twists.start, twists.stop - 1
+    for key, row in pairs:
+        if decimal:  # a JSON key, the canonical decimal of a twist
+            try:
+                if key != str(t := int(key)):
+                    raise ValueError(f"row key {key!r} is not a decimal twist")
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"malformed table JSON: {exc}") from exc
+        elif type(t := key) is not int:  # True and 1.0 would pass as twist 1, "1" would not compare
+            raise ValueError(f"row key {t!r} is not an int twist")
+        if not lo <= t <= hi:
+            raise ValueError(f"row at t={t} outside range [{lo}, {hi}]")
+        if type(row) is not tuple:  # refuse a mapping or a set: tuple() would read its keys
+            if type(row) is not list and not isinstance(row, tuple):  # a NamedTuple passes
+                raise ValueError(("malformed table JSON: " if decimal else "") + f"row at "
+                                 f"t={t} must be a list or tuple of 4 entries, got {row!r}")
+            row = tuple(row)
+        if len(row) != 4:
+            raise ValueError(f"row at t={t} must have 4 entries, got {row}")
+        known = True
+        for h in row:
+            if h is None:
+                known = False
+            elif type(h) is not int or h < 0:
+                raise ValueError(f"bad entry {h!r} at t={t}")
+        if known:
+            full.append(t)
+        rows[t] = row
+    return _table(lo, hi, rows, cc, sorted(full))
 
 
 def _twists(lo: int, hi: int) -> range:
@@ -98,29 +130,12 @@ class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
 
     def __new__(cls, lo: int, hi: int, rows: Mapping = {}, cc=None):
         # rows is only read (the table keeps a normalized copy), so {} is safe
-        normalized = dict.fromkeys(_twists(lo, hi), (None,) * 4)
+        twists = _twists(lo, hi)
         if not isinstance(rows, Mapping):
             raise TypeError(f"rows must map twists to rows, got {rows!r}")
         if cc is not None:
             _exact(cc, ChernClasses)
-        full = []  # the fully known twists, found on the one walk
-        for t, row in rows.items():
-            if type(t) is not int:  # True and 1.0 would pass as twist 1, "1" would not compare
-                raise ValueError(f"row key {t!r} is not an int twist")
-            if not lo <= t <= hi:
-                raise ValueError(f"row at t={t} outside range [{lo}, {hi}]")
-            row, known = tuple(row), True
-            if len(row) != 4:
-                raise ValueError(f"row at t={t} must have 4 entries, got {row}")
-            for h in row:
-                if h is None:
-                    known = False
-                elif type(h) is not int or h < 0:
-                    raise ValueError(f"bad entry {h!r} at t={t}")
-            if known:
-                full.append(t)
-            normalized[t] = row
-        return _table(lo, hi, normalized, cc, sorted(full))
+        return _read(twists, rows.items(), cc)
 
     def row(self, t: int) -> Row:
         if type(t) is not int:  # -2.0 and True would read rows -2 and 1; __new__ refuses such keys
@@ -145,17 +160,13 @@ class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
     def from_json_dict(cls, data: Mapping) -> "CohomologyTable":
         try:
             lo, hi = data["range"]
-            rows = {}
-            for key, row in data["rows"].items():
-                if key != str(t := int(key)):
-                    raise ValueError(f"row key {key!r} is not a decimal twist")
-                rows[t] = tuple(row)
+            pairs = data["rows"].items()
             cc = None if data.get("cc") is None else ChernClasses(*data["cc"])
             if stray := data.keys() - {"range", "rows", "cc"}:  # else a typo drops the class
                 raise ValueError(f"unknown field {min(stray)!r}")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed table JSON: {exc}") from exc
-        return cls(lo, hi, rows, cc)
+        return _read(_twists(lo, hi), pairs, cc, decimal=True)
 
     @classmethod
     def from_json(cls, text: str) -> "CohomologyTable":

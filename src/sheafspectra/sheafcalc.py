@@ -206,9 +206,8 @@ def splice_ses(node, rng: tuple[int, int]) -> CohomologyTable:
     Of several failing twists the lowest raises.  A monad spliced on its
     own keeps its class, which must be normalized.
     """
-    rows = _evaluate(lambda twists: _rows(node, twists), rng)  # ints >= 0 by construction
-    # each row of a top-level monad must fit its class
-    return _table(*rng, rows, node.chern() if isinstance(node, MonadShape) else None)
+    rows = _evaluate(lambda twists: _rows(node, twists), rng)  # all ints >= 0, so all checked
+    return _table(*rng, rows, node.chern() if isinstance(node, MonadShape) else None, rows)
 
 
 # ------------------------------------------------------- sequence solving
@@ -455,7 +454,7 @@ def construction_spectrum(node) -> tuple[ChernClasses, SpectrumWithS]:
     cc = _class_from_chi([h0 - h1 + h2 - h3 for h0, h1, h2, h3 in map(rows.get, range(-3, 1))])
     for t in range(-8, -3 - cc.e):  # h2 withheld below -3-e
         rows[t] = rows[t][:2] + (None, rows[t][3])
-    table = _table(-8, 0, rows, cc)
+    table = _table(-8, 0, rows, cc, range(-3 - cc.e, 1))  # the twists where h2 is kept
     sw = spectrum_from_table(table, splitting_type_from_e(cc.e))
     _check_admissible(cc.e, sw)
     return cc, sw

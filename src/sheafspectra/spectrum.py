@@ -219,9 +219,14 @@ def enumerate_spectra(
 
 def report_json(report: Mapping) -> str:
     """Byte-deterministic JSON rendering of any report dict."""
-    import json  # only a process that reads or writes a document loads it
+    global _encode
+    if _encode is None:  # built once, for the first document the process writes
+        import json  # only a process that reads or writes a document loads it
+        _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    return _encode(report)
 
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+
+_encode = None
 
 
 def _markdown(header, rows) -> str:

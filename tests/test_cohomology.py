@@ -9,6 +9,7 @@ import json
 import re
 from importlib import resources
 from itertools import accumulate
+from typing import NamedTuple
 from unittest.mock import patch
 
 import pytest
@@ -581,6 +582,28 @@ def test_from_json_refuses_a_row_that_is_not_a_list():
         CohomologyTable.from_json_dict({"range": [0, 0], "rows": {"0": 5}})
 
 
+@pytest.mark.parametrize("row", [
+    {0: 9, 1: 9, 2: 9, 3: 9}, {3, 1, 0, 2}, frozenset(), "0000", 5, None, iter([0, 0, 0, 0]),
+], ids=["mapping", "set", "frozenset", "str", "int", "none", "iterator"])
+def test_a_row_that_is_not_a_list_or_tuple_is_refused_at_both_entry_points(row):
+    # a mapping or a set used to be read as its keys, in their iteration order
+    text = f"row at t=0 must be a list or tuple of 4 entries, got {row!r}"
+    with pytest.raises(ValueError) as err:
+        CohomologyTable(0, 0, {0: row})
+    assert str(err.value) == text
+    with pytest.raises(ValueError) as err:
+        CohomologyTable.from_json_dict({"range": [0, 0], "rows": {"0": row}})
+    assert str(err.value) == f"malformed table JSON: {text}"
+
+
+def test_a_named_tuple_row_counts_as_a_tuple():
+    Row = NamedTuple("Row", [("h0", int), ("h1", int), ("h2", int), ("h3", int)])
+    table = CohomologyTable(-1, -1, {-1: Row(0, 1, 0, 0)}, ChernClasses(-1, 2, 0))
+    assert table.rows[-1] == (0, 1, 0, 0) and type(table.rows[-1]) is tuple
+    assert CohomologyTable.from_json_dict({"range": [0, 0], "rows": {"0": (0, 0, 0, 0)}}).rows == {
+        0: (0, 0, 0, 0)}
+
+
 @pytest.mark.parametrize("order", [("0", "01"), ("01", "0")])
 def test_from_json_names_the_non_canonical_key_beside_a_canonical_one(order):
     rows = dict(zip(order, ([0, 0, 0, 0], [0, 0, 0, 0])))
@@ -802,3 +825,152 @@ def test_the_constructor_hands_over_exactly_its_fully_known_twists(case, order, 
             with pytest.raises(InconsistentTableError) as err:
                 make()
             assert str(err.value) == f"row t={min(wrong)} has chi {chi}, class demands {want}"
+
+
+# --------------------------------------------------------- the JSON reader's texts
+
+def _document() -> dict:
+    # a valid document with a class: rows t = -6..2 in ascending order, the
+    # middle one t = -2, and t = -3, -2, -1 fully known
+    table = table_from_spectrum(SpectrumWithS((-1, 0, 1), 0), ST_ZERO, (-6, 2))
+    return json.loads(table.to_json())
+
+
+def _rekey(doc: dict, index: int, key: str) -> dict:
+    # a copy of the document with the key of its row at index replaced
+    rows = list(doc["rows"].items())
+    rows[index] = (key, rows[index][1])
+    return {**doc, "rows": dict(rows)}
+
+
+def _set_entry(doc: dict, t: int, value) -> dict:
+    doc["rows"][str(t)][1] = value
+    return doc
+
+
+def _shorten(doc: dict, t: int) -> dict:
+    del doc["rows"][str(t)][-1]
+    return doc
+
+
+def _without(doc: dict, field: str) -> dict:
+    return {key: value for key, value in doc.items() if key != field}
+
+
+def _single_faults():
+    for where, index, t in (("first", 0, -6), ("middle", 4, -2), ("last", 8, 2)):
+        yield f"key-x-{where}", lambda d, i=index: _rekey(d, i, "x")
+        yield f"key-zero-padded-{where}", lambda d, i=index, t=t: _rekey(
+            d, i, f"-0{-t}" if t < 0 else f"0{t}")
+        yield f"key-outside-{where}", lambda d, i=index, t=t: _rekey(
+            d, i, str(t - 9 if t < 0 else t + 9))
+        yield f"short-row-{where}", lambda d, t=t: _shorten(d, t)
+        for name, bad in (("float", 1.5), ("bool", True), ("str", "0"), ("negative", -1)):
+            yield f"entry-{name}-{where}", lambda d, t=t, bad=bad: _set_entry(d, t, bad)
+    for where, t in (("first", -3), ("middle", -2), ("last", -1)):
+        yield f"wrong-chi-{where}", lambda d, t=t: _set_entry(d, t, d["rows"][str(t)][1] + 1)
+    yield "range-missing", lambda d: _without(d, "range")
+    yield "range-three-ends", lambda d: {**d, "range": [-6, 2, 3]}
+    yield "range-float", lambda d: {**d, "range": [-6.0, 2]}
+    yield "range-bool", lambda d: {**d, "range": [-6, True]}
+    yield "range-empty", lambda d: {**d, "range": [2, -6]}
+    yield "cc-parity", lambda d: {**d, "cc": [0, 3, 1]}
+    yield "cc-short", lambda d: {**d, "cc": [0, 3]}
+    yield "cc-string", lambda d: {**d, "cc": "x"}
+    yield "stray-field", lambda d: {**d, "CC": [0, 3, 0]}
+    yield "rows-missing", lambda d: _without(d, "rows")
+    yield "rows-array", lambda d: {**d, "rows": []}
+
+
+# recorded before the reader became one walk: each single-fault document's error
+READER_TEXTS = {
+    'key-x-first': "ValueError: malformed table JSON: invalid literal for int() with base 10: 'x'",
+    'key-zero-padded-first': "ValueError: malformed table JSON: row key '-06' is not a decimal twist",
+    'key-outside-first': 'ValueError: row at t=-15 outside range [-6, 2]',
+    'short-row-first': 'ValueError: row at t=-6 must have 4 entries, got (0, 0, None)',
+    'entry-float-first': 'ValueError: bad entry 1.5 at t=-6',
+    'entry-bool-first': 'ValueError: bad entry True at t=-6',
+    'entry-str-first': "ValueError: bad entry '0' at t=-6",
+    'entry-negative-first': 'ValueError: bad entry -1 at t=-6',
+    'key-x-middle': "ValueError: malformed table JSON: invalid literal for int() with base 10: 'x'",
+    'key-zero-padded-middle': "ValueError: malformed table JSON: row key '-02' is not a decimal twist",
+    'key-outside-middle': 'ValueError: row at t=-11 outside range [-6, 2]',
+    'short-row-middle': 'ValueError: row at t=-2 must have 4 entries, got (0, 1, 1)',
+    'entry-float-middle': 'ValueError: bad entry 1.5 at t=-2',
+    'entry-bool-middle': 'ValueError: bad entry True at t=-2',
+    'entry-str-middle': "ValueError: bad entry '0' at t=-2",
+    'entry-negative-middle': 'ValueError: bad entry -1 at t=-2',
+    'key-x-last': "ValueError: malformed table JSON: invalid literal for int() with base 10: 'x'",
+    'key-zero-padded-last': "ValueError: malformed table JSON: row key '02' is not a decimal twist",
+    'key-outside-last': 'ValueError: row at t=11 outside range [-6, 2]',
+    'short-row-last': 'ValueError: row at t=2 must have 4 entries, got (None, None, 0)',
+    'entry-float-last': 'ValueError: bad entry 1.5 at t=2',
+    'entry-bool-last': 'ValueError: bad entry True at t=2',
+    'entry-str-last': "ValueError: bad entry '0' at t=2",
+    'entry-negative-last': 'ValueError: bad entry -1 at t=2',
+    'wrong-chi-first': 'InconsistentTableError: row t=-3 has chi 2, class demands 3',
+    'wrong-chi-middle': 'InconsistentTableError: row t=-2 has chi -1, class demands 0',
+    'wrong-chi-last': 'InconsistentTableError: row t=-1 has chi -4, class demands -3',
+    'range-missing': "ValueError: malformed table JSON: 'range'",
+    'range-three-ends': 'ValueError: malformed table JSON: too many values to unpack (expected 2)',
+    'range-float': 'ValueError: bad twist range [-6.0, 2]',
+    'range-bool': 'ValueError: bad twist range [-6, True]',
+    'range-empty': 'ValueError: empty twist range [2, -6]',
+    'cc-parity': 'ParityError: c3 must be even when e = 0, got c3 = 1',
+    'cc-short': "ValueError: malformed table JSON: ChernClasses.__new__() missing 1 required "
+                "positional argument: 'c3'",
+    'cc-string': "ValueError: malformed table JSON: ChernClasses.__new__() missing 2 required "
+                 "positional arguments: 'c2' and 'c3'",
+    'stray-field': "ValueError: malformed table JSON: unknown field 'CC'",
+    'rows-missing': "ValueError: malformed table JSON: 'rows'",
+    'rows-array': "ValueError: malformed table JSON: 'list' object has no attribute 'items'",
+}
+
+
+@pytest.mark.parametrize("fault", list(_single_faults()), ids=lambda fault: fault[0])
+def test_the_json_reader_names_each_single_fault_with_its_text(fault):
+    name, mutate = fault
+    doc = mutate(_document())
+    for read in (CohomologyTable.from_json_dict,
+                 lambda doc: CohomologyTable.from_json(json.dumps(doc))):
+        with pytest.raises(Exception) as err:
+            read(doc)
+        assert f"{type(err.value).__name__}: {err.value}" == READER_TEXTS[name]
+
+
+@pytest.mark.parametrize("rows, text", [
+    # an entry fault before a key fault: the first faulty row in document order
+    ({"-6": [0, 1.5, None, None], "x": [0, 0, None, None]}, "bad entry 1.5 at t=-6"),
+    ({"-6": [0, 0, None], "-05": [0, 0, None, None]},
+     "row at t=-6 must have 4 entries, got (0, 0, None)"),
+    ({"9": [0, 0, 0, 0], "x": [0, 0, None, None]}, "row at t=9 outside range [-6, 2]"),
+    # a key fault before an entry fault, as before
+    ({"x": [0, 0, None, None], "-5": [0, -1, None, None]},
+     "malformed table JSON: invalid literal for int() with base 10: 'x'"),
+    ({"-06": [0, 0, None, None], "-5": [0, 0, None]},
+     "malformed table JSON: row key '-06' is not a decimal twist"),
+])
+def test_the_json_reader_names_the_first_faulty_row_in_document_order(rows, text):
+    # before the one walk, every key fault in the document came before every entry fault
+    with pytest.raises(ValueError) as err:
+        CohomologyTable.from_json_dict({"range": [-6, 2], "rows": rows})
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("fields, text", [
+    ({"CC": [0, 3, 0]}, "malformed table JSON: unknown field 'CC'"),
+    ({"cc": [0, 3]}, "malformed table JSON: ChernClasses.__new__() missing 1 required "
+                     "positional argument: 'c3'"),
+    ({"range": [2, -6]}, "empty twist range [2, -6]"),
+    ({"range": [-6, 2.0]}, "bad twist range [-6, 2.0]"),
+])
+@pytest.mark.parametrize("row", [("x", [0, 0, None, None]), ("-06", [0, 0, None, None]),
+                                 ("-6", 5), ("-6", [0, 1.5, None, None])],
+                         ids=["key", "padded-key", "not-an-array", "entry"])
+def test_a_document_fault_is_named_before_any_row_fault(fields, text, row):
+    # before the one walk, a key fault or a row that is not an array came before
+    # a bad class, a stray field or a bad range
+    doc = {"range": [-6, 2], "rows": dict([row]), **fields}
+    with pytest.raises(ValueError) as err:
+        CohomologyTable.from_json_dict(doc)
+    assert str(err.value) == text

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sheafspectra import sheafcalc
 from sheafspectra.cohomology import CohomologyTable
 from sheafspectra.errors import (
     AmbiguousCurveModuleError,
@@ -1148,3 +1149,27 @@ def test_the_solver_matches_the_per_twist_reference_on_any_rows(slot, maximal, a
             break
     got, got_err = sheafcalc._solve(slot, [a, b], maximal)
     assert (got, described(got_err)) == (rows, described(err))
+
+
+def _chi_checked(make):
+    # the twists whose rows _table chi-checks on each call make causes, and
+    # those the rows themselves show fully known (what it checked when it scanned)
+    calls, table = [], sheafcalc._table
+    spy = lambda *args: calls.append(args) or table(*args)
+    with mock.patch.object(sheafcalc, "_table", spy):
+        outcome(make)
+    return [(list(full), [t for t, row in rows.items() if None not in row])
+            for lo, hi, rows, cc, full in calls if cc is not None]
+
+
+@pytest.mark.parametrize("node,moduli", bundled_recipes())
+def test_a_derived_recipe_chi_checks_exactly_its_fully_known_rows(node, moduli):
+    (named, known), = _chi_checked(lambda: construction_spectrum(node))
+    assert named == known
+
+
+@given(normalised_monads(), st.sampled_from([(-8, 0), (-3, -1), (-5, 3)]))
+@settings(max_examples=60, deadline=None)
+def test_a_spliced_monad_chi_checks_every_row(shape, rng):
+    for named, known in _chi_checked(lambda: splice_ses(shape, rng)):
+        assert named == known == list(range(rng[0], rng[1] + 1))

@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sheafspectra import spectrum
 from sheafspectra.cohomology import table_from_spectrum
 from sheafspectra.errors import (
     DegenerateClassError,
@@ -581,3 +582,29 @@ def test_s_must_be_a_nonnegative_int(s):
         c3_from_spectrum(-1, 2, sw)
     with pytest.raises(InadmissibleSpectrumError):
         table_from_spectrum(sw, ST_MINUS, (-4, -1))
+
+
+@pytest.mark.parametrize("report", [
+    {"b": [1, None, -2], "a": {"z": 1.5, "y": "é"}, "c": True},
+    table_from_spectrum(SpectrumWithS((-2, -1), 2), SplittingType(-1, 0), (-5, 1)).to_json_dict(),
+    [], {}, "text", 0,
+])
+def test_report_json_renders_as_json_dumps_did(report):
+    import json
+
+    assert spectrum.report_json(report) == json.dumps(report, sort_keys=True,
+                                                      separators=(",", ":"))
+
+
+def test_report_json_builds_its_encoder_once_and_refuses_a_cycle(monkeypatch):
+    import json
+
+    built, encoder = [], json.JSONEncoder
+    monkeypatch.setattr(spectrum, "_encode", None)
+    monkeypatch.setattr(json, "JSONEncoder", lambda **kw: built.append(kw) or encoder(**kw))
+    cyclic = {"a": []}
+    cyclic["a"].append(cyclic)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        spectrum.report_json(cyclic)
+    assert spectrum.report_json({"b": 1, "a": [2]}) == '{"a":[2],"b":1}'
+    assert built == [{"sort_keys": True, "separators": (",", ":")}]
