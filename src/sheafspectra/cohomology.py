@@ -30,8 +30,8 @@ from itertools import accumulate, islice
 from operator import itemgetter, sub
 from typing import NamedTuple
 
-from .errors import InconsistentTableError, RangeInsufficientError
-from .invariants import ChernClasses, SplittingType, _Checked, _exact, euler_characteristic
+from .errors import InconsistentTableError, NotNormalizedError, ParityError, RangeInsufficientError
+from .invariants import ChernClasses, SplittingType, _array, _Checked, _exact, euler_characteristic
 from .spectrum import SpectrumWithS, _markdown, c3_from_spectrum, report_json
 
 __all__ = [
@@ -159,12 +159,13 @@ class CohomologyTable(_Checked, NamedTuple("CohomologyTable", [
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "CohomologyTable":
         try:
-            lo, hi = data["range"]
+            lo, hi = _array(data["range"], "range")
             pairs = data["rows"].items()
-            cc = None if data.get("cc") is None else ChernClasses(*data["cc"])
+            cc = None if data.get("cc") is None else ChernClasses(*_array(data["cc"], "cc"))
             if stray := data.keys() - {"range", "rows", "cc"}:  # else a typo drops the class
                 raise ValueError(f"unknown field {min(stray)!r}")
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError,
+                NotNormalizedError, ParityError) as exc:  # the class's own faults too
             raise ValueError(f"malformed table JSON: {exc}") from exc
         return _read(_twists(lo, hi), pairs, cc, decimal=True)
 

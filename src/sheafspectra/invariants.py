@@ -38,6 +38,13 @@ def _exact(value, kind: type = int):
     return value
 
 
+def _array(value, field: str):
+    # a list or tuple only: tuple() and * would read a mapping's or a set's keys
+    if type(value) is not list and not isinstance(value, tuple):
+        raise ValueError(f"{field} must be a list or tuple, got {value!r}")
+    return value
+
+
 class _Checked:
     # for a NamedTuple that validates in __new__: NamedTuple's own _make, and
     # _replace through it, call tuple.__new__ and would skip the checks

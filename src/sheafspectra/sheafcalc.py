@@ -12,10 +12,10 @@ kinds without a node class of their own into the nodes they denote: a
 rational curve as a genus-0 curve module, an ideal of a curve as the
 kernel of O ->> O_C and a quotient as the kernel of ambient ->> quotient.
 splice_ses evaluates any node over a twist range, each node once for
-the whole range; a line bundle's column is its cubic chi computed in
-place, and the line bundles of a sum, or of a monad's degree list, are
-one column that computes each distinct degree once and multiplies it by
-its count.  A sequence's unknown column is solved in one pass, by one closed
+the whole range; a line bundle, the line bundles of a sum and a monad's
+degree list are each one column that computes each distinct degree's
+cubic chi once and multiplies it by its count.  A sequence's unknown
+column is solved in one pass, by one closed
 form for every unknown slot (see "sequence solving" below) read off its
 twelve-term cohomology sequence under the generic maximal-rank policy:
 every free connecting or interior map takes the largest rank its source
@@ -58,7 +58,7 @@ from .errors import (
     RankMismatchError,
     SequenceInfeasibleError,
 )
-from .invariants import ChernClasses, _Checked, _exact, splitting_type_from_e
+from .invariants import ChernClasses, _array, _Checked, _exact, splitting_type_from_e
 from .spectrum import SpectrumWithS, _check_admissible
 
 __all__ = [
@@ -135,7 +135,7 @@ class Twist(_Checked, NamedTuple("Twist", [("of", object), ("n", int)])):
 def _lines(degrees, twists: range) -> list:
     """Rows of the sum of O(d) over degrees, each distinct degree's column computed once."""
     out = None
-    for d in dict.fromkeys(degrees):  # chi(n O(d)) = n C(d + 3, 3), one-sided as for one O(d)
+    for d in dict.fromkeys(degrees):  # chi(n O(d)) = n C(d + 3, 3), all h0 or all h3
         n = degrees.count(d)
         rows = [(c, 0, 0, 0) if c >= 0 else (0, 0, 0, -c)
                 for x in range(d + twists.start, d + twists.stop)
@@ -148,10 +148,8 @@ def _lines(degrees, twists: range) -> list:
 
 def _rows(node, twists: range) -> tuple[list, Exception | None]:
     """Rows of a node up to the lowest failing twist, with the error that twist raises first."""
-    if isinstance(node, LineBundle):  # chi(O(d)) = C(d + 3, 3): > 0 for d >= 0, < 0 for d <= -4
-        return [(c, 0, 0, 0) if c >= 0 else (0, 0, 0, -c)
-                for d in range(node.a + twists.start, node.a + twists.stop)
-                for c in [(d + 1) * (d + 2) * (d + 3) // 6]], None
+    if isinstance(node, LineBundle):  # a lone line bundle is a one-term sum
+        return _lines((node.a,), twists), None
     if isinstance(node, DirectSum):
         # the line bundles add up to one column, which never fails
         degrees, columns = [], []
@@ -411,8 +409,10 @@ def symbol_from_json(node: Mapping):
             if unknown not in _SLOTS or unknown in slots:
                 raise CatalogError(f"recipe must leave exactly the slot {unknown!r} empty")
             return ShortExactSequenceSpec(**slots)
-        if kind == "monad":
-            return MonadShape(node["a"], node["b"], node["c"])
+        if kind == "monad":  # each degree list an array: a mapping or a set gives its keys
+            return MonadShape(_array(node["a"], "monad field 'a'"),
+                              _array(node["b"], "monad field 'b'"),
+                              _array(node["c"], "monad field 'c'"))
         if kind == "quotient":
             return _quotient(
                 symbol_from_json(node["ambient"]), symbol_from_json(node["quotient"])
@@ -456,5 +456,5 @@ def construction_spectrum(node) -> tuple[ChernClasses, SpectrumWithS]:
         rows[t] = rows[t][:2] + (None, rows[t][3])
     table = _table(-8, 0, rows, cc, range(-3 - cc.e, 1))  # the twists where h2 is kept
     sw = spectrum_from_table(table, splitting_type_from_e(cc.e))
-    _check_admissible(cc.e, sw)
+    _check_admissible(cc, sw)
     return cc, sw

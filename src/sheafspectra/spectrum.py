@@ -12,6 +12,9 @@ which make s determined by the class and the spectrum.  The chain rules
 (an entry k <= a1 - 1 forces all of [k, -1]; under a threshold s_eh,
 k > a2 + 1 with #{i : k_i >= k} > s_eh forces all of [a2 + 1, k]) cap
 each step of enumerate_spectra's walk, so its cost is about its output.
+A spectrum from outside the walk (a catalog record's, a recipe's answer)
+passes one gate, _check_admissible: the c3 identity of its class, the
+chain-down rule and the general bound on s.
 
 This is also the lowest layer that prints (the enumerate subcommand
 prints spectra), so the one writer lives here: report_json renders every
@@ -25,13 +28,7 @@ from collections.abc import Mapping
 from typing import Iterable, NamedTuple
 
 from .errors import DegenerateClassError, InadmissibleSpectrumError
-from .invariants import (
-    ChernClasses,
-    SplittingType,
-    _Checked,
-    _exact,
-    splitting_type_from_e,
-)
+from .invariants import ChernClasses, _Checked, _exact, splitting_type_from_e
 
 __all__ = [
     "SpectrumWithS",
@@ -39,7 +36,6 @@ __all__ = [
     "UNBOUNDED",
     "validate_spectrum",
     "c3_from_spectrum",
-    "validate_chain_down",
     "s_upper_bound",
     "enumerate_spectra",
     "report_json",
@@ -97,21 +93,6 @@ def c3_from_spectrum(e: int, c2: int, sw: SpectrumWithS) -> int:
     return -2 * sum(spec) + e * c2 - 2 * sw.s
 
 
-def validate_chain_down(
-    values: Iterable[int], st: SplittingType
-) -> list[tuple[int, int]]:
-    """Descending chain rule violations.
-
-    Any entry k <= a1 - 1 forces every integer of [k, -1] to appear.
-    Returns (trigger, missing) pairs; the spectrum is admissible on this
-    rule iff the list is empty.
-    """
-    _exact(st, SplittingType)
-    present = set(validate_spectrum(values))
-    triggers = sorted(k for k in present if k <= st.a1 - 1)
-    return [(k, kp) for k in triggers for kp in range(k, 0) if kp not in present]
-
-
 def s_upper_bound(e: int, c2: int, regime: str = "general") -> int:
     """Closed-form upper bounds for s.
 
@@ -133,14 +114,21 @@ def s_upper_bound(e: int, c2: int, regime: str = "general") -> int:
     if regime == "zero_dimensional":
         if e == 0:
             return (c2 * c2 - c2 + 2) // 2
-        return c2 * c2 // 2 if c2 % 2 == 0 else (c2 * c2 - 1) // 2
+        return c2 * c2 // 2
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def _check_admissible(e: int, sw: SpectrumWithS) -> None:
-    # the rules a recipe's answer and a catalog record's spectrum must meet
-    if (validate_chain_down(sw.values, splitting_type_from_e(e))
-            or sw.s > s_upper_bound(e, len(sw.values))):
+def _check_admissible(cc: ChernClasses, sw: SpectrumWithS) -> None:
+    # the one gate for a spectrum from outside the walk, a catalog record's or a
+    # recipe's answer: the c3 identity of its class, the chain-down rule, the bound on s
+    c3 = c3_from_spectrum(cc.e, cc.c2, sw)  # validates the values, their count, s and e
+    if c3 != cc.c3:
+        raise InadmissibleSpectrumError(f"spectrum and s give c3 = {c3}, moduli say {cc.c3}")
+    # a least entry k below a1 = e brings all of [k, -1], inside which lies every
+    # other trigger's run; the values below 0 are then exactly -k distinct ones
+    k = sw.values[0]
+    if (k < cc.e and len({v for v in sw.values if v < 0}) != -k
+            or sw.s > s_upper_bound(cc.e, cc.c2)):
         raise InadmissibleSpectrumError(
             f"spectrum {sw.values}, s={sw.s} breaks the chain-down rule or the bound on s"
         )

@@ -875,6 +875,7 @@ def _single_faults():
     yield "range-bool", lambda d: {**d, "range": [-6, True]}
     yield "range-empty", lambda d: {**d, "range": [2, -6]}
     yield "cc-parity", lambda d: {**d, "cc": [0, 3, 1]}
+    yield "cc-e-1", lambda d: {**d, "cc": [1, 3, 0]}
     yield "cc-short", lambda d: {**d, "cc": [0, 3]}
     yield "cc-string", lambda d: {**d, "cc": "x"}
     yield "stray-field", lambda d: {**d, "CC": [0, 3, 0]}
@@ -916,11 +917,13 @@ READER_TEXTS = {
     'range-float': 'ValueError: bad twist range [-6.0, 2]',
     'range-bool': 'ValueError: bad twist range [-6, True]',
     'range-empty': 'ValueError: empty twist range [2, -6]',
-    'cc-parity': 'ParityError: c3 must be even when e = 0, got c3 = 1',
+    # declared: a class fault now gets the prefix too, and cc must be an array
+    'cc-parity': 'ValueError: malformed table JSON: c3 must be even when e = 0, got c3 = 1',
+    'cc-e-1': 'ValueError: malformed table JSON: first Chern class must be -1 or 0 after '
+              'normalization, got 1',
     'cc-short': "ValueError: malformed table JSON: ChernClasses.__new__() missing 1 required "
                 "positional argument: 'c3'",
-    'cc-string': "ValueError: malformed table JSON: ChernClasses.__new__() missing 2 required "
-                 "positional arguments: 'c2' and 'c3'",
+    'cc-string': "ValueError: malformed table JSON: cc must be a list or tuple, got 'x'",
     'stray-field': "ValueError: malformed table JSON: unknown field 'CC'",
     'rows-missing': "ValueError: malformed table JSON: 'rows'",
     'rows-array': "ValueError: malformed table JSON: 'list' object has no attribute 'items'",
@@ -936,6 +939,26 @@ def test_the_json_reader_names_each_single_fault_with_its_text(fault):
         with pytest.raises(Exception) as err:
             read(doc)
         assert f"{type(err.value).__name__}: {err.value}" == READER_TEXTS[name]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("range", {-4: 0, -1: 0}), ("range", {-4, -1}), ("cc", {-1: 0, 2: 0, 0: 0}), ("cc", {-1, 2, 0}),
+], ids=["range-mapping", "range-set", "cc-mapping", "cc-set"])
+def test_the_json_reader_refuses_a_mapping_or_a_set_where_an_array_belongs(field, value):
+    # unpacked, each would give its keys: the range [-4, -1] or the class (-1, 2, 0)
+    doc = {"range": [-4, -1], "rows": {}, field: value}
+    with pytest.raises(ValueError) as err:
+        CohomologyTable.from_json_dict(doc)
+    assert str(err.value) == f"malformed table JSON: {field} must be a list or tuple, got {value!r}"
+    arrays = {"range": (-4, -1), "cc": (-1, 2, 0)}  # a tuple passes, as a list does
+    assert CohomologyTable.from_json_dict({**doc, field: arrays[field]}).lo == -4
+
+
+@pytest.mark.parametrize("t", [-5, 0])
+def test_a_row_outside_the_range_is_refused(t):
+    with pytest.raises(RangeInsufficientError) as err:
+        CohomologyTable(-4, -1).row(t)
+    assert str(err.value) == f"table covers [-4, -1], has no row at t={t}"
 
 
 @pytest.mark.parametrize("rows, text", [

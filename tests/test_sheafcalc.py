@@ -654,6 +654,19 @@ def test_symbol_json_refuses_coercion(node):
         symbol_from_json(node)
 
 
+@pytest.mark.parametrize("field, value", [("a", {-2: 0}), ("b", {-1, 0, 1})],
+                         ids=["a-mapping", "b-set"])
+def test_a_monad_degree_list_must_be_an_array(field, value):
+    # read as its keys, {-2: 0} was the list [-2], and a set came in hash order
+    node = {**EIN_MONAD, field: value}
+    with pytest.raises(CatalogError) as err:
+        symbol_from_json(node)
+    assert str(err.value) == (f"malformed symbol node {node!r}: monad field {field!r} "
+                              f"must be a list or tuple, got {value!r}")
+    # a tuple is an array, as a list is
+    assert symbol_from_json({**EIN_MONAD, field: tuple(EIN_MONAD[field])}) == EIN_NODE
+
+
 def test_non_generic_curve_recipe_is_refused():
     # degree 0 on a genus-1 curve at t = -2 lies in the special strip
     node = {

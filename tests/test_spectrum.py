@@ -29,7 +29,6 @@ from sheafspectra.spectrum import (
     c3_from_spectrum,
     enumerate_spectra,
     s_upper_bound,
-    validate_chain_down,
     validate_spectrum,
 )
 from test_sheafcalc import outcome
@@ -109,13 +108,52 @@ def test_sum_via_chi_frozen():
     assert sum_via_chi(ChernClasses(0, 1, 0), 0) == 0
 
 
+def validate_chain_down(values, st):
+    """Descending chain rule violations.
+
+    Any entry k <= a1 - 1 forces every integer of [k, -1] to appear.
+    Returns (trigger, missing) pairs; the spectrum is admissible on this
+    rule iff the list is empty.  The reference for the cap that
+    enumerate_spectra puts on each step of its walk, and for the
+    admissibility gate, which reads the rule off the least entry.
+    """
+    present = set(validate_spectrum(values))
+    triggers = sorted(k for k in present if k <= st.a1 - 1)
+    return [(k, kp) for k in triggers for kp in range(k, 0) if kp not in present]
+
+
+def gate(cc, sw):
+    """The admissibility gate's verdict: None, or its error class and text."""
+    return outcome(spectrum._check_admissible, cc, sw)
+
+
+def gate_at_s0(e, values):
+    # the gate on values at s = 0, in the class the c3 identity gives them
+    sw = SpectrumWithS(values, 0)
+    return gate(ChernClasses(e, len(values), c3_from_spectrum(e, len(values), sw)), sw)
+
+
 def test_chain_down():
-    assert validate_chain_down((-2, -1), ST_MINUS) == []
-    assert validate_chain_down((-2, -2), ST_MINUS) == [(-2, -1)]
-    assert validate_chain_down((0, 0, 0), ST_ZERO) == []
+    breaks = lambda values: (InadmissibleSpectrumError, f"spectrum {values}, s=0 breaks "
+                             "the chain-down rule or the bound on s")
+    assert gate_at_s0(-1, (-2, -1)) is None
+    assert gate_at_s0(-1, (-2, -2)) == breaks((-2, -2))
+    assert gate_at_s0(0, (0, 0, 0)) is None
     # e = 0 triggers already at -1; e = -1 does not
-    assert validate_chain_down((-2, 0), ST_ZERO) == [(-2, -1)]
-    assert validate_chain_down((-1, 0), ST_MINUS) == []
+    assert gate_at_s0(0, (-2, 0)) == breaks((-2, 0))
+    assert gate_at_s0(-1, (-1, 0)) is None
+
+
+def test_the_gate_checks_the_c3_identity_first():
+    # the class decides before the rules: the count, then c3, then chain-down
+    sw = SpectrumWithS((-2, -2), 9)
+    assert gate(ChernClasses(-1, 3, 1), sw) == (
+        InadmissibleSpectrumError, "spectrum has 2 entries, expected m = c2 = 3")
+    assert gate(ChernClasses(-1, 2, 0), sw) == (
+        InadmissibleSpectrumError, "spectrum and s give c3 = -12, moduli say 0")
+    assert gate(ChernClasses(-1, 2, -12), sw) == (
+        InadmissibleSpectrumError,
+        "spectrum (-2, -2), s=9 breaks the chain-down rule or the bound on s")
 
 
 def validate_chain_up(values, st, p=UNBOUNDED):
@@ -329,10 +367,9 @@ def test_a_walk_past_the_recursion_limit_names_c2_and_its_depth():
     (lambda: enumerate_spectra((0, 3, 0)), "expected ChernClasses, got (0, 3, 0)"),
     (lambda: enumerate_spectra(ChernClasses(0, 3, 0), (1,)), "expected ChainUpParam, got (1,)"),
     (lambda: kernel_invariants((0, 3, 12), 6), "expected ChernClasses, got (0, 3, 12)"),
-    (lambda: validate_chain_down((-1, 0), (0, 0)), "expected SplittingType, got (0, 0)"),
     (lambda: c3_from_spectrum(-1, 2, ((-1, 0), 0)), "expected SpectrumWithS, got ((-1, 0), 0)"),
 ], ids=["param-None", "param-int", "class-tuple", "param-tuple", "kernel-class-tuple",
-        "chain-down-tuple", "c3-spectrum-tuple"])
+        "c3-spectrum-tuple"])
 def test_wrong_types_are_refused_at_entry(call, text):
     # each gave a bare AttributeError, a wrong param only after walking the whole class
     with pytest.raises(TypeError) as info:
@@ -440,7 +477,8 @@ def _reference_enumerate(cc, p=UNBOUNDED):
 
 @functools.cache
 def _reference_chain_down(cc):
-    # the search and the chain-down check, once per class for every threshold
+    # the search and the chain-down check, once per class for every threshold;
+    # the admissibility gate must decide every candidate as the filter does
     m = cc.c2
     st_ = SplittingType(-1, 0) if cc.e == -1 else SplittingType(0, 0)
     sum_min, sum_max = _sum_window(cc.e, m, cc.c3)
@@ -451,8 +489,11 @@ def _reference_chain_down(cc):
         depth = len(prefix)
         if depth == m:
             values = tuple(prefix)
-            if sum_min <= total <= sum_max and not validate_chain_down(values, st_):
-                results.append(SpectrumWithS(values, sum_max - total))
+            sw = SpectrumWithS(values, sum_max - total)  # s read off the c3 identity
+            kept = sum_min <= total <= sum_max and not validate_chain_down(values, st_)
+            assert (gate(cc, sw) is None) == kept, (cc, sw, gate(cc, sw))
+            if kept:
+                results.append(sw)
             return
         remaining = m - depth
         for v in range(prefix[-1] if prefix else lo, hi + 1):

@@ -58,6 +58,20 @@ def test_empty_catalog():
     assert catalog_load({"components": []}).components == ()
 
 
+@pytest.mark.parametrize("source, text", [
+    ({}, 'catalog document needs a "components" list'),
+    ({"components": 5}, 'catalog document needs a "components" list'),
+    (5, "cannot load a catalog from int"),
+    ([5], "component record must be an object, got 5"),
+    ([{"name": ""}], "component without a usable name: {'name': ''}"),
+    ([{"name": 5}], "component without a usable name: {'name': 5}"),
+], ids=["no-components", "components-int", "int", "record-int", "name-empty", "name-int"])
+def test_a_catalog_that_is_not_a_list_of_named_records_is_refused(source, text):
+    with pytest.raises(CatalogError) as err:
+        catalog_load(source)
+    assert str(err.value) == text
+
+
 def test_catalog_from_file(tmp_path):
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps({"components": bundled_records()[:4]}))
@@ -135,6 +149,9 @@ def test_a_misspelt_field_is_refused_named():
         ([-1, 2, 0], [-2, 0], 1),  # -2 without -1 breaks the chain-down rule
         ([0, 1, -4], [0], 2),  # s above the general bound 1 for c2 = 1
         ([0, 1, 2], [-3], 2),  # both
+        # a deep entry is refused off the count of its negative values: the pair
+        # list of the retired validate_chain_down walked all of [k, -1]
+        ([0, 1, 2 * 10**9], [-10**9], 0),
     ],
 )
 def test_an_inadmissible_spectrum_is_refused_at_load(moduli, spectrum, s):
@@ -146,6 +163,27 @@ def test_an_inadmissible_spectrum_is_refused_at_load(moduli, spectrum, s):
         f"component 'N': spectrum {tuple(spectrum)}, s={s} "
         "breaks the chain-down rule or the bound on s"
     )
+
+
+@pytest.mark.parametrize("field, value", [
+    ("moduli", {-1: 0, 2: 0, 0: 0}), ("spectrum", {-1: 0, 0: 0}), ("spectrum", {-1, 0}),
+], ids=["moduli-mapping", "spectrum-mapping", "spectrum-set"])
+def test_a_record_refuses_a_mapping_or_a_set_where_an_array_belongs(field, value):
+    # read as its keys, a mapping gave the class (-1, 2, 0) and the spectrum (-1, 0): C(2)
+    record = {**bundled_records()[0], field: value}
+    with pytest.raises(CatalogError) as err:
+        catalog_load([record])
+    assert str(err.value) == f"component 'C(2)': {field} must be a list or tuple, got {value!r}"
+
+
+def test_a_t_record_whose_params_move_its_class_is_refused():
+    # m enters c3 = m - 2s but not the dimension 8n - 3 + 2e + 4s
+    record = bundled_record("T(-1,2,2,1)")
+    record["params"] = {**record["params"], "m": 4}
+    with pytest.raises(CatalogError) as err:
+        catalog_load([record])
+    assert str(err.value) == (
+        "component 'T(-1,2,2,1)': closed-form moduli (-1, 2, 2) != stored (-1, 2, 0)")
 
 
 def test_duplicate_names_rejected():
