@@ -13,9 +13,9 @@ rational curve as a genus-0 curve module, an ideal of a curve as the
 kernel of O ->> O_C and a quotient as the kernel of ambient ->> quotient.
 splice_ses evaluates any node over a twist range, each node once for
 the whole range; a line bundle, the line bundles of a sum and a monad's
-degree list are each one column that computes each distinct degree's
-cubic chi once and multiplies it by its count.  A sequence's unknown
-column is solved in one pass, by one closed
+degree list are each one column: the first degree's rows, each further
+distinct degree's cubic chi times its count folded into them in one
+pass.  A sequence's unknown column is solved in one pass, by one closed
 form for every unknown slot (see "sequence solving" below) read off its
 twelve-term cohomology sequence under the generic maximal-rank policy:
 every free connecting or interior map takes the largest rank its source
@@ -34,8 +34,8 @@ A class has one reader, from chi at the twists -3..0: chi of every node
 is a cubic in t whose third difference is the rank, so a recipe of any
 rank but 2 is refused by name, and only a rank-2 one is told its
 normalizing twist or given (e, c2, c3).  MonadShape.chern reads a
-monad's chi as a signed sum of line-bundle cubics; the pipeline reads
-the chi of the rows it evaluates.
+monad's chi off four power sums of its degrees (b counted +1, a and c
+-1); the pipeline reads the chi of the rows it evaluates.
 
 construction_spectrum runs the full pipeline from a node to its class
 and spectrum: the rows and the spectrum must fit the class read from
@@ -90,6 +90,8 @@ class DirectSum(_Checked, NamedTuple("DirectSum", [("terms", tuple)])):
     __slots__ = ()
 
     def __new__(cls, terms):
+        if isinstance(terms, (dict, set, frozenset)):  # tuple() would take its keys
+            raise TypeError(f"sum terms must be a sequence or an iterator, got {terms!r}")
         return tuple.__new__(cls, (tuple(terms),))
 
 
@@ -133,17 +135,19 @@ class Twist(_Checked, NamedTuple("Twist", [("of", object), ("n", int)])):
 
 
 def _lines(degrees, twists: range) -> list:
-    """Rows of the sum of O(d) over degrees, each distinct degree's column computed once."""
-    out = None
-    for d in dict.fromkeys(degrees):  # chi(n O(d)) = n C(d + 3, 3), all h0 or all h3
-        n = degrees.count(d)
-        rows = [(c, 0, 0, 0) if c >= 0 else (0, 0, 0, -c)
-                for x in range(d + twists.start, d + twists.stop)
-                for c in [n * (x + 1) * (x + 2) * (x + 3) // 6]]
-        if out is not None:
-            rows = [(h0 + g0, 0, 0, h3 + g3) for (h0, _, _, h3), (g0, _, _, g3) in zip(out, rows)]
-        out = rows
-    return [(0, 0, 0, 0)] * len(twists) if out is None else out
+    """Rows of the sum of O(d) over degrees, each distinct degree's cubic chi once."""
+    # chi(n O(d)) = n C(d + 3, 3), all h0 or all h3; an empty sum is 0 O(0), all zeros
+    first, start, stop = degrees[0] if degrees else 0, twists.start, twists.stop
+    n = degrees.count(first)
+    rows = [(c, 0, 0, 0) if c >= 0 else (0, 0, 0, -c) for x in range(first + start, first + stop)
+            for c in [n * (x + 1) * (x + 2) * (x + 3) // 6]]
+    if len(degrees) > n:  # each further degree folded in by the pass that computes its cubic
+        for d in {*degrees} - {first}:
+            n = degrees.count(d)
+            rows = [(h0 + c, 0, 0, h3) if c >= 0 else (h0, 0, 0, h3 - c)
+                    for (h0, _, _, h3), x in zip(rows, range(d + start, d + stop))
+                    for c in [n * (x + 1) * (x + 2) * (x + 3) // 6]]
+    return rows
 
 
 def _rows(node, twists: range) -> tuple[list, Exception | None]:
@@ -170,16 +174,18 @@ def _rows(node, twists: range) -> tuple[list, Exception | None]:
         return _solve(node.unknown, [_rows(slot, twists) for slot in node if slot is not None])
     if isinstance(node, PointSheaf):
         return [(node.n, 0, 0, 0)] * len(twists), None
-    if isinstance(node, CurveModule):
-        g, chis = node.genus, [node.slope * t + node.offset for t in twists]
-        strip = [i for i, chi in enumerate(chis) if 0 <= chi + g - 1 <= 2 * g - 2]
+    if isinstance(node, CurveModule):  # chi = slope t + offset steps by the slope
+        g, step = node.genus, node.slope
+        chis = range(step * twists.start + node.offset, step * twists.stop + node.offset, step)
         rows = [(c, 0, 0, 0) if c >= 0 else (0, -c, 0, 0) for c in chis]
-        if node.generic or not strip:
-            return rows, None
-        return rows[:strip[0]], AmbiguousCurveModuleError(
-            f"degree {chis[strip[0]] + g - 1} lies in the special strip of a genus-{g} "
-            "curve and the module is not declared generic"
-        )
+        if not node.generic:  # only a generic module is determined inside the strip
+            for i, chi in enumerate(chis):
+                if 0 <= chi + g - 1 <= 2 * g - 2:
+                    return rows[:i], AmbiguousCurveModuleError(
+                        f"degree {chi + g - 1} lies in the special strip of a genus-{g} "
+                        "curve and the module is not declared generic"
+                    )
+        return rows, None
     if isinstance(node, MonadShape):  # sum O(a) -> K -> E, with K ->> sum O(b) ->> sum O(c)
         kernel = _solve("left", [(_lines(node.b, twists), None), (_lines(node.c, twists), None)])
         return _solve("right", [(_lines(node.a, twists), None), kernel])
@@ -324,7 +330,10 @@ class MonadShape(_Checked, NamedTuple("MonadShape", [
     __slots__ = ()
 
     def __new__(cls, a, b, c):
-        self = tuple.__new__(cls, tuple(tuple([_exact(d) for d in x]) for x in (a, b, c)))
+        # each degree list an array: tuple() would read a mapping's or a set's keys
+        arrays = (_array(a, "monad field 'a'"), _array(b, "monad field 'b'"),
+                  _array(c, "monad field 'c'"))
+        self = tuple.__new__(cls, tuple(tuple([_exact(d) for d in x]) for x in arrays))
         if len(self.b) - len(self.a) - len(self.c) != 2:
             raise RankMismatchError(
                 f"monad has rank {len(self.b) - len(self.a) - len(self.c)}, expected 2"
@@ -332,11 +341,15 @@ class MonadShape(_Checked, NamedTuple("MonadShape", [
         return self
 
     def chern(self) -> ChernClasses:
-        # chi(E) = sum over b - sum over a and c of chi(O(d)), each degree once
-        degrees = {d: self.b.count(d) - self.a.count(d) - self.c.count(d)
-                   for d in {*self.a, *self.b, *self.c}}
-        return _class_from_chi([sum([n * (d + t + 1) * (d + t + 2) * (d + t + 3)
-                                     for d, n in degrees.items()]) // 6 for t in range(-3, 1)])
+        # 6 chi(O(d)(t)) = u^3 - u, u = d + k, k = t + 2; so over the power sums p_i of
+        # the degrees, b counted +1 and a and c -1, 6 chi(E(t)) is p3 + 3k p2 +
+        # (3k^2 - 1) p1 + (k^3 - k) p0, here at k = -1..2 with p0 = 2, the rank
+        ac = self.a + self.c
+        p1 = sum(self.b) - sum(ac)
+        p2 = sum([d * d for d in self.b]) - sum([d * d for d in ac])
+        p3 = sum([d * d * d for d in self.b]) - sum([d * d * d for d in ac])
+        return _class_from_chi([(p3 - 3 * p2 + 2 * p1) // 6, (p3 - p1) // 6,
+                                (p3 + 3 * p2 + 2 * p1) // 6, (p3 + 6 * p2 + 11 * p1 + 12) // 6])
 
 
 def _leaves(sym) -> list:
@@ -409,10 +422,8 @@ def symbol_from_json(node: Mapping):
             if unknown not in _SLOTS or unknown in slots:
                 raise CatalogError(f"recipe must leave exactly the slot {unknown!r} empty")
             return ShortExactSequenceSpec(**slots)
-        if kind == "monad":  # each degree list an array: a mapping or a set gives its keys
-            return MonadShape(_array(node["a"], "monad field 'a'"),
-                              _array(node["b"], "monad field 'b'"),
-                              _array(node["c"], "monad field 'c'"))
+        if kind == "monad":
+            return MonadShape(node["a"], node["b"], node["c"])
         if kind == "quotient":
             return _quotient(
                 symbol_from_json(node["ambient"]), symbol_from_json(node["quotient"])

@@ -69,7 +69,9 @@ UNBOUNDED = ChainUpParam(None)
 
 
 def validate_spectrum(values: Iterable[int]) -> tuple[int, ...]:
-    """Normalize to a tuple; reject non-int, empty or decreasing input."""
+    """Normalize to a tuple; reject a mapping or a set, non-int, empty or decreasing input."""
+    if isinstance(values, (dict, set, frozenset)):  # tuple() would take its keys
+        raise InadmissibleSpectrumError(f"spectrum must be a sequence, got {values!r}")
     spec = tuple(values)
     if not {*map(type, spec)} <= {int}:
         raise InadmissibleSpectrumError(f"spectrum {spec!r} has a non-int value")

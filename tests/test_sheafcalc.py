@@ -382,6 +382,76 @@ def test_degenerate_monad_is_a_direct_sum():
     assert all(table.row(t) == direct.row(t) for t in range(-2, 2))
 
 
+@st.composite
+def rank_two_monads(draw):
+    # every rank-2 monad with degrees in [-4, 4], normalized or not
+    a = draw(st.lists(st.integers(-4, 4), max_size=3))
+    c = draw(st.lists(st.integers(-4, 4), max_size=3))
+    n = len(a) + len(c) + 2
+    return MonadShape(a, draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), c)
+
+
+@given(rank_two_monads())
+@settings(max_examples=300, deadline=None)
+def test_a_monads_class_is_the_series_class_or_its_normalizing_twist(shape):
+    c1 = sum(shape.b) - sum(shape.a) - sum(shape.c)  # the series' first coefficient
+    if c1 in (-1, 0):
+        assert shape.chern() == series_class(shape)
+    else:
+        with pytest.raises(NotNormalizedError) as err:
+            shape.chern()
+        assert str(err.value) == (f"recipe has first Chern class {c1}; "
+                                  f"twist it by {-((c1 + 1) // 2)} to normalize it")
+
+
+@pytest.mark.parametrize("field", "abc")
+@pytest.mark.parametrize("value", [{-2: 0}, {-1, 0}, frozenset({1}), range(2), iter([0])],
+                         ids=["mapping", "set", "frozenset", "range", "iterator"])
+def test_a_monad_constructor_refuses_a_non_array_degree_list(field, value):
+    # read as its keys, {-2: 0} was the list [-2], and a set came in hash order
+    lists = {"a": [-2], "b": [-1, 0, 0, 1], "c": [2], field: value}
+    with pytest.raises(ValueError) as err:
+        MonadShape(**lists)
+    assert str(err.value) == f"monad field {field!r} must be a list or tuple, got {value!r}"
+
+
+@pytest.mark.parametrize("terms", [{LineBundle(0): 1, LineBundle(1): 2},
+                                   {LineBundle(0), LineBundle(1)}, frozenset({LineBundle(0)})],
+                         ids=["mapping", "set", "frozenset"])
+def test_a_direct_sum_refuses_a_mapping_or_a_set(terms):
+    # read as its keys, a mapping summed its keys and a set came in hash order
+    with pytest.raises(TypeError) as err:
+        DirectSum(terms)
+    assert str(err.value) == f"sum terms must be a sequence or an iterator, got {terms!r}"
+    # a generator is an iterator, as the benchmark and symbol_from_json build sums
+    assert DirectSum(LineBundle(a) for a in (0, 1)) == DirectSum([LineBundle(0), LineBundle(1)])
+
+
+def grouped_lines(degrees, twists):
+    # _lines before the fold: each distinct degree's column, scaled by its
+    # count, then merged into the others by zip
+    out = None
+    for d in dict.fromkeys(degrees):
+        n = degrees.count(d)
+        rows = [(c, 0, 0, 0) if c >= 0 else (0, 0, 0, -c)
+                for x in range(d + twists.start, d + twists.stop)
+                for c in [n * (x + 1) * (x + 2) * (x + 3) // 6]]
+        if out is not None:
+            rows = [(h0 + g0, 0, 0, h3 + g3) for (h0, _, _, h3), (g0, _, _, g3) in zip(out, rows)]
+        out = rows
+    return [(0, 0, 0, 0)] * len(twists) if out is None else out
+
+
+@given(st.lists(st.integers(-3, 3), max_size=9) | st.lists(st.integers(-12, 12), max_size=6),
+       st.integers(-12, 4), st.integers(-1, 10), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_lines_fold_matches_the_per_degree_grouping(degrees, lo, width, as_tuple):
+    # empty, repeated and mixed-sign degree lists; monads pass tuples, sums lists
+    degrees = tuple(degrees) if as_tuple else degrees
+    twists = range(lo, lo + width)
+    assert sheafcalc._lines(degrees, twists) == grouped_lines(degrees, twists)
+
+
 # ------------------------------------------------------------- quotients
 
 

@@ -61,6 +61,19 @@ def test_validate_spectrum_refuses_non_ints():
         table_from_spectrum(SpectrumWithS(("-1", 0.9), 0), ST_MINUS, (-4, -1))
 
 
+@pytest.mark.parametrize("values", [{-1: 0, 0: 0}, {-1, 0}, frozenset({-1})],
+                         ids=["mapping", "set", "frozenset"])
+def test_a_spectrum_is_not_read_off_a_mapping_or_a_set(values):
+    # read as its keys, {-1: 0, 0: 0} was the spectrum (-1, 0): c3_from_spectrum gave 0
+    for call in (lambda: validate_spectrum(values),
+                 lambda: c3_from_spectrum(-1, 2, SpectrumWithS(values, 0))):
+        with pytest.raises(InadmissibleSpectrumError) as err:
+            call()
+        assert str(err.value) == f"spectrum must be a sequence, got {values!r}"
+    # a generator still is, as for tuple()
+    assert validate_spectrum(v for v in (-1, 0)) == (-1, 0)
+
+
 def _reference_validate_spectrum(values) -> tuple:
     """validate_spectrum entry by entry: the oracle for its whole-tuple checks."""
     spec = tuple(values)

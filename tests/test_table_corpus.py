@@ -1,9 +1,12 @@
 """A seeded corpus of the table path, pinned by one digest per layer.
 
 The generator below draws spectra from enumerate_spectra (e in {-1, 0},
-c2 <= 6) and ranges with lo in [-14, -1] and hi <= 5, generates each
-table, and edits its rows: holes, entries moved by +-1 or +-2, non-int
-entries, stray row keys and top-level fields, shuffled key order.  No
+c2 <= 6) and ranges with lo in [-14, -1] and hi <= 5, then deep cases
+whose hi sits 0-3 twists below -2 - min(values), so that the inverter's
+bucket holds one value or more and a step edit moves its weight; it
+generates each table and edits its rows: holes, entries moved by +-1 or
++-2, non-int entries, stray row keys and top-level fields, shuffled key
+order.  No
 input holds more than one fault, so which of several faults a reader
 names first never decides a case.  Each case is one line, its input and
 then its result or its error class and text, on five layers:
@@ -40,7 +43,7 @@ from sheafspectra.spectrum import enumerate_spectra
 
 DIGESTS = Path(__file__).resolve().parent / "table_corpus.json"
 LAYERS = ("generate", "json", "construct", "invert", "chi")
-SEED, CASES = "table-corpus:1", 1000
+SEED, CASES, DEEP = "table-corpus:1", 1000, 300
 EDITS = ("none", "hole", "step", "non-int", "outside-key", "stray-field")
 
 
@@ -66,9 +69,10 @@ def _pool() -> list:
     return pool
 
 
-def _edit(rnd: random.Random, table: CohomologyTable):
+def _edit(rnd: random.Random, table: CohomologyTable, deep: bool):
     # the table's rows as lists with holes, then at most one edit that may
-    # fault; returns (edit, rows, stray top-level fields)
+    # fault, a step of a deep case at h2(hi) where that is known, so that
+    # the bucket's weight moves; returns (edit, rows, stray top-level fields)
     rows = {t: list(row) for t, row in table.rows.items()}
     known = [(t, i) for t, row in rows.items() for i, h in enumerate(row) if h is not None]
     for t, i in rnd.sample(known, min(len(known), rnd.choice((0, 0, 1, 2)))):
@@ -78,7 +82,7 @@ def _edit(rnd: random.Random, table: CohomologyTable):
     if edit == "hole" or (edit in ("step", "non-int") and not known):
         edit = "hole"
     elif edit == "step":
-        t, i = rnd.choice(known)
+        t, i = (table.hi, 2) if deep and rows[table.hi][2] is not None else rnd.choice(known)
         rows[t][i] += rnd.choice((-2, -1, 1, 2))
     elif edit == "non-int":
         t, i = rnd.choice(known)
@@ -98,12 +102,19 @@ def _edit(rnd: random.Random, table: CohomologyTable):
 def corpus() -> dict:
     """The lines of every layer, in the order they were drawn."""
     rnd, pool = random.Random(SEED), _pool()
+    # spectra whose bucket can sit below hi >= -1, the top of the h1 window
+    deep = [(e, sw) for e, sw in pool if sw.values[0] <= -2]
     lines = {layer: [] for layer in LAYERS}
-    for case in range(CASES):
-        e, sw = rnd.choice(pool)
+    for case in range(CASES + DEEP):
+        if case < CASES:
+            e, sw = rnd.choice(pool)
+            lo = rnd.randint(-14, -1)
+            hi = rnd.randint(lo - 1 if case % 40 == 0 else lo, 5)  # an empty range now and then
+        else:  # hi j = 0..3 twists below -2 - min(values): the bucket holds the values <= min + j
+            e, sw = rnd.choice(deep)
+            hi = -2 - sw.values[0] - rnd.randint(0, min(3, -1 - sw.values[0]))
+            lo = rnd.randint(-14, max(-14, -4 - sw.values[-1]))  # mostly low enough for h1
         st = splitting_type_from_e(e)
-        lo = rnd.randint(-14, -1)
-        hi = rnd.randint(lo - 1 if case % 40 == 0 else lo, 5)  # an empty range now and then
         line = f"{case} e={e} {sw} [{lo}, {hi}]"
         lines["generate"].append(f"{line} -> {_outcome(table_from_spectrum, sw, st, (lo, hi))}")
         try:
@@ -113,7 +124,7 @@ def corpus() -> dict:
         text = table.to_json()
         again = _outcome(CohomologyTable.from_json, text)
         lines["json"].append(f"{line} to_json {text} -> {again}")
-        edit, rows, stray = _edit(rnd, table)
+        edit, rows, stray = _edit(rnd, table, case >= CASES)
         cc = table.cc if rnd.random() < 0.75 else None
         doc = {"range": [lo, hi], "rows": {str(t): row for t, row in rows.items()}, **stray}
         if cc is not None:
