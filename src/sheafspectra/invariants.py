@@ -18,6 +18,8 @@ enforced at construction time.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
+from types import GeneratorType
 from typing import NamedTuple
 
 from .errors import IntegralityError, NotNormalizedError, ParityError
@@ -43,6 +45,13 @@ def _array(value, field: str):
     if type(value) is not list and not isinstance(value, tuple):
         raise ValueError(f"{field} must be a list or tuple, got {value!r}")
     return value
+
+
+def _unkeyed(values, error: type, what: str):
+    # tuple() would read a mapping's or a set's keys; the hot paths' kinds pass first
+    if type(values) not in (tuple, list, GeneratorType) and isinstance(values, (Mapping, Set)):
+        raise error(f"{what}, got {values!r}")
+    return values
 
 
 class _Checked:

@@ -28,7 +28,7 @@ from collections.abc import Mapping
 from typing import Iterable, NamedTuple
 
 from .errors import DegenerateClassError, InadmissibleSpectrumError
-from .invariants import ChernClasses, _Checked, _exact, splitting_type_from_e
+from .invariants import ChernClasses, _Checked, _exact, _unkeyed, splitting_type_from_e
 
 __all__ = [
     "SpectrumWithS",
@@ -70,9 +70,7 @@ UNBOUNDED = ChainUpParam(None)
 
 def validate_spectrum(values: Iterable[int]) -> tuple[int, ...]:
     """Normalize to a tuple; reject a mapping or a set, non-int, empty or decreasing input."""
-    if isinstance(values, (dict, set, frozenset)):  # tuple() would take its keys
-        raise InadmissibleSpectrumError(f"spectrum must be a sequence, got {values!r}")
-    spec = tuple(values)
+    spec = tuple(_unkeyed(values, InadmissibleSpectrumError, "spectrum must be a sequence"))
     if not {*map(type, spec)} <= {int}:
         raise InadmissibleSpectrumError(f"spectrum {spec!r} has a non-int value")
     if not spec:

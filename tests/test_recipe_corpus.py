@@ -19,12 +19,13 @@ error class and text, on five layers:
 tests/recipe_corpus.json holds, per layer, the sha256 of all its lines
 and an 8-hex fingerprint per line, so a mismatch names the first case
 that differs.  Re-record only for a declared change of an output or
-error text, and name every changed case in CHANGES.md:
+error text, and name every changed case in CHANGES.md; before it
+writes, the command prints per layer how many case fingerprints changed
+and the first few of their indices:
 
     PYTHONPATH=src python tests/test_recipe_corpus.py
 """
 
-import hashlib
 import json
 import random
 from importlib import resources
@@ -41,6 +42,7 @@ from sheafspectra.sheafcalc import (
     splice_ses,
     symbol_from_json,
 )
+from corpus_digests import check, record
 
 DIGESTS = Path(__file__).resolve().parent / "recipe_corpus.json"
 LAYERS = ("parse", "splice", "bounds", "derive", "chern")
@@ -227,17 +229,6 @@ def corpus() -> dict:
     return lines
 
 
-def _digests(lines: dict) -> dict:
-    out = {}
-    for layer, layer_lines in lines.items():
-        encoded = [line.encode() for line in layer_lines]
-        out[layer] = {
-            "sha256": hashlib.sha256(b"\n".join(encoded)).hexdigest(),
-            "cases": " ".join(hashlib.sha256(line).hexdigest()[:8] for line in encoded),
-        }
-    return out
-
-
 @pytest.fixture(scope="module")
 def drawn() -> dict:
     return corpus()
@@ -245,18 +236,8 @@ def drawn() -> dict:
 
 @pytest.mark.parametrize("layer", LAYERS)
 def test_every_recipe_path_case_keeps_its_recorded_outcome(drawn, layer):
-    want, lines = json.loads(DIGESTS.read_text())[layer], drawn[layer]
-    got = _digests({layer: lines})[layer]
-    if got["sha256"] == want["sha256"]:
-        return
-    recorded = want["cases"].split()
-    for index, (line, now, then) in enumerate(zip(lines, got["cases"].split(), recorded)):
-        assert now == then, f"{layer} case {index} differs from its record: {line}"
-    assert len(lines) == len(recorded), f"{layer} has {len(lines)} cases, {len(recorded)} recorded"
-    pytest.fail(f"{layer} digest differs though every case fingerprint is equal")
+    check(DIGESTS, layer, drawn[layer])
 
 
 if __name__ == "__main__":
-    digests = _digests(corpus())
-    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(", ".join(f"{layer} {len(d['cases'].split())}" for layer, d in digests.items()))
+    record(DIGESTS, corpus())

@@ -3,6 +3,7 @@
 import functools
 import gc
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,7 @@ from sheafspectra.spectrum import (
     s_upper_bound,
     validate_spectrum,
 )
-from test_sheafcalc import outcome
+from test_sheafcalc import ListSet, outcome
 
 ST_MINUS = SplittingType(-1, 0)
 ST_ZERO = SplittingType(0, 0)
@@ -61,8 +62,9 @@ def test_validate_spectrum_refuses_non_ints():
         table_from_spectrum(SpectrumWithS(("-1", 0.9), 0), ST_MINUS, (-4, -1))
 
 
-@pytest.mark.parametrize("values", [{-1: 0, 0: 0}, {-1, 0}, frozenset({-1})],
-                         ids=["mapping", "set", "frozenset"])
+@pytest.mark.parametrize("values", [{-1: 0, 0: 0}, {-1, 0}, frozenset({-1}),
+                                    types.MappingProxyType({-1: 0, 0: 0}), ListSet([-1, 0])],
+                         ids=["mapping", "set", "frozenset", "mapping-proxy", "abc-set"])
 def test_a_spectrum_is_not_read_off_a_mapping_or_a_set(values):
     # read as its keys, {-1: 0, 0: 0} was the spectrum (-1, 0): c3_from_spectrum gave 0
     for call in (lambda: validate_spectrum(values),

@@ -20,12 +20,13 @@ then its result or its error class and text, on five layers:
 tests/table_corpus.json holds, per layer, the sha256 of all its lines
 and an 8-hex fingerprint per line, so a mismatch names the first case
 that differs.  Re-record only for a declared change of an output or
-error text, and name every changed case in CHANGES.md:
+error text, and name every changed case in CHANGES.md; before it
+writes, the command prints per layer how many case fingerprints changed
+and the first few of their indices:
 
     PYTHONPATH=src python tests/test_table_corpus.py
 """
 
-import hashlib
 import json
 import random
 from pathlib import Path
@@ -40,6 +41,7 @@ from sheafspectra.cohomology import (
 )
 from sheafspectra.invariants import ChernClasses, splitting_type_from_e
 from sheafspectra.spectrum import enumerate_spectra
+from corpus_digests import check, record
 
 DIGESTS = Path(__file__).resolve().parent / "table_corpus.json"
 LAYERS = ("generate", "json", "construct", "invert", "chi")
@@ -142,17 +144,6 @@ def corpus() -> dict:
     return lines
 
 
-def _digests(lines: dict) -> dict:
-    out = {}
-    for layer, layer_lines in lines.items():
-        encoded = [line.encode() for line in layer_lines]
-        out[layer] = {
-            "sha256": hashlib.sha256(b"\n".join(encoded)).hexdigest(),
-            "cases": " ".join(hashlib.sha256(line).hexdigest()[:8] for line in encoded),
-        }
-    return out
-
-
 @pytest.fixture(scope="module")
 def drawn() -> dict:
     return corpus()
@@ -160,18 +151,8 @@ def drawn() -> dict:
 
 @pytest.mark.parametrize("layer", LAYERS)
 def test_every_table_path_case_keeps_its_recorded_outcome(drawn, layer):
-    want, lines = json.loads(DIGESTS.read_text())[layer], drawn[layer]
-    got = _digests({layer: lines})[layer]
-    if got["sha256"] == want["sha256"]:
-        return
-    recorded = want["cases"].split()
-    for index, (line, now, then) in enumerate(zip(lines, got["cases"].split(), recorded)):
-        assert now == then, f"{layer} case {index} differs from its record: {line}"
-    assert len(lines) == len(recorded), f"{layer} has {len(lines)} cases, {len(recorded)} recorded"
-    pytest.fail(f"{layer} digest differs though every case fingerprint is equal")
+    check(DIGESTS, layer, drawn[layer])
 
 
 if __name__ == "__main__":
-    digests = _digests(corpus())
-    DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(", ".join(f"{layer} {len(d['cases'].split())}" for layer, d in digests.items()))
+    record(DIGESTS, corpus())
