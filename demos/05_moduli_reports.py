@@ -13,7 +13,7 @@ from sheafspectra import (
 
 catalog = catalog_load()
 print("bundled catalog:", len(catalog.components), "components over",
-      len(catalog.moduli_classes()), "moduli spaces")
+      len({d.moduli for d in catalog.components}), "moduli spaces")
 
 # Every derived component's recipe was re-run and checked against its
 # recorded spectrum while the catalog was loaded; reports only format.

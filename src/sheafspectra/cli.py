@@ -19,9 +19,6 @@ from . import __version__
 from .errors import VERIFICATION_ERRORS, SheafSpectraError
 from .invariants import ChernClasses, euler_characteristic, splitting_type_from_e
 
-# Each handler imports the layers it uses, so a process compiles only those,
-# and a subcommand process builds only its own subparser (build_parser).
-
 __all__ = ["main"]
 
 
@@ -178,80 +175,59 @@ def _cmd_check_examples(args) -> int:
     return _emit(args, lambda: report, lambda: slope_examples_markdown(report))
 
 
+# Each row gives a subcommand its help text, its handler and its arguments as
+# (flag, add_argument options) rows, in the order help prints them.  Handlers
+# import the layers they run inside their bodies: a process runs without a
+# bytecode cache, so it compiles every module it imports, and build_parser adds
+# only the one subparser a subcommand process runs.
+_FORMAT = (("--format", dict(choices=("md", "json"), default="md")),)
+_CLASS = tuple((flag, dict(type=_int, required=True)) for flag in ("--e", "--c2", "--c3"))
+_MODULI = (("--moduli", dict(type=_moduli, required=True, help="E,C2,C3, e.g. --moduli=-1,2,0")),
+           ("--catalog", dict(default=None, help="catalog JSON file")))
+_SEH = (("--seh", dict(type=_seh, default="unbounded",
+                       help="chain-up threshold, an integer or 'unbounded'")),)
+
+_COMMANDS = {
+    "chi": ("Euler characteristic of a twist", _cmd_chi,
+            (*_CLASS, ("--twist", dict(type=_int, default=0)))),
+    "enumerate": ("all admissible spectra for a class", _cmd_enumerate,
+                  (*_CLASS, *_SEH, *_FORMAT)),
+    "table": ("cohomology table of a spectrum", _cmd_table, (
+        ("--spectrum", dict(type=_values, required=True,
+                            help="comma-separated values, e.g. --spectrum=-1,0")),
+        ("--s", dict(type=_int, required=True)),
+        ("--e", dict(type=_int, required=True)),
+        ("--range", dict(type=_twist_range, default=(-4, -1),
+                         help="twist range LO:HI, e.g. --range=-8:2")),
+        *_FORMAT)),
+    "invert-table": ("recover (spectrum, s) from a table", _cmd_invert_table, (
+        ("file", dict(help="table JSON file")),
+        ("--e", dict(type=_int, default=None,
+                     help="first Chern class if the table has none attached")),
+        *_FORMAT)),
+    "splice": ("solve a sequence or recipe for its table", _cmd_splice, (
+        ("--spec", dict(required=True, help="recipe JSON file")),
+        ("--range", dict(type=_twist_range, default=(-8, 0))),
+        *_FORMAT)),
+    "report": ("component report for a moduli class", _cmd_report, (*_MODULI, *_FORMAT)),
+    "rao-pairs": ("components sharing spectrum values", _cmd_rao_pairs, (*_MODULI, *_FORMAT)),
+    "gap": ("enumerated spectra with no known component", _cmd_gap,
+            (*_MODULI, *_SEH, *_FORMAT)),
+    "check-examples": ("slope-semistable bound breakers", _cmd_check_examples, _FORMAT),
+}
+
+
 def build_parser(command=None) -> _Parser:
     """The root parser with every subcommand, or with only `command` if it names one."""
     parser = _Parser(prog="sheafspectra", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name, help, func):
-        if command in (None, name):
-            p = sub.add_parser(name, help=help)
-            p.set_defaults(func=func)
-            return p
-
-    def fmt(p):
-        p.add_argument("--format", choices=("md", "json"), default="md")
-
-    def chern(p):
-        for flag in ("--e", "--c2", "--c3"):
-            p.add_argument(flag, type=_int, required=True)
-
-    def moduli(p):
-        p.add_argument("--moduli", type=_moduli, required=True,
-                       help="E,C2,C3, e.g. --moduli=-1,2,0")
-        p.add_argument("--catalog", default=None, help="catalog JSON file")
-
-    def seh(p):
-        p.add_argument("--seh", type=_seh, default="unbounded",
-                       help="chain-up threshold, an integer or 'unbounded'")
-
-    if p := add("chi", "Euler characteristic of a twist", _cmd_chi):
-        chern(p)
-        p.add_argument("--twist", type=_int, default=0)
-
-    if p := add("enumerate", "all admissible spectra for a class", _cmd_enumerate):
-        chern(p)
-        seh(p)
-        fmt(p)
-
-    if p := add("table", "cohomology table of a spectrum", _cmd_table):
-        p.add_argument("--spectrum", type=_values, required=True,
-                       help="comma-separated values, e.g. --spectrum=-1,0")
-        p.add_argument("--s", type=_int, required=True)
-        p.add_argument("--e", type=_int, required=True)
-        p.add_argument("--range", type=_twist_range, default=(-4, -1),
-                       help="twist range LO:HI, e.g. --range=-8:2")
-        fmt(p)
-
-    if p := add("invert-table", "recover (spectrum, s) from a table", _cmd_invert_table):
-        p.add_argument("file", help="table JSON file")
-        p.add_argument("--e", type=_int, default=None,
-                       help="first Chern class if the table has none attached")
-        fmt(p)
-
-    if p := add("splice", "solve a sequence or recipe for its table", _cmd_splice):
-        p.add_argument("--spec", required=True, help="recipe JSON file")
-        p.add_argument("--range", type=_twist_range, default=(-8, 0))
-        fmt(p)
-
-    if p := add("report", "component report for a moduli class", _cmd_report):
-        moduli(p)
-        fmt(p)
-
-    if p := add("rao-pairs", "components sharing spectrum values", _cmd_rao_pairs):
-        moduli(p)
-        fmt(p)
-
-    if p := add("gap", "enumerated spectra with no known component", _cmd_gap):
-        moduli(p)
-        seh(p)
-        fmt(p)
-
-    if p := add("check-examples", "slope-semistable bound breakers", _cmd_check_examples):
-        fmt(p)
-
-    return parser if sub.choices else build_parser()
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        text, _, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -260,7 +236,7 @@ def main(argv=None) -> int:
         args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
         if extra:  # the root's error, with the usage line that lists every subcommand
             build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
-        return args.func(args)
+        return _COMMANDS[args.command][1](args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except VERIFICATION_ERRORS as exc:

@@ -151,9 +151,6 @@ class Catalog(_Checked, NamedTuple("Catalog", [("components", tuple)])):
                 )
         return self
 
-    def moduli_classes(self) -> list:
-        return sorted({d.moduli.as_tuple() for d in self.components})
-
     def for_moduli(self, cc: ChernClasses) -> tuple:
         return tuple(d for d in self.components if d.moduli == cc)
 

@@ -3,8 +3,9 @@ first access, each public object under one name; the names the benchmark
 calls and the names in the README's Library table exist; importing the
 root loads no layer; and each subcommand loads only the layers it uses,
 with neither `dataclasses` nor `inspect`, and builds only its own
-subparser; the recipe kinds the README lists are exactly the kinds
-symbol_from_json reads; and every public name has a caller in code."""
+subparser; the README lists exactly the CLI's subcommands, and the
+recipe kinds it lists are exactly the kinds symbol_from_json reads; and
+every public name has a caller in code."""
 
 import argparse
 import ast
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import sheafspectra
+from sheafspectra import cli
 from sheafspectra.cli import main
 
 SRC = str(Path(sheafspectra.__file__).resolve().parents[1])
@@ -210,6 +212,13 @@ def test_a_subcommand_process_builds_only_its_own_subparser(command, monkeypatch
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], [], ["bogus"]], ids=repr)
 def test_root_help_version_and_usage_errors_build_every_subparser(argv, monkeypatch, capsys):
     assert _subparsers_built(monkeypatch, argv) == SUBCOMMANDS
+
+
+def test_readme_lists_exactly_the_cli_subcommands():
+    # the bullets "- `name`: ..." between "Subcommands:" and the next heading
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listing = readme.split("\nSubcommands:\n", 1)[1].split("\n#", 1)[0]
+    assert re.findall(r"^- `([^`]+)`:", listing, re.M) == [*cli._COMMANDS, "--version"]
 
 
 def test_cli_import_adds_neither_dataclasses_nor_inspect():
